@@ -4,6 +4,7 @@ from .errors import (
     BoxlabError,
     DanglingIdError,
     DegenerateAspectError,
+    DuplicateIdError,
     EmptyEvaluationError,
     InvalidBoxError,
     ParseError,

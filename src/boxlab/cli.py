@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .augment import AugmentParams, plan_to_lines, sample_plan
 from .coco_io import SplitSpec, load_manifest, load_predictions, split_dataset
@@ -63,6 +63,14 @@ def _parse_thresholds(spec: str) -> tuple[float, ...]:
         raise ValidationError(f"bad --iou-thresholds {spec!r}: {exc}") from exc
 
 
+def _parse_list(spec: str, flag: str, convert: Callable[[str], Any]) -> tuple[Any, ...]:
+    """Parse a comma list such as '0.5,1,2' with ``convert`` applied to each item."""
+    try:
+        return tuple(convert(tok) for tok in spec.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"bad {flag} {spec!r}: {exc}") from exc
+
+
 def _parse_pair(spec: str, flag: str) -> tuple[int, int]:
     try:
         a, b = spec.lower().split("x")
@@ -80,8 +88,8 @@ def _parse_losses(spec: str) -> list[LossKind]:
         ) from exc
 
 
-def _round4(x: float) -> str:
-    return f"{x:.4f}"
+def _round4(x: float | None) -> str:
+    return "n/a" if x is None else f"{x:.4f}"
 
 
 # --- evaluate -------------------------------------------------------------
@@ -258,8 +266,8 @@ def cmd_convergence(args: argparse.Namespace) -> None:
 def cmd_anchors(args: argparse.Namespace) -> None:
     cfg = AnchorConfig(
         scale=args.scale,
-        aspect_ratios=tuple(float(r) for r in args.ratios.split(",")),
-        strides=tuple(int(s) for s in args.strides.split(",")),
+        aspect_ratios=_parse_list(args.ratios, "--ratios", float),
+        strides=_parse_list(args.strides, "--strides", int),
     )
     if args.feature_sizes:
         feature_sizes = [_parse_pair(tok, "--feature-sizes") for tok in args.feature_sizes.split(",")]

@@ -5,20 +5,24 @@ Ground truth is the usual ``{"images": [...], "categories": [...],
 ``{"image_id", "category_id", "bbox", "score"}`` records. Boxes are stored
 as ``(x, y, width, height)`` and converted to corner form on load.
 
-Loading validates everything the evaluator relies on: referential integrity
-(dangling image/category ids), box validity (positive area for ground truth,
-non-negative extents for predictions), and image-bounds containment for
-annotations. Offending records are collected and reported together.
+Loading validates everything the evaluator relies on: finite numbers
+(``json.load`` accepts NaN and Infinity), unique image and category ids,
+referential integrity (dangling image/category ids), box validity (positive
+area for ground truth, non-negative extents for predictions), and
+image-bounds containment for annotations. Offending records are collected
+and reported together; a field of the wrong type or a non-finite number
+stops the load at that record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import DanglingIdError, InvalidBoxError, ParseError, ValidationError
+from .errors import DanglingIdError, DuplicateIdError, InvalidBoxError, ParseError, ValidationError
 from .evaluation import Detection, GroundTruthAnnotation
 from .geometry import Box
 
@@ -82,6 +86,8 @@ def _number(record: Any, key: str, context: str) -> float:
     value = _field(record, key, context)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ParseError(f"{context}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -100,8 +106,21 @@ def _bbox(record: Any, context: str) -> tuple[float, float, float, float]:
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ParseError(f"{context}.bbox[{i}]: expected a number, got {item!r}")
+        if not math.isfinite(item):
+            raise ParseError(f"{context}.bbox[{i}]: expected a finite number, got {item!r}")
         out.append(float(item))
     return out[0], out[1], out[2], out[3]
+
+
+def _duplicate_ids(section: str, records: Sequence[ImageInfo | Category]) -> list[str]:
+    first_at: dict[int, int] = {}
+    messages = []
+    for i, rec in enumerate(records):
+        if rec.id in first_at:
+            messages.append(f"{section}[{i}]: duplicate id {rec.id} (first at {section}[{first_at[rec.id]}])")
+        else:
+            first_at[rec.id] = i
+    return messages
 
 
 def load_manifest(path: str) -> DatasetManifest:
@@ -126,6 +145,9 @@ def load_manifest(path: str) -> DatasetManifest:
         ctx = f"categories[{i}]"
         categories.append(Category(id=_int_id(rec, "id", ctx), name=str(_field(rec, "name", ctx))))
 
+    duplicates = _duplicate_ids("images", images) + _duplicate_ids("categories", categories)
+    if duplicates:
+        raise DuplicateIdError(f"{path}: " + "; ".join(duplicates))
     image_dims = {im.id: (im.width, im.height) for im in images}
     category_ids = {c.id for c in categories}
 

@@ -34,6 +34,10 @@ class DanglingIdError(ValidationError):
     """An annotation or prediction references an unknown image/category id."""
 
 
+class DuplicateIdError(ValidationError):
+    """A manifest lists the same image or category id more than once."""
+
+
 class EmptyEvaluationError(ValidationError):
     """Aggregation requested but no class produced an evaluable result."""
 

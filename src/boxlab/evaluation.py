@@ -1,22 +1,36 @@
 """COCO-style detection metrics: greedy matching, interpolated AP, mAP/AR/F1.
 
-The evaluation pipeline is pure per (class, IoU threshold) pair:
+Each class is evaluated with the structure of COCOeval (Lin et al.,
+"Microsoft COCO: Common Objects in Context", ECCV 2014): set up once, then
+match once per threshold.
 
-1. slice detections and ground truths by class;
-2. per image, visit detections in descending score order (ties broken by
-   input index), cap at ``max_detections_per_image``, and greedily match each
-   one to the unmatched ground truth with the highest IoU >= threshold;
-3. rank all of a class's detections globally by score and build the
-   cumulative precision/recall curve;
-4. AP is the mean of interpolated precision (max precision at recall >= r)
-   at ``recall_samples`` evenly spaced recall points in [0, 1].
+1. set-up, once per (class, image) slice: visit detections in descending
+   score order (ties broken by input index) and cap them at
+   ``max_detections_per_image``. For each kept detection, compute its IoU
+   with every ground truth of the slice exactly once and keep the
+   overlapping ones as its candidate row, sorted by descending IoU (equal
+   IoUs: lower ground-truth index first). The class's kept detections are
+   also ranked globally by score, once;
+2. one matching pass per IoU threshold: each detection, in score order,
+   takes the first still-unmatched ground truth in its row, and the walk
+   stops at the first IoU below the threshold. This is greedy matching to
+   the unmatched ground truth with the highest IoU >= threshold;
+3. the TP flags in global rank order give both the cumulative
+   precision/recall curve and the maximum achieved recall. AP is the mean
+   of interpolated precision (max precision at recall >= r) at
+   ``recall_samples`` evenly spaced recall points in [0, 1].
+
+Candidate rows are held for one slice at a time. ``match_detections``,
+``average_precision`` and ``max_achieved_recall`` are thin wrappers over the
+same core for a single slice or threshold.
 
 Aggregation takes unweighted class means: mAP over per-class APs, average
 recall over (class, threshold) maximum achieved recalls, and F1 as the
-harmonic mean of the two. A detection whose class never appears in the
-ground truth is a false positive for its own class; such ground-truth-free
-classes carry AP 0 and are skipped from aggregation unless
-``EvalConfig.include_gt_free_classes`` is set.
+harmonic mean of the two. mAP@0.50 exists only when 0.5 is one of the
+thresholds; otherwise ``ap_50`` and ``map_50`` are None. A detection whose
+class never appears in the ground truth is a false positive for its own
+class; such ground-truth-free classes carry AP 0 and are skipped from
+aggregation unless ``EvalConfig.include_gt_free_classes`` is set.
 """
 
 from __future__ import annotations
@@ -108,7 +122,7 @@ class PerClassResult:
     ap_per_threshold: tuple[float, ...]
     recall_per_threshold: tuple[float, ...]
     ap_all: float
-    ap_50: float
+    ap_50: float | None  # None when 0.5 is not among the IoU thresholds
     num_ground_truths: int
 
 
@@ -118,7 +132,7 @@ class EvalReport:
 
     per_class: dict[Hashable, PerClassResult]
     map_all: float
-    map_50: float
+    map_50: float | None  # None when 0.5 is not among the IoU thresholds
     average_recall: float
     f1: float
 
@@ -128,6 +142,47 @@ def f1(precision_like: float, recall_like: float) -> float:
     if precision_like == 0.0 and recall_like == 0.0:
         return 0.0
     return 2.0 * precision_like * recall_like / (precision_like + recall_like)
+
+
+def _candidate_row(box: Box, gts: Sequence[GroundTruthAnnotation]) -> list[tuple[float, int]]:
+    """The ground truths ``box`` overlaps, as ``(-iou, index)`` pairs, best first.
+
+    Each pair's IoU is computed exactly once. Sorting puts the higher IoU
+    first and, on equal IoU, the lower ground-truth index: the matching
+    tie-break. Zero-IoU pairs are left out because no threshold matches them.
+    """
+    row = []
+    for j, gt in enumerate(gts):
+        overlap = iou(box, gt.box)
+        if overlap > 0.0:
+            row.append((-overlap, j))
+    row.sort()
+    return row
+
+
+def _match_rows(
+    rows: Sequence[list[tuple[float, int]]], n_gt: int, t: float
+) -> tuple[list[bool], list[bool]]:
+    """One greedy pass at threshold ``t`` over candidate rows in score order.
+
+    Each detection takes the first still-unmatched ground truth in its row;
+    the walk stops at the first IoU below ``t``.
+
+    Returns:
+        (tp flags aligned to ``rows``, matched flags per ground-truth index).
+    """
+    matched = [False] * n_gt
+    flags = []
+    for row in rows:
+        hit = False
+        for neg_overlap, j in row:
+            if -neg_overlap < t:
+                break
+            if not matched[j]:
+                matched[j] = hit = True
+                break
+        flags.append(hit)
+    return flags, matched
 
 
 def match_detections(
@@ -148,34 +203,25 @@ def match_detections(
          matched flags aligned to the ground-truth input order).
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    flags, matched = _match_rows([_candidate_row(dets[i].box, gts) for i in order], len(gts), t)
     tp_flags = [False] * len(dets)
-    matched = [False] * len(gts)
-    for i in order:
-        best_j = -1
-        best_iou = 0.0
-        for j, gt in enumerate(gts):
-            if matched[j]:
-                continue
-            overlap = iou(dets[i].box, gt.box)
-            if overlap >= t and overlap > best_iou:
-                best_j = j
-                best_iou = overlap
-        if best_j >= 0:
-            tp_flags[i] = True
-            matched[best_j] = True
+    for i, flag in zip(order, flags):
+        tp_flags[i] = flag
     return tp_flags, matched
 
 
-def _ranked_tp_flags(
+def _ranked_flags_per_threshold(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthAnnotation],
-    t: float,
-    cfg: EvalConfig,
-) -> list[bool]:
-    """TP flags for one class across all images, in global score-rank order.
+    thresholds: Sequence[float],
+    max_detections_per_image: int,
+) -> list[list[bool]]:
+    """TP flags for one class across all images, one list per threshold.
 
-    Applies the per-image detection cap before matching; capped-out
-    detections are dropped from the ranking entirely.
+    Each list is in global score-rank order. The per-image cap applies before
+    matching, and capped-out detections are dropped from the ranking. Each
+    slice's candidate rows serve every threshold and are then dropped; the
+    ranking is built once.
     """
     by_image: dict[Hashable, list[int]] = defaultdict(list)
     for i, det in enumerate(dets):
@@ -184,19 +230,29 @@ def _ranked_tp_flags(
     for gt in gts:
         gts_by_image[gt.image_id].append(gt)
 
-    ranked: list[tuple[float, int, bool]] = []
+    def rank(i: int) -> tuple[float, int]:
+        return (-dets[i].score, i)
+
+    tp = [[False] * len(dets) for _ in thresholds]
+    kept: list[int] = []
     for image_id, indices in by_image.items():
-        indices.sort(key=lambda i: (-dets[i].score, i))
-        indices = indices[: cfg.max_detections_per_image]
-        image_dets = [dets[i] for i in indices]
-        tp_flags, _ = match_detections(image_dets, gts_by_image.get(image_id, []), t)
-        for i, flag in zip(indices, tp_flags):
-            ranked.append((-dets[i].score, i, flag))
-    ranked.sort()
-    return [flag for _, _, flag in ranked]
+        indices.sort(key=rank)
+        del indices[max_detections_per_image:]
+        image_gts = gts_by_image.get(image_id, [])
+        rows = [_candidate_row(dets[i].box, image_gts) for i in indices]
+        for tp_at_t, t in zip(tp, thresholds):
+            flags, _ = _match_rows(rows, len(image_gts), t)
+            for i, flag in zip(indices, flags):
+                tp_at_t[i] = flag
+        kept.extend(indices)
+    kept.sort(key=rank)
+    return [[tp_at_t[i] for i in kept] for tp_at_t in tp]
 
 
-def _pr_curve(flags: Sequence[bool], n_gt: int) -> tuple[list[float], list[float]]:
+def _interpolated_ap(flags: Sequence[bool], n_gt: int, recall_samples: int) -> float:
+    """AP from TP flags in score-rank order; 0.0 when there are no detections."""
+    if not flags:
+        return 0.0
     precisions: list[float] = []
     recalls: list[float] = []
     tp = 0
@@ -204,7 +260,41 @@ def _pr_curve(flags: Sequence[bool], n_gt: int) -> tuple[list[float], list[float
         tp += int(flag)
         precisions.append(tp / k)
         recalls.append(tp / n_gt)
-    return precisions, recalls
+
+    # Interpolated precision: max precision over ranks with recall >= r.
+    max_prec_from = precisions.copy()
+    for k in range(len(max_prec_from) - 2, -1, -1):
+        max_prec_from[k] = max(max_prec_from[k], max_prec_from[k + 1])
+
+    total = 0.0
+    denom = recall_samples - 1
+    for j in range(recall_samples):
+        r = j / denom
+        k = bisect_left(recalls, r)
+        if k < len(recalls):
+            total += max_prec_from[k]
+    return total / recall_samples
+
+
+def _class_metrics(
+    dets: Sequence[Detection],
+    gts: Sequence[GroundTruthAnnotation],
+    thresholds: Sequence[float],
+    cfg: EvalConfig,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(AP, max achieved recall) per threshold for one class, from one set of flags.
+
+    Both are 0.0 when the class has no ground truths (whether it is skipped
+    from aggregation in that case is the aggregator's policy decision).
+    """
+    n_gt = len(gts)
+    if n_gt == 0:
+        zeros = (0.0,) * len(thresholds)
+        return zeros, zeros
+    per_threshold = _ranked_flags_per_threshold(dets, gts, thresholds, cfg.max_detections_per_image)
+    aps = tuple(_interpolated_ap(flags, n_gt, cfg.recall_samples) for flags in per_threshold)
+    recalls = tuple(sum(flags) / n_gt for flags in per_threshold)
+    return aps, recalls
 
 
 def average_precision(
@@ -218,27 +308,7 @@ def average_precision(
     Returns 0.0 when the class has no ground truths (whether it is skipped
     from aggregation in that case is the aggregator's policy decision).
     """
-    n_gt = len(gts)
-    if n_gt == 0:
-        return 0.0
-    flags = _ranked_tp_flags(dets, gts, t, cfg)
-    if not flags:
-        return 0.0
-    precisions, recalls = _pr_curve(flags, n_gt)
-
-    # Interpolated precision: max precision over ranks with recall >= r.
-    max_prec_from = precisions.copy()
-    for k in range(len(max_prec_from) - 2, -1, -1):
-        max_prec_from[k] = max(max_prec_from[k], max_prec_from[k + 1])
-
-    total = 0.0
-    denom = cfg.recall_samples - 1
-    for j in range(cfg.recall_samples):
-        r = j / denom
-        k = bisect_left(recalls, r)
-        if k < len(recalls):
-            total += max_prec_from[k]
-    return total / cfg.recall_samples
+    return _class_metrics(dets, gts, (t,), cfg)[0][0]
 
 
 def max_achieved_recall(
@@ -248,11 +318,7 @@ def max_achieved_recall(
     cfg: EvalConfig = EvalConfig(),
 ) -> float:
     """Best recall reachable with at most ``max_detections_per_image`` detections."""
-    n_gt = len(gts)
-    if n_gt == 0:
-        return 0.0
-    flags = _ranked_tp_flags(dets, gts, t, cfg)
-    return sum(flags) / n_gt
+    return _class_metrics(dets, gts, (t,), cfg)[1][0]
 
 
 def _class_key(c: Hashable) -> tuple[bool, object]:
@@ -277,13 +343,12 @@ def evaluate(
     for gt in gts:
         gts_by_class[gt.class_id].append(gt)
 
+    ap50_index = _ap50_index(cfg.iou_thresholds)
     results = []
     for class_id in sorted(classes, key=_class_key):
-        class_dets = dets_by_class.get(class_id, [])
         class_gts = gts_by_class.get(class_id, [])
-        aps = tuple(average_precision(class_dets, class_gts, t, cfg) for t in cfg.iou_thresholds)
-        recalls = tuple(
-            max_achieved_recall(class_dets, class_gts, t, cfg) for t in cfg.iou_thresholds
+        aps, recalls = _class_metrics(
+            dets_by_class.get(class_id, []), class_gts, cfg.iou_thresholds, cfg
         )
         results.append(
             PerClassResult(
@@ -291,27 +356,31 @@ def evaluate(
                 ap_per_threshold=aps,
                 recall_per_threshold=recalls,
                 ap_all=sum(aps) / len(aps),
-                ap_50=aps[_ap50_index(cfg.iou_thresholds)],
+                ap_50=None if ap50_index is None else aps[ap50_index],
                 num_ground_truths=len(class_gts),
             )
         )
     return aggregate(results)
 
 
-def _ap50_index(thresholds: tuple[float, ...]) -> int:
+def _ap50_index(thresholds: tuple[float, ...]) -> int | None:
     for i, t in enumerate(thresholds):
         if math.isclose(t, 0.5, abs_tol=1e-9):
             return i
-    return 0
+    return None
 
 
 def aggregate(per_class: Sequence[PerClassResult]) -> EvalReport:
-    """Unweighted class means: mAP, mAP@50, AR over (class, threshold), and F1."""
+    """Unweighted class means: mAP, mAP@50, AR over (class, threshold), and F1.
+
+    ``map_50`` is None when any class lacks an AP at IoU 0.5.
+    """
     if not per_class:
         raise EmptyEvaluationError("no class produced an evaluable result")
     n = len(per_class)
     map_all = sum(r.ap_all for r in per_class) / n
-    map_50 = sum(r.ap_50 for r in per_class) / n
+    ap_50s = [r.ap_50 for r in per_class]
+    map_50 = None if None in ap_50s else sum(ap_50s) / n
     recall_values = [rec for r in per_class for rec in r.recall_per_threshold]
     average_recall = sum(recall_values) / len(recall_values)
     return EvalReport(

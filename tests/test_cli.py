@@ -81,6 +81,33 @@ class TestEvaluateCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["iou_thresholds"] == [0.5, 0.75]
 
+    def test_map_50_absent_without_half_threshold(self, dataset, capsys):
+        gt, pred = dataset
+        args = ["evaluate", gt, pred, "--iou-thresholds", "0.9"]
+        assert main(args + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["map_50"] is None
+        assert [rec["ap_50"] for rec in doc["per_class"]] == [None, None]
+        assert doc["map_all"] == 1.0
+        assert main(args + ["--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0][3] == "mAP@0.50"
+        assert [row[3] for row in rows[1:]] == ["n/a"] * 3
+        assert main(args) == 0
+        table = capsys.readouterr().out
+        assert table.count("n/a") == 3
+
+    def test_nan_image_width_exit_2(self, dataset, capsys, tmp_path):
+        _, pred = dataset
+        bad = tmp_path / "nan_gt.json"
+        bad.write_text(
+            '{"images": [{"id": 1, "width": NaN, "height": 100}], '
+            '"categories": [{"id": 1, "name": "alpha"}], '
+            '"annotations": [{"image_id": 1, "category_id": 1, "bbox": [500, 10, 20, 20]}]}'
+        )
+        assert main(["evaluate", str(bad), pred]) == 2
+        assert "images[0].width: expected a finite number" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, dataset, capsys):
         _, pred = dataset
         assert main(["evaluate", "/nonexistent.json", pred]) == 2
@@ -184,6 +211,15 @@ class TestAnchorsCommand:
 
     def test_requires_a_size_argument(self):
         assert main(["anchors"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--ratios", "a,1"), ("--ratios", "1,,2"), ("--strides", "4,x"), ("--strides", "4.5")]
+    )
+    def test_unparsable_list_exit_1(self, flag, value, capsys):
+        assert main(["anchors", "--image-size", "64x32", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"bad {flag} {value!r}" in err
+        assert "Traceback" not in err
 
 
 class TestAugmentPlanCommand:

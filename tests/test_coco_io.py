@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -13,7 +14,13 @@ from boxlab.coco_io import (
     split_dataset,
     split_ids,
 )
-from boxlab.errors import DanglingIdError, InvalidBoxError, ParseError, ValidationError
+from boxlab.errors import (
+    DanglingIdError,
+    DuplicateIdError,
+    InvalidBoxError,
+    ParseError,
+    ValidationError,
+)
 from boxlab.evaluation import GroundTruthAnnotation
 from boxlab.geometry import Box
 
@@ -69,6 +76,38 @@ class TestLoadManifest:
             load_manifest(_write(tmp_path, "gt.json", doc))
         message = str(err.value)
         assert "annotations[0]" in message and "annotations[1]" in message
+
+    def test_duplicate_image_ids_named(self, tmp_path):
+        doc = _manifest_doc([{"image_id": 1, "category_id": 1, "bbox": [50, 50, 20, 20]}])
+        doc["images"].append({"id": 1, "width": 10, "height": 10})
+        doc["images"].append({"id": 2, "width": 10, "height": 10})
+        with pytest.raises(DuplicateIdError) as err:
+            load_manifest(_write(tmp_path, "gt.json", doc))
+        message = str(err.value)
+        assert "images[2]: duplicate id 1 (first at images[0])" in message
+        assert "images[3]: duplicate id 2 (first at images[1])" in message
+        assert "bounds" not in message
+
+    def test_duplicate_category_ids_named(self, tmp_path):
+        doc = _manifest_doc()
+        doc["categories"].append({"id": 2, "name": "gamma"})
+        with pytest.raises(DuplicateIdError) as err:
+            load_manifest(_write(tmp_path, "gt.json", doc))
+        assert "categories[2]: duplicate id 2 (first at categories[1])" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "section, index, key, value, where",
+        [
+            ("images", 0, "width", float("nan"), "images[0].width"),
+            ("images", 1, "height", float("inf"), "images[1].height"),
+            ("annotations", 0, "bbox", [0, 0, float("-inf"), 5], "annotations[0].bbox[2]"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, section, index, key, value, where):
+        doc = _manifest_doc([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5]}])
+        doc[section][index][key] = value
+        with pytest.raises(ParseError, match=rf"^{re.escape(where)}: expected a finite number"):
+            load_manifest(_write(tmp_path, "gt.json", doc))
 
     def test_out_of_bounds_rejected(self, tmp_path):
         doc = _manifest_doc([{"image_id": 2, "category_id": 1, "bbox": [60, 0, 5, 5]}])
@@ -137,6 +176,19 @@ class TestLoadPredictions:
         preds = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, -1, 1], "score": 0.5}]
         with pytest.raises(InvalidBoxError):
             load_predictions(_write(tmp_path, "pred.json", preds))
+
+    @pytest.mark.parametrize(
+        "key, value, where",
+        [
+            ("bbox", [0, float("nan"), 1, 1], "predictions[0].bbox[1]"),
+            ("score", float("nan"), "predictions[0].score"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, key, value, where):
+        pred = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5}
+        pred[key] = value
+        with pytest.raises(ParseError, match=rf"^{re.escape(where)}: expected a finite number"):
+            load_predictions(_write(tmp_path, "pred.json", [pred]))
 
     def test_must_be_list(self, tmp_path):
         with pytest.raises(ParseError):

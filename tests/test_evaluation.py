@@ -1,9 +1,11 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
+from boxlab import evaluation
 from boxlab.errors import EmptyEvaluationError, InvalidBoxError, ValidationError
 from boxlab.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
@@ -77,6 +79,14 @@ class TestMatchDetections:
         gts = [_gt(1, 1, (0, 0, 2, 2))]
         tp, _ = match_detections(dets, gts, 0.5)
         assert tp == [True]
+
+    def test_equal_iou_goes_to_lower_gt_index(self):
+        # IoU 1/3 with both ground truths, whichever order they come in
+        dets = [_det(1, 1, (1, 0, 3, 2), 0.9)]
+        gts = [_gt(1, 1, (0, 0, 2, 2)), _gt(1, 1, (2, 0, 4, 2))]
+        assert match_detections(dets, gts, 0.3) == ([True], [True, False])
+        assert match_detections(dets, gts[::-1], 0.3) == ([True], [True, False])
+        assert match_detections(dets, gts, 0.34) == ([False], [False, False])
 
     def test_each_gt_matches_once(self):
         dets = [
@@ -249,6 +259,110 @@ class TestOracleEquivalence:
             assert report_a.average_recall == report_b.average_recall
 
 
+class TestCoreEquivalence:
+    """``evaluate`` sets up each (class, image) slice once for all thresholds."""
+
+    CAP = 3
+
+    @staticmethod
+    def _dense_instance(rng):
+        # Integer corners on a small grid give many equal IoUs. Ground truths
+        # come alone, repeated, or with a copy shifted one unit right; a
+        # detection shifted half a unit then has two candidates at the same
+        # IoU. Scores come from a short list, so equal scores are common.
+        dets = []
+        gts = []
+        for image_id in range(rng.randrange(1, 4)):
+            for class_id in (1, 2):
+                boxes = []
+                for _ in range(rng.randrange(0, 5)):
+                    x, y = rng.randrange(0, 8), rng.randrange(0, 8)
+                    box = (x, y, x + rng.randrange(2, 5), y + rng.randrange(1, 4))
+                    copy = rng.choice((None, None, box, (x + 1, y, box[2] + 1, box[3])))
+                    boxes.extend([box] if copy is None else [box, copy])
+                gts.extend((image_id, class_id, box) for box in boxes)
+                for _ in range(rng.randrange(0, 8)):
+                    if boxes and rng.random() < 0.7:
+                        x1, y1, x2, y2 = rng.choice(boxes)
+                        dx = rng.choice((-1, -0.5, 0, 0, 0.5, 1))
+                        box = (x1 + dx, y1, x2 + dx, y2 + rng.choice((0, 0, 1)))
+                    else:
+                        x, y = rng.randrange(0, 8), rng.randrange(0, 8)
+                        box = (x, y, x + rng.randrange(1, 4), y + rng.randrange(1, 4))
+                    dets.append((image_id, class_id, box, rng.choice((0.3, 0.5, 0.5, 0.9))))
+        return dets, gts
+
+    @staticmethod
+    def _objects(raw_dets, raw_gts):
+        dets = [_det(im, c, box, score) for im, c, box, score in raw_dets]
+        gts = [_gt(im, c, box) for im, c, box in raw_gts]
+        return dets, gts
+
+    def test_evaluate_matches_naive_oracle_at_every_threshold(self):
+        rng = random.Random(46)
+        cfg = EvalConfig(max_detections_per_image=self.CAP)
+        capped_slices = 0
+        for _ in range(120):
+            raw_dets, raw_gts = self._dense_instance(rng)
+            if not raw_gts:
+                continue
+            per_slice = Counter((im, c) for im, c, _, _ in raw_dets)
+            capped_slices += sum(n > self.CAP for n in per_slice.values())
+            report = evaluate(*self._objects(raw_dets, raw_gts), cfg)
+            assert set(report.per_class) == {c for _, c, _ in raw_gts}
+            for class_id, result in report.per_class.items():
+                class_dets = [(im, box, score) for im, c, box, score in raw_dets if c == class_id]
+                class_gts = [(im, box) for im, c, box in raw_gts if c == class_id]
+                for k, t in enumerate(DEFAULT_IOU_THRESHOLDS):
+                    assert result.ap_per_threshold[k] == pytest.approx(
+                        naive_average_precision(class_dets, class_gts, t, self.CAP), abs=1e-9
+                    )
+                    assert result.recall_per_threshold[k] == pytest.approx(
+                        naive_max_recall(class_dets, class_gts, t, self.CAP), abs=1e-12
+                    )
+        assert capped_slices > 0
+
+    def test_single_threshold_wrappers_agree_exactly(self):
+        rng = random.Random(47)
+        cfg = EvalConfig(max_detections_per_image=self.CAP)
+        for _ in range(60):
+            raw_dets, raw_gts = self._dense_instance(rng)
+            if not raw_gts:
+                continue
+            dets, gts = self._objects(raw_dets, raw_gts)
+            report = evaluate(dets, gts, cfg)
+            for class_id, result in report.per_class.items():
+                class_dets = [d for d in dets if d.class_id == class_id]
+                class_gts = [g for g in gts if g.class_id == class_id]
+                aps = tuple(average_precision(class_dets, class_gts, t, cfg) for t in cfg.iou_thresholds)
+                recalls = tuple(
+                    max_achieved_recall(class_dets, class_gts, t, cfg) for t in cfg.iou_thresholds
+                )
+                assert aps == result.ap_per_threshold
+                assert recalls == result.recall_per_threshold
+
+    def test_each_pair_iou_computed_at_most_once(self, monkeypatch):
+        calls = Counter()
+        real_iou = evaluation.iou
+
+        def counting_iou(a, b):
+            calls[id(a), id(b)] += 1
+            return real_iou(a, b)
+
+        monkeypatch.setattr(evaluation, "iou", counting_iou)
+        rng = random.Random(48)
+        for _ in range(40):
+            raw_dets, raw_gts = self._dense_instance(rng)
+            if not raw_gts:
+                continue
+            dets, gts = self._objects(raw_dets, raw_gts)
+            slice_of = {id(x.box): (x.image_id, x.class_id) for x in [*dets, *gts]}
+            calls.clear()
+            evaluate(dets, gts, EvalConfig(max_detections_per_image=self.CAP))
+            assert max(calls.values(), default=0) <= 1
+            assert all(slice_of[a] == slice_of[b] for a, b in calls)
+
+
 class TestEvaluateAndAggregate:
     def test_perfect_predictions(self):
         gts = [
@@ -307,6 +421,16 @@ class TestEvaluateAndAggregate:
             report = aggregate(results)
             assert report.map_all == pytest.approx(row["map_all"], abs=5e-5)
             assert report.map_50 == pytest.approx(row["map_50"], abs=5e-5)
+
+    def test_map_50_is_none_without_half_threshold(self):
+        gts = [_gt(1, 1, (0, 0, 2, 2)), _gt(1, 2, (3, 3, 5, 5))]
+        dets = [Detection(g.image_id, g.class_id, g.box, 1.0) for g in gts]
+        report = evaluate(dets, gts, EvalConfig(iou_thresholds=(0.75, 0.9)))
+        assert report.map_50 is None
+        assert [r.ap_50 for r in report.per_class.values()] == [None, None]
+        assert report.map_all == 1.0
+        with_half = evaluate(dets, gts, EvalConfig(iou_thresholds=(0.5, 0.9)))
+        assert with_half.map_50 == 1.0
 
     def test_aggregate_f1_is_harmonic_mean(self):
         result = PerClassResult(
