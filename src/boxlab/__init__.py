@@ -14,12 +14,10 @@ from .errors import (
 )
 from .geometry import (
     Box,
-    GeometryScalars,
     area,
     center_distance_sq,
     enclosing_box,
     enclosing_diag_sq,
-    geometry_scalars,
     intersection_area,
     iou,
     union_area,

@@ -5,6 +5,10 @@ Subcommands: ``evaluate``, ``split``, ``convergence``, ``anchors``,
 environment variables); output goes to stdout unless ``--output`` is given.
 Exit status is 0 on success, 1 on validation failures, 2 on I/O or parse
 failures.
+
+Each command computes its result and returns it as an ``Output`` (plain text
+for ``augment-plan``); ``main`` renders it in the ``--format`` asked for and
+writes it once.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .augment import AugmentParams, plan_to_lines, sample_plan
-from .coco_io import SplitSpec, load_manifest, load_predictions, split_dataset
+from .coco_io import SplitSpec, _field, _number, _read_json, load_manifest, load_predictions, split_dataset
 from .descent import DescentConfig, PairSampler, convergence_study, trial_csv_rows
 from .errors import BoxlabError, ParseError, ValidationError
 from .evaluation import EvalConfig, evaluate
@@ -31,6 +36,29 @@ from .reports import (
 )
 
 FORMATS = ("table", "csv", "json")
+
+# One table of the text format: (caption or None, headers, rows of string cells).
+Section = tuple[str | None, list[str], list[list[str]]]
+
+
+@dataclass(frozen=True)
+class Output:
+    """A command's result. Each field builds one format and is called only if that format is printed."""
+
+    doc: Callable[[], Any]
+    table: Callable[[], list[Section]]
+    csv: Callable[[], tuple[list[str], list[list[str]]]] | None = None  # None: the first table section
+
+
+def _render(out: Output, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(out.doc(), indent=2)
+    if fmt == "csv":
+        return rows_to_csv(*(out.csv() if out.csv else out.table()[0][1:]))
+    return "\n\n".join(
+        (f"{caption}\n" if caption else "") + render_table(headers, rows)
+        for caption, headers, rows in out.table()
+    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -73,10 +101,12 @@ def _parse_list(spec: str, flag: str, convert: Callable[[str], Any]) -> tuple[An
 
 def _parse_pair(spec: str, flag: str) -> tuple[int, int]:
     try:
-        a, b = spec.lower().split("x")
-        return int(a), int(b)
+        a, b = (int(tok) for tok in spec.lower().split("x"))
     except ValueError as exc:
         raise ValidationError(f"bad {flag} {spec!r}: expected two integers like 640x360") from exc
+    if a <= 0 or b <= 0:
+        raise ValidationError(f"bad {flag} {spec!r}: sizes must be positive")
+    return a, b
 
 
 def _parse_losses(spec: str) -> list[LossKind]:
@@ -95,61 +125,7 @@ def _round4(x: float | None) -> str:
 # --- evaluate -------------------------------------------------------------
 
 
-def _eval_tables(report: Any, names: dict[int, str], thresholds: tuple[float, ...]):
-    span = f"mAP@[{thresholds[0]:.2f}:{thresholds[-1]:.2f}]" if len(thresholds) > 1 else (
-        f"mAP@{thresholds[0]:.2f}"
-    )
-    class_headers = ["class", "name", span, "mAP@0.50", "avg_recall"]
-    class_rows = []
-    for class_id, res in report.per_class.items():
-        mean_recall = sum(res.recall_per_threshold) / len(res.recall_per_threshold)
-        class_rows.append(
-            [
-                str(class_id),
-                names.get(class_id, ""),
-                _round4(res.ap_all),
-                _round4(res.ap_50),
-                _round4(mean_recall),
-            ]
-        )
-    summary_headers = [span, "mAP@0.50", "AR", "F1"]
-    summary_row = [
-        _round4(report.map_all),
-        _round4(report.map_50),
-        _round4(report.average_recall),
-        _round4(report.f1),
-    ]
-    return class_headers, class_rows, summary_headers, summary_row
-
-
-def _eval_json_doc(report: Any, names: dict[int, str], cfg: EvalConfig) -> dict:
-    return {
-        "config": {
-            "iou_thresholds": list(cfg.iou_thresholds),
-            "max_detections_per_image": cfg.max_detections_per_image,
-            "recall_samples": cfg.recall_samples,
-            "include_gt_free_classes": cfg.include_gt_free_classes,
-        },
-        "per_class": [
-            {
-                "class_id": class_id,
-                "name": names.get(class_id, ""),
-                "ap_per_threshold": list(res.ap_per_threshold),
-                "recall_per_threshold": list(res.recall_per_threshold),
-                "ap": res.ap_all,
-                "ap_50": res.ap_50,
-                "num_ground_truths": res.num_ground_truths,
-            }
-            for class_id, res in report.per_class.items()
-        ],
-        "map_all": report.map_all,
-        "map_50": report.map_50,
-        "average_recall": report.average_recall,
-        "f1": report.f1,
-    }
-
-
-def cmd_evaluate(args: argparse.Namespace) -> None:
+def cmd_evaluate(args: argparse.Namespace) -> Output:
     manifest = load_manifest(args.gt)
     detections = load_predictions(args.pred, manifest)
     cfg = EvalConfig(
@@ -160,26 +136,66 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     report = evaluate(detections, manifest.annotations, cfg)
     names = manifest.category_names()
 
+    def doc() -> dict:
+        return {
+            "config": {
+                "iou_thresholds": list(cfg.iou_thresholds),
+                "max_detections_per_image": cfg.max_detections_per_image,
+                "recall_samples": cfg.recall_samples,
+                "include_gt_free_classes": cfg.include_gt_free_classes,
+            },
+            "per_class": [
+                {
+                    "class_id": class_id,
+                    "name": names.get(class_id, ""),
+                    "ap_per_threshold": list(res.ap_per_threshold),
+                    "recall_per_threshold": list(res.recall_per_threshold),
+                    "ap": res.ap_all,
+                    "ap_50": res.ap_50,
+                    "num_ground_truths": res.num_ground_truths,
+                }
+                for class_id, res in report.per_class.items()
+            ],
+            "map_all": report.map_all,
+            "map_50": report.map_50,
+            "average_recall": report.average_recall,
+            "f1": report.f1,
+        }
+
+    def table() -> list[Section]:
+        t = cfg.iou_thresholds
+        span = f"mAP@[{t[0]:.2f}:{t[-1]:.2f}]" if len(t) > 1 else f"mAP@{t[0]:.2f}"
+        class_rows = [
+            [
+                str(class_id),
+                names.get(class_id, ""),
+                _round4(res.ap_all),
+                _round4(res.ap_50),
+                _round4(sum(res.recall_per_threshold) / len(res.recall_per_threshold)),
+            ]
+            for class_id, res in report.per_class.items()
+        ]
+        summary_row = [_round4(x) for x in (report.map_all, report.map_50, report.average_recall, report.f1)]
+        return [
+            (None, ["class", "name", span, "mAP@0.50", "avg_recall"], class_rows),
+            (None, [span, "mAP@0.50", "AR", "F1"], [summary_row]),
+        ]
+
+    def csv() -> tuple[list[str], list[list[str]]]:
+        """The per-class rows plus an ``all`` row holding the summary, under one header."""
+        (_, headers, rows), (_, _, [summary]) = table()
+        return headers + ["f1"], [row + [""] for row in rows] + [["all", "(class mean)", *summary]]
+
     if args.json_output:
         with open(args.json_output, "w", encoding="utf-8") as fh:
-            json.dump(_eval_json_doc(report, names, cfg), fh, indent=2)
-
-    if args.format == "json":
-        _emit(json.dumps(_eval_json_doc(report, names, cfg), indent=2), args.output)
-        return
-    ch, cr, sh, srow = _eval_tables(report, names, cfg.iou_thresholds)
-    if args.format == "csv":
-        rows = [r + [""] for r in cr]
-        rows.append(["all", "(class mean)", srow[0], srow[1], srow[2], srow[3]])
-        _emit(rows_to_csv(ch + ["f1"], rows), args.output)
-        return
-    _emit(render_table(ch, cr) + "\n\n" + render_table(sh, [srow]), args.output)
+            json.dump(doc(), fh, indent=2)
+    return Output(doc, table, csv)
 
 
 # --- split ----------------------------------------------------------------
 
 
-def cmd_split(args: argparse.Namespace) -> None:
+def cmd_split(args: argparse.Namespace) -> Output:
     manifest = load_manifest(args.manifest)
     spec = SplitSpec(
         train_frac=args.train_frac,
@@ -188,21 +204,20 @@ def cmd_split(args: argparse.Namespace) -> None:
         seed=args.seed,
     )
     split = split_dataset(manifest, spec)
-    if args.format == "json":
-        doc = {"train": list(split.train), "val": list(split.val), "test": list(split.test)}
-        _emit(json.dumps(doc, indent=2), args.output)
-    elif args.format == "csv":
-        rows = [[str(i), subset] for subset in ("train", "val", "test") for i in getattr(split, subset)]
-        _emit(rows_to_csv(["image_id", "subset"], rows), args.output)
-    else:
-        rows = [[subset, str(len(getattr(split, subset)))] for subset in ("train", "val", "test")]
-        _emit(render_table(["subset", "images"], rows), args.output)
+    subsets = {"train": split.train, "val": split.val, "test": split.test}
+    return Output(
+        doc=lambda: {name: list(ids) for name, ids in subsets.items()},
+        table=lambda: [
+            (None, ["subset", "images"], [[name, str(len(ids))] for name, ids in subsets.items()])
+        ],
+        csv=lambda: (["image_id", "subset"], [[str(i), name] for name, ids in subsets.items() for i in ids]),
+    )
 
 
 # --- convergence ----------------------------------------------------------
 
 
-def cmd_convergence(args: argparse.Namespace) -> None:
+def cmd_convergence(args: argparse.Namespace) -> Output:
     cfg = DescentConfig(
         loss_kind=LossKind.L1,  # overridden per studied kind
         learning_rate=args.lr,
@@ -217,27 +232,14 @@ def cmd_convergence(args: argparse.Namespace) -> None:
         sampler=PairSampler(seed=args.seed),
         cfg=cfg,
     )
-    summary_rows = [
-        [
-            s.loss_kind.value,
-            str(s.trials),
-            f"{s.convergence_rate:.3f}",
-            "inf" if math.isinf(s.median_iterations) else f"{s.median_iterations:.1f}",
-        ]
-        for s in study.summary.values()
-    ]
-    if args.format == "csv":
-        rows = trial_csv_rows(study)
-        _emit(rows_to_csv(rows[0], rows[1:]), args.output)
-    elif args.format == "json":
-        doc = {
+
+    def doc() -> dict:
+        return {
             "summary": {
                 s.loss_kind.value: {
                     "trials": s.trials,
                     "convergence_rate": s.convergence_rate,
-                    "median_iterations": None
-                    if math.isinf(s.median_iterations)
-                    else s.median_iterations,
+                    "median_iterations": None if math.isinf(s.median_iterations) else s.median_iterations,
                 }
                 for s in study.summary.values()
             },
@@ -252,18 +254,30 @@ def cmd_convergence(args: argparse.Namespace) -> None:
                 for r in study.records
             ],
         }
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        _emit(
-            render_table(["loss", "trials", "convergence_rate", "median_iterations"], summary_rows),
-            args.output,
-        )
+
+    def table() -> list[Section]:
+        rows = [
+            [
+                s.loss_kind.value,
+                str(s.trials),
+                f"{s.convergence_rate:.3f}",
+                "inf" if math.isinf(s.median_iterations) else f"{s.median_iterations:.1f}",
+            ]
+            for s in study.summary.values()
+        ]
+        return [(None, ["loss", "trials", "convergence_rate", "median_iterations"], rows)]
+
+    def csv() -> tuple[list[str], list[list[str]]]:
+        headers, *rows = trial_csv_rows(study)
+        return headers, rows
+
+    return Output(doc, table, csv)
 
 
 # --- anchors --------------------------------------------------------------
 
 
-def cmd_anchors(args: argparse.Namespace) -> None:
+def cmd_anchors(args: argparse.Namespace) -> Output:
     cfg = AnchorConfig(
         scale=args.scale,
         aspect_ratios=_parse_list(args.ratios, "--ratios", float),
@@ -278,9 +292,8 @@ def cmd_anchors(args: argparse.Namespace) -> None:
         raise ValidationError("one of --image-size or --feature-sizes is required")
     anchors = generate_anchors(cfg, feature_sizes)
 
-    headers = ["level", "stride", "row", "col", "x_min", "y_min", "x_max", "y_max"]
-    if args.format == "json":
-        doc = [
+    def doc() -> list[dict]:
+        return [
             {
                 "level": a.level,
                 "stride": cfg.strides[a.level],
@@ -290,28 +303,22 @@ def cmd_anchors(args: argparse.Namespace) -> None:
             }
             for a in anchors
         ]
-        _emit(json.dumps(doc, indent=2), args.output)
-        return
-    rows = [
-        [
-            str(a.level),
-            str(cfg.strides[a.level]),
-            str(a.cell[0]),
-            str(a.cell[1]),
-            *(f"{c:.3f}" for c in a.box.as_tuple()),
+
+    def table() -> list[Section]:
+        rows = [
+            [str(a.level), str(cfg.strides[a.level]), str(a.cell[0]), str(a.cell[1]),
+             *(f"{c:.3f}" for c in a.box.as_tuple())]
+            for a in anchors
         ]
-        for a in anchors
-    ]
-    if args.format == "csv":
-        _emit(rows_to_csv(headers, rows), args.output)
-    else:
-        _emit(render_table(headers, rows), args.output)
+        return [(None, ["level", "stride", "row", "col", "x_min", "y_min", "x_max", "y_max"], rows)]
+
+    return Output(doc, table)
 
 
 # --- augment-plan ---------------------------------------------------------
 
 
-def cmd_augment_plan(args: argparse.Namespace) -> None:
+def cmd_augment_plan(args: argparse.Namespace) -> str:
     width, height = _parse_pair(args.image_size, "--image-size")
     params = AugmentParams(
         image_width=width,
@@ -323,48 +330,46 @@ def cmd_augment_plan(args: argparse.Namespace) -> None:
         shift_scale_rotate_prob=args.ssr_prob,
     )
     plan = sample_plan(params, args.images, args.seed)
-    _emit("\n".join(plan_to_lines(plan)), args.output)
+    return "\n".join(plan_to_lines(plan))
 
 
 # --- report ---------------------------------------------------------------
 
 
+def _object(value: Any, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{context}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _load_metrics_doc(path: str) -> tuple[list[ModelReportRow], dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    if not isinstance(doc, dict) or "models" not in doc:
+    """Read a metrics file under the COCO reader's rules; every value used must be a finite number."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("models"), list):
         raise ParseError(f"{path}: expected an object with a 'models' list")
     rows = []
     for i, rec in enumerate(doc["models"]):
-        try:
-            rows.append(
-                ModelReportRow(
-                    model=str(rec["model"]),
-                    map_all=float(rec["map_all"]),
-                    map_50=float(rec["map_50"]),
-                    average_recall=float(rec["average_recall"]),
-                    latency_ms=float(rec["latency_ms"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: models[{i}]: {exc}") from exc
-    return rows, doc.get("per_class", {}) or {}
+        ctx = f"models[{i}]"
+        values = (_number(rec, key, ctx) for key in ("map_all", "map_50", "average_recall", "latency_ms"))
+        rows.append(ModelReportRow(str(_field(rec, "model", ctx)), *values))
+    per_class: dict[str, dict] = {}
+    for metric, table in _object(doc.get("per_class") or {}, "per_class").items():
+        per_class[metric] = {}
+        for name, per_model in _object(table, f"per_class.{metric}").items():
+            ctx = f"per_class.{metric}.{name}"
+            per_class[metric][name] = {m: _number(per_model, m, ctx) for m in _object(per_model, ctx)}
+    return rows, per_class
 
 
-def cmd_report(args: argparse.Namespace) -> None:
+def cmd_report(args: argparse.Namespace) -> Output:
     rows, per_class = _load_metrics_doc(args.metrics)
     stats = derive_report_stats(rows, args.baseline)
     class_changes = {
         metric: class_percent_changes(table, args.baseline) for metric, table in per_class.items()
     }
 
-    if args.format == "json":
-        doc = {
+    def doc() -> dict:
+        return {
             "baseline": args.baseline,
             "models": [
                 {
@@ -379,43 +384,42 @@ def cmd_report(args: argparse.Namespace) -> None:
             ],
             "class_pct_changes": class_changes,
         }
-        _emit(json.dumps(doc, indent=2), args.output)
-        return
 
-    by_name = {row.model: row for row in rows}
-    model_headers = ["model", "mAP", "mAP@0.50", "AR", "F1", "latency_ms", "fps", "mAP_change_%"]
-    model_rows = [
-        [
-            s.model,
-            _round4(by_name[s.model].map_all),
-            _round4(by_name[s.model].map_50),
-            _round4(by_name[s.model].average_recall),
-            _round4(s.f1),
-            f"{by_name[s.model].latency_ms:.1f}",
-            f"{s.fps:.1f}",
-            f"{s.map_pct_change:+.2f}",
+    def table() -> list[Section]:
+        model_rows = [
+            [
+                s.model,
+                _round4(row.map_all),
+                _round4(row.map_50),
+                _round4(row.average_recall),
+                _round4(s.f1),
+                f"{row.latency_ms:.1f}",
+                f"{s.fps:.1f}",
+                f"{s.map_pct_change:+.2f}",
+            ]
+            for row, s in zip(rows, stats)
         ]
-        for s in stats
-    ]
-    sections = [render_table(model_headers, model_rows)]
-    for metric, changes in class_changes.items():
-        change_rows = [
-            [class_name, model, f"{pct:+.2f}"]
-            for class_name, per_model in sorted(changes.items())
-            for model, pct in sorted(per_model.items())
-        ]
-        sections.append(
-            f"percent change vs {args.baseline} ({metric})\n"
-            + render_table(["class", "model", "change_%"], change_rows)
-        )
-    text = "\n\n".join(sections)
-    if args.format == "csv":
-        _emit(rows_to_csv(model_headers, model_rows), args.output)
-    else:
-        _emit(text, args.output)
+        model_headers = ["model", "mAP", "mAP@0.50", "AR", "F1", "latency_ms", "fps", "mAP_change_%"]
+        sections: list[Section] = [(None, model_headers, model_rows)]
+        for metric, changes in class_changes.items():
+            change_rows = [
+                [class_name, model, f"{pct:+.2f}"]
+                for class_name, per_model in sorted(changes.items())
+                for model, pct in sorted(per_model.items())
+            ]
+            caption = f"percent change vs {args.baseline} ({metric})"
+            sections.append((caption, ["class", "model", "change_%"], change_rows))
+        return sections
+
+    return Output(doc, table)
 
 
 # --- parser ---------------------------------------------------------------
+
+
+def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "table") -> None:
+    p.add_argument("--format", choices=FORMATS, default=default_format)
+    p.add_argument("--output", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,14 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt", help="ground-truth JSON (images/categories/annotations)")
     p.add_argument("pred", help="predictions JSON (flat list)")
     p.add_argument("--iou-thresholds", default="0.50:0.95:0.05", help="comma list or start:stop:step")
-    p.add_argument("--max-dets", type=int, default=100, help="per-image detection cap")
+    p.add_argument("--max-dets", type=int, default=100, help="detection cap per (class, image)")
     p.add_argument(
         "--include-empty-classes",
         action="store_true",
         help="aggregate classes that have detections but no ground truths (as AP 0)",
     )
-    p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p)
     p.add_argument("--json-output", default=None, help="also write the full-precision JSON report here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -446,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-frac", type=float, required=True)
     p.add_argument("--test-frac", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=FORMATS, default="json")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p, default_format="json")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("convergence", help="gradient-descent convergence study over the losses")
@@ -459,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--success-iou", type=float, default=0.9)
     p.add_argument("--parameterization", choices=("corner", "center"), default="corner")
     p.add_argument("--backtracking", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("anchors", help="dump generated pyramid anchors")
@@ -469,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=8)
     p.add_argument("--ratios", default="0.5,1.0,2.0")
     p.add_argument("--strides", default="4,8,16,32")
-    p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_anchors)
 
     p = sub.add_parser("augment-plan", help="sample a reproducible geometric augmentation plan")
@@ -488,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="derived comparisons (fps, F1, percent changes) from a metrics file")
     p.add_argument("metrics", help="JSON: {models: [...], per_class: {metric: {class: {model: value}}}}")
     p.add_argument("--baseline", required=True)
-    p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--output", default=None)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -498,11 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        out = args.func(args)
+        _emit(out if isinstance(out, str) else _render(out, args.format), args.output)
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BoxlabError as exc:

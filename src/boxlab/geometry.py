@@ -14,7 +14,6 @@ from .errors import InvalidBoxError, UndefinedOverlapError
 
 __all__ = [
     "Box",
-    "GeometryScalars",
     "area",
     "intersection_area",
     "union_area",
@@ -22,7 +21,6 @@ __all__ = [
     "enclosing_box",
     "center_distance_sq",
     "enclosing_diag_sq",
-    "geometry_scalars",
 ]
 
 
@@ -66,17 +64,6 @@ class Box:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-@dataclass(frozen=True)
-class GeometryScalars:
-    """Every pairwise scalar the IoU-family losses consume, computed in one pass."""
-
-    iou: float
-    union_area: float
-    enclosing_area: float
-    center_distance_sq: float
-    enclosing_diag_sq: float
-
-
 def area(b: Box) -> float:
     return b.width * b.height
 
@@ -101,12 +88,13 @@ def iou(a: Box, b: Box) -> float:
         UndefinedOverlapError: if both boxes have zero area (0/0 usually means
             corrupt data, so it is surfaced rather than silently returned as 0).
     """
-    union = union_area(a, b)
+    inter = intersection_area(a, b)
+    union = area(a) + area(b) - inter  # union_area's expression, reusing the intersection
     if union <= 0.0:
         raise UndefinedOverlapError(
             f"IoU undefined: both boxes have zero area ({a.as_tuple()}, {b.as_tuple()})"
         )
-    return intersection_area(a, b) / union
+    return inter / union
 
 
 def enclosing_box(a: Box, b: Box) -> Box:
@@ -131,12 +119,3 @@ def enclosing_diag_sq(a: Box, b: Box) -> float:
     hull = enclosing_box(a, b)
     return hull.width**2 + hull.height**2
 
-
-def geometry_scalars(a: Box, b: Box) -> GeometryScalars:
-    return GeometryScalars(
-        iou=iou(a, b),
-        union_area=union_area(a, b),
-        enclosing_area=area(enclosing_box(a, b)),
-        center_distance_sq=center_distance_sq(a, b),
-        enclosing_diag_sq=enclosing_diag_sq(a, b),
-    )

@@ -215,16 +215,20 @@ def _aspect_terms(gt, pred):
     return v, d_v
 
 
+def _ciou_alpha(iou: float, v: float) -> float:
+    """CIoU's trade-off weight ``V/((1 - IoU) + V)``, or 0 when IoU < 0.5."""
+    if iou >= 0.5:
+        denom = (1.0 - iou) + v
+        if denom > 0.0:
+            return v / denom
+    return 0.0
+
+
 def ciou_internals(gt: Box, pred: Box) -> CiouInternals:
     """The ``(v, alpha)`` pair of the CIoU loss; ``alpha`` is 0 whenever IoU < 0.5."""
     _, _, iou = _diou_terms(gt, pred)
     v, _ = _aspect_terms(gt, pred)
-    alpha = 0.0
-    if iou >= 0.5:
-        denom = (1.0 - iou) + v
-        if denom > 0.0:
-            alpha = v / denom
-    return CiouInternals(v=v, alpha=alpha)
+    return CiouInternals(v=v, alpha=_ciou_alpha(iou, v))
 
 
 def loss_ciou(gt: Box, pred: Box) -> LossResult:
@@ -236,11 +240,7 @@ def loss_ciou(gt: Box, pred: Box) -> LossResult:
     """
     diou_value, diou_grad, iou = _diou_terms(gt, pred)
     v, d_v = _aspect_terms(gt, pred)
-    alpha = 0.0
-    if iou >= 0.5:
-        denom = (1.0 - iou) + v
-        if denom > 0.0:
-            alpha = v / denom
+    alpha = _ciou_alpha(iou, v)
     value = diou_value + alpha * v
     gradient = tuple(dg + alpha * dv for dg, dv in zip(diou_grad, d_v))
     return LossResult(value, gradient)

@@ -42,8 +42,8 @@ class AnchorConfig:
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValidationError(f"anchor scale must be positive, got {self.scale}")
-        if not self.aspect_ratios or any(r <= 0 for r in self.aspect_ratios):
-            raise ValidationError(f"aspect ratios must be positive, got {self.aspect_ratios}")
+        if not self.aspect_ratios or not all(0 < r < math.inf for r in self.aspect_ratios):
+            raise ValidationError(f"aspect ratios must be positive and finite, got {self.aspect_ratios}")
         if (
             not self.strides
             or any(s <= 0 for s in self.strides)
@@ -101,7 +101,7 @@ def generate_anchors(
     Args:
         cfg: anchor specification; ``feature_sizes`` must supply one
             (height, width) pair per stride.
-        feature_sizes: feature-map sizes, finest level first.
+        feature_sizes: positive feature-map sizes, finest level first.
 
     Returns:
         Anchors ordered by (level, row, col, ratio); exactly
@@ -116,6 +116,8 @@ def generate_anchors(
         )
     anchors: list[Anchor] = []
     for level, (stride, (height, width)) in enumerate(zip(cfg.strides, feature_sizes)):
+        if height <= 0 or width <= 0:
+            raise ValidationError(f"feature size of level {level} must be positive, got {height}x{width}")
         base = float(stride * cfg.scale)
         shapes = [(base * math.sqrt(r), base / math.sqrt(r)) for r in cfg.aspect_ratios]
         for row in range(height):

@@ -1,10 +1,10 @@
 """Model-comparison report arithmetic and plain-text/CSV rendering helpers.
 
 A report row carries the measured quantities (mAP, mAP@50, average recall,
-latency); FPS and F1 are derived, never stored: ``fps = 1000/latency_ms``
-(rounded to one decimal for display) and ``f1`` is the harmonic mean of mAP
-and average recall. Comparisons against a named baseline are plain percent
-changes ``100*(x - b)/b``.
+latency); FPS and F1 are derived, never stored: ``DerivedModelStats.fps`` is
+``1000/latency_ms``, rounded only where a table displays it, and ``f1`` is the
+harmonic mean of mAP and average recall. Comparisons against a named baseline
+are plain percent changes ``100*(x - b)/b``.
 """
 
 from __future__ import annotations
@@ -41,18 +41,13 @@ class ModelReportRow:
             raise ValidationError(f"latency_ms must be positive, got {self.latency_ms}")
 
     @property
-    def fps(self) -> float:
-        """Frames per second at one-decimal display precision."""
-        return round(1000.0 / self.latency_ms, 1)
-
-    @property
     def f1(self) -> float:
         return _harmonic_f1(self.map_all, self.average_recall)
 
 
 @dataclass(frozen=True)
 class DerivedModelStats:
-    """Per-model derived quantities; fps here is unrounded 1000/latency."""
+    """Per-model derived quantities; ``fps`` is ``1000/latency_ms``, unrounded."""
 
     model: str
     fps: float

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from boxlab.augment import plan_from_lines, sample_plan, AugmentParams
-from boxlab.cli import main
+from boxlab.cli import Output, _render, main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -35,6 +35,22 @@ def dataset(tmp_path):
     gt_path.write_text(json.dumps(gt))
     pred_path.write_text(json.dumps(pred))
     return str(gt_path), str(pred_path)
+
+
+@pytest.mark.parametrize(
+    "fmt, with_csv, built",
+    [("json", True, ["doc"]), ("csv", True, ["csv"]), ("table", True, ["table"]), ("csv", False, ["table"])],
+)
+def test_render_builds_only_the_printed_format(fmt, with_csv, built):
+    calls = []
+
+    def field(name, value):
+        return lambda: calls.append(name) or value
+
+    csv_field = field("csv", (["h"], [["x"]])) if with_csv else None
+    out = Output(doc=field("doc", {"h": "x"}), table=field("table", [(None, ["h"], [["x"]])]), csv=csv_field)
+    assert _render(out, fmt) == {"json": '{\n  "h": "x"\n}', "csv": "h\nx", "table": "h\n-\nx"}[fmt]
+    assert calls == built
 
 
 class TestEvaluateCommand:
@@ -221,6 +237,21 @@ class TestAnchorsCommand:
         assert f"bad {flag} {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--image-size", "8x8", "--ratios", "nan"], "aspect ratios must be positive and finite, got (nan,)"),
+            (["--image-size", "8x8", "--ratios", "1,inf"], "aspect ratios must be positive and finite, got (1.0, inf)"),
+            (["--image-size", "8x0"], "bad --image-size '8x0': sizes must be positive"),
+            (["--feature-sizes", "2x-1", "--strides", "8"], "bad --feature-sizes '2x-1': sizes must be positive"),
+        ],
+    )
+    def test_out_of_range_values_exit_1(self, args, message, capsys):
+        assert main(["anchors", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestAugmentPlanCommand:
     def test_matches_library_plan(self, capsys):
@@ -266,3 +297,31 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["report", str(bad), "--baseline", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["models"][1].update(latency_ms=float("nan")),
+             "models[1].latency_ms: expected a finite number, got nan"),
+            (lambda doc: doc["models"][0].update(map_all=float("inf")),
+             "models[0].map_all: expected a finite number, got inf"),
+            (lambda doc: doc["models"][2].update(average_recall="0.9"),
+             "models[2].average_recall: expected a number, got '0.9'"),
+            (lambda doc: doc["per_class"]["map_all"]["AK47"].update(mL1="0.3"),
+             "per_class.map_all.AK47.mL1: expected a number, got '0.3'"),
+            (lambda doc: doc["per_class"]["map_50"]["CP"].update(mIoU=float("-inf")),
+             "per_class.map_50.CP.mIoU: expected a finite number, got -inf"),
+            (lambda doc: doc.update(per_class=[{"AK47": {"mL1": 0.9}}]), "per_class: expected an object, got list"),
+            (lambda doc: doc["per_class"].update(map_all=[1, 2]), "per_class.map_all: expected an object, got list"),
+            (lambda doc: doc["per_class"]["map_all"].update(KD=0.5), "per_class.map_all.KD: expected an object, got float"),
+        ],
+    )
+    def test_bad_metric_values_exit_2(self, edit, message, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "published_metrics.json").read_text())
+        edit(doc)
+        bad = tmp_path / "metrics.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["report", str(bad), "--baseline", "mBaseline", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

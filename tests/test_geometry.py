@@ -10,7 +10,6 @@ from boxlab.geometry import (
     center_distance_sq,
     enclosing_box,
     enclosing_diag_sq,
-    geometry_scalars,
     intersection_area,
     iou,
     union_area,
@@ -148,14 +147,15 @@ class TestProperties:
         for _ in range(1000):
             a = sample_box(rng)
             b = sample_box(rng)
-            scalars = geometry_scalars(a, b)
+            union = union_area(a, b)
+            enclosing = area(enclosing_box(a, b))
             inter = intersection_area(a, b)
             # allow a few ulps: union (a + b - inter) and hull width*height are
             # mathematically equal under containment but round differently
-            slack = 1e-12 * max(1.0, scalars.enclosing_area)
-            assert scalars.enclosing_area >= scalars.union_area - slack
-            assert scalars.union_area >= inter - slack
-            assert scalars.center_distance_sq <= scalars.enclosing_diag_sq + slack
+            slack = 1e-12 * max(1.0, enclosing)
+            assert enclosing >= union - slack
+            assert union >= inter - slack
+            assert center_distance_sq(a, b) <= enclosing_diag_sq(a, b) + slack
 
     def test_iou_matches_rasterization_oracle(self):
         # Integer boxes built on a hundredths grid, counted at unit resolution

@@ -32,6 +32,8 @@ class TestAnchorConfig:
             {"scale": 0},
             {"aspect_ratios": (1.0, -2.0)},
             {"aspect_ratios": ()},
+            {"aspect_ratios": (1.0, float("nan"))},
+            {"aspect_ratios": (float("inf"),)},
             {"strides": (8, 8)},
             {"strides": (16, 8)},
             {"strides": (0, 8)},
@@ -83,6 +85,11 @@ class TestGenerateAnchors:
     def test_size_count_mismatch(self):
         with pytest.raises(ValidationError):
             generate_anchors(AnchorConfig(), [(10, 10)])
+
+    @pytest.mark.parametrize("size", [(2, 0), (0, 3), (2, -1)])
+    def test_nonpositive_feature_size(self, size):
+        with pytest.raises(ValidationError, match=f"level 1 must be positive, got {size[0]}x{size[1]}"):
+            generate_anchors(AnchorConfig(strides=(8, 16)), [(2, 2), size])
 
 
 class TestBoxDelta:

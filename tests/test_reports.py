@@ -32,11 +32,6 @@ def _published_rows():
 
 
 class TestModelReportRow:
-    def test_fps_is_inverse_latency_rounded(self):
-        row = ModelReportRow("m", 0.9, 0.9, 0.9, latency_ms=55.6)
-        assert row.fps == 18.0
-        assert ModelReportRow("m", 0.9, 0.9, 0.9, 59.5).fps == 16.8
-
     def test_f1_is_harmonic_mean(self):
         row = ModelReportRow("m", 0.9408, 0.9428, 0.973, 59.5)
         assert row.f1 == pytest.approx(0.9566, abs=1e-4)
@@ -45,7 +40,6 @@ class TestModelReportRow:
         rows, doc = _published_rows()
         for row, rec in zip(rows, doc["models"]):
             assert row.f1 == pytest.approx(rec["f1"], abs=1e-4)
-            assert row.fps == pytest.approx(rec["fps"], abs=0.05)
             assert 1000.0 / row.latency_ms == pytest.approx(rec["fps"], abs=0.05)
 
     def test_latency_must_be_positive(self):
