@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import DanglingIdError, DuplicateIdError, InvalidBoxError, ParseError, ValidationError
+from .errors import DanglingIdError, InvalidBoxError, ParseError, ValidationError, reject_duplicates
 from .evaluation import Detection, GroundTruthAnnotation
 from .geometry import Box
 
@@ -112,17 +112,6 @@ def _bbox(record: Any, context: str) -> tuple[float, float, float, float]:
     return out[0], out[1], out[2], out[3]
 
 
-def _duplicate_ids(section: str, records: Sequence[ImageInfo | Category]) -> list[str]:
-    first_at: dict[int, int] = {}
-    messages = []
-    for i, rec in enumerate(records):
-        if rec.id in first_at:
-            messages.append(f"{section}[{i}]: duplicate id {rec.id} (first at {section}[{first_at[rec.id]}])")
-        else:
-            first_at[rec.id] = i
-    return messages
-
-
 def load_manifest(path: str) -> DatasetManifest:
     """Load and fully validate a COCO-layout ground-truth file."""
     raw = _read_json(path)
@@ -145,9 +134,8 @@ def load_manifest(path: str) -> DatasetManifest:
         ctx = f"categories[{i}]"
         categories.append(Category(id=_int_id(rec, "id", ctx), name=str(_field(rec, "name", ctx))))
 
-    duplicates = _duplicate_ids("images", images) + _duplicate_ids("categories", categories)
-    if duplicates:
-        raise DuplicateIdError(f"{path}: " + "; ".join(duplicates))
+    ids = {"images": [im.id for im in images], "categories": [c.id for c in categories]}
+    reject_duplicates(f"{path}: ", "id", ids)
     image_dims = {im.id: (im.width, im.height) for im in images}
     category_ids = {c.id for c in categories}
 

@@ -35,7 +35,7 @@ class DanglingIdError(ValidationError):
 
 
 class DuplicateIdError(ValidationError):
-    """A manifest lists the same image or category id more than once."""
+    """An input lists the same key twice: a manifest image or category id, a report model name."""
 
 
 class EmptyEvaluationError(ValidationError):
@@ -44,3 +44,17 @@ class EmptyEvaluationError(ValidationError):
 
 class UnknownBaselineError(ValidationError):
     """Report comparison requested against a model name that is not present."""
+
+
+def reject_duplicates(prefix: str, label: str, sections: dict[str, list]) -> None:
+    """Raise ``DuplicateIdError`` naming every repeated key of every section and its first index."""
+    messages = []
+    for section, keys in sections.items():
+        first_at: dict = {}
+        messages += [
+            f"{section}[{i}]: duplicate {label} {key!r} (first at {section}[{first}])"
+            for i, key in enumerate(keys)
+            if (first := first_at.setdefault(key, i)) != i
+        ]
+    if messages:
+        raise DuplicateIdError(prefix + "; ".join(messages))

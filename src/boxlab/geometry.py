@@ -7,8 +7,10 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import inf
+
+import numpy as np
 
 from .errors import InvalidBoxError, UndefinedOverlapError
 
@@ -18,13 +20,14 @@ __all__ = [
     "intersection_area",
     "union_area",
     "iou",
+    "pairwise_iou",
     "enclosing_box",
     "center_distance_sq",
     "enclosing_diag_sq",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle. Zero-area boxes are allowed, negative extents are not."""
 
@@ -34,10 +37,11 @@ class Box:
     y_max: float
 
     def __post_init__(self) -> None:
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(c) for c in coords):
-            raise InvalidBoxError(f"box coordinates must be finite, got {coords}")
-        if self.x_max < self.x_min or self.y_max < self.y_min:
+        # One chain passes every valid box; NaN fails every comparison.
+        if not (-inf < self.x_min <= self.x_max < inf and -inf < self.y_min <= self.y_max < inf):
+            coords = (self.x_min, self.y_min, self.x_max, self.y_max)
+            if not all(-inf < c < inf for c in coords):
+                raise InvalidBoxError(f"box coordinates must be finite, got {coords}")
             raise InvalidBoxError(f"box extents must be non-negative, got {coords}")
 
     @property
@@ -95,6 +99,21 @@ def iou(a: Box, b: Box) -> float:
             f"IoU undefined: both boxes have zero area ({a.as_tuple()}, {b.as_tuple()})"
         )
     return inter / union
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoUs of (N, 4) against (M, 4) corner-form float64 boxes.
+
+    Unlike :func:`iou`, a pair whose union is empty (two zero-area boxes) gets
+    0 instead of raising: NMS and proposal assignment treat it as no overlap.
+    """
+    iw = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
+    ih = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    areas_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    areas_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = areas_a[:, None] + areas_b - inter
+    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
 
 
 def enclosing_box(a: Box, b: Box) -> Box:

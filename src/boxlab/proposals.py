@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidBoxError, ValidationError
-from .geometry import Box
+from .geometry import Box, pairwise_iou
 
 __all__ = [
     "AnchorConfig",
@@ -54,7 +54,7 @@ class AnchorConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Anchor:
     """A generated anchor: its box, pyramid level, and (row, col) feature cell."""
 
@@ -119,33 +119,25 @@ def generate_anchors(
         if height <= 0 or width <= 0:
             raise ValidationError(f"feature size of level {level} must be positive, got {height}x{width}")
         base = float(stride * cfg.scale)
-        shapes = [(base * math.sqrt(r), base / math.sqrt(r)) for r in cfg.aspect_ratios]
+        halves = [(base * math.sqrt(r) / 2, base / math.sqrt(r) / 2) for r in cfg.aspect_ratios]
+        # (min, max) extents per ratio, computed once per column and once per row.
+        x_spans = [[(cx - hw, cx + hw) for hw, _ in halves] for cx in ((c + 0.5) * stride for c in range(width))]
         for row in range(height):
             cy = (row + 0.5) * stride
-            for col in range(width):
-                cx = (col + 0.5) * stride
-                for w, h in shapes:
-                    anchors.append(
-                        Anchor(
-                            box=Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                            level=level,
-                            cell=(row, col),
-                        )
-                    )
+            y_spans = [(cy - hh, cy + hh) for _, hh in halves]
+            for col, xs in enumerate(x_spans):
+                cell = (row, col)
+                for (x0, x1), (y0, y1) in zip(xs, y_spans):
+                    anchors.append(Anchor(Box(x0, y0, x1, y1), level, cell))
     return anchors
-
-
-def _center_size(b: Box) -> tuple[float, float, float, float]:
-    cx, cy = b.center()
-    return cx, cy, b.width, b.height
 
 
 def encode_delta(anchor: Box, target: Box) -> BoxDelta:
     """Encode ``target`` relative to ``anchor``: normalized center shift + log size ratio."""
-    acx, acy, aw, ah = _center_size(anchor)
+    (acx, acy), aw, ah = anchor.center(), anchor.width, anchor.height
     if aw <= 0.0 or ah <= 0.0:
         raise InvalidBoxError(f"anchor must have positive extents, got {anchor.as_tuple()}")
-    tcx, tcy, tw, th = _center_size(target)
+    (tcx, tcy), tw, th = target.center(), target.width, target.height
     if tw <= 0.0 or th <= 0.0:
         raise InvalidBoxError(f"target must have positive extents, got {target.as_tuple()}")
     return BoxDelta(
@@ -158,11 +150,12 @@ def encode_delta(anchor: Box, target: Box) -> BoxDelta:
 
 def decode_delta(anchor: Box, delta: BoxDelta) -> Box:
     """Invert :func:`encode_delta`."""
-    acx, acy, aw, ah = _center_size(anchor)
+    x0, y0, x1, y1 = anchor.x_min, anchor.y_min, anchor.x_max, anchor.y_max
+    aw, ah = x1 - x0, y1 - y0
     if aw <= 0.0 or ah <= 0.0:
         raise InvalidBoxError(f"anchor must have positive extents, got {anchor.as_tuple()}")
-    cx = acx + delta.tx * aw
-    cy = acy + delta.ty * ah
+    cx = (x0 + x1) / 2.0 + delta.tx * aw
+    cy = (y0 + y1) / 2.0 + delta.ty * ah
     w = aw * math.exp(delta.tw)
     h = ah * math.exp(delta.th)
     return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
@@ -172,15 +165,8 @@ def _boxes_array(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _iou_one_vs_many(box: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """IoU of one (4,) box against (N, 4) boxes; 0 where the union is empty."""
-    iw = np.minimum(box[2], others[:, 2]) - np.maximum(box[0], others[:, 0])
-    ih = np.minimum(box[3], others[:, 3]) - np.maximum(box[1], others[:, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area = (box[2] - box[0]) * (box[3] - box[1])
-    areas = (others[:, 2] - others[:, 0]) * (others[:, 3] - others[:, 1])
-    union = area + areas - inter
-    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+# Sorted rows per pairwise_iou call in nms: a (64, n) float64 matrix is 0.5 MB at n = 1,000.
+_NMS_BLOCK = 64
 
 
 def nms(
@@ -200,26 +186,23 @@ def nms(
     if max_keep <= 0:
         raise ValidationError(f"max_keep must be positive, got {max_keep}")
     n = len(candidates)
-    if n == 0:
-        return []
-
-    boxes = _boxes_array([c.box for c in candidates])
     scores = np.array([c.score for c in candidates], dtype=np.float64)
     order = np.lexsort((np.arange(n), -scores))
+    boxes = _boxes_array([c.box for c in candidates])[order]
 
+    # alive[i] refers to the i-th box in visit order; each kept box clears the later ones it overlaps.
     alive = np.ones(n, dtype=bool)
     keep: list[int] = []
-    for pos, idx in enumerate(order):
-        if not alive[idx]:
-            continue
-        keep.append(int(idx))
-        if len(keep) >= max_keep:
-            break
-        rest = order[pos + 1 :]
-        rest = rest[alive[rest]]
-        if rest.size:
-            overlaps = _iou_one_vs_many(boxes[idx], boxes[rest])
-            alive[rest[overlaps > iou_threshold]] = False
+    for start in range(0, n, _NMS_BLOCK):
+        rows = start + np.flatnonzero(alive[start : start + _NMS_BLOCK])  # skip rows already suppressed
+        overlaps = pairwise_iou(boxes[rows], boxes[start:]) > iou_threshold
+        for i, row in zip(rows.tolist(), overlaps):
+            if not alive[i]:
+                continue
+            keep.append(int(order[i]))
+            if len(keep) >= max_keep:
+                return keep
+            alive[i + 1 :] &= ~row[i + 1 - start :]
     return keep
 
 
@@ -242,18 +225,10 @@ def assign_proposals(
             ProposalAssignment(i, positive=False, gt_index=None, iou=0.0)
             for i in range(len(proposals))
         ]
-    gt_arr = _boxes_array(gts)
-    out: list[ProposalAssignment] = []
-    for i, prop in enumerate(proposals):
-        ious = _iou_one_vs_many(np.array(prop.as_tuple()), gt_arr)
-        best = int(np.argmax(ious))
-        best_iou = float(ious[best])
-        out.append(
-            ProposalAssignment(
-                proposal_index=i,
-                positive=best_iou > pos_threshold,
-                gt_index=best,
-                iou=best_iou,
-            )
-        )
-    return out
+    ious = pairwise_iou(_boxes_array(proposals), _boxes_array(gts))
+    best = ious.argmax(axis=1).tolist()
+    best_ious = ious.max(axis=1).tolist()
+    return [
+        ProposalAssignment(i, positive=v > pos_threshold, gt_index=g, iou=v)
+        for i, (g, v) in enumerate(zip(best, best_ious))
+    ]

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import UnknownBaselineError, ValidationError
+from .errors import UnknownBaselineError, ValidationError, reject_duplicates
 from .evaluation import f1 as _harmonic_f1
 
 __all__ = [
@@ -58,16 +59,28 @@ class DerivedModelStats:
 
 
 def percent_change(value: float, baseline: float) -> float:
-    """``100 * (value - baseline) / baseline``."""
+    """``100 * (value - baseline) / baseline``; raises ``ValidationError`` unless it is finite."""
     if baseline == 0.0:
         raise ValidationError("percent change is undefined against a zero baseline")
-    return 100.0 * (value - baseline) / baseline
+    change = 100.0 * (value - baseline) / baseline
+    if not math.isfinite(change):
+        raise ValidationError(f"percent change of {value!r} against {baseline!r} is not finite")
+    return change
+
+
+def _percent_change_of(what: str, value: float, baseline: float) -> float:
+    """:func:`percent_change`, with ``what`` (the model and field) named in its error."""
+    try:
+        return percent_change(value, baseline)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def derive_report_stats(
     rows: Sequence[ModelReportRow], baseline: str
 ) -> list[DerivedModelStats]:
-    """Derived comparisons for every row against the named baseline row."""
+    """Derived comparisons for every row against the named baseline row; model names must be unique."""
+    reject_duplicates("", "model", {"models": [row.model for row in rows]})
     by_name = {row.model: row for row in rows}
     if baseline not in by_name:
         raise UnknownBaselineError(
@@ -79,9 +92,11 @@ def derive_report_stats(
             model=row.model,
             fps=1000.0 / row.latency_ms,
             f1=row.f1,
-            map_pct_change=percent_change(row.map_all, base.map_all),
-            map_50_pct_change=percent_change(row.map_50, base.map_50),
-            recall_pct_change=percent_change(row.average_recall, base.average_recall),
+            map_pct_change=_percent_change_of(f"model {row.model!r} map_all", row.map_all, base.map_all),
+            map_50_pct_change=_percent_change_of(f"model {row.model!r} map_50", row.map_50, base.map_50),
+            recall_pct_change=_percent_change_of(
+                f"model {row.model!r} average_recall", row.average_recall, base.average_recall
+            ),
         )
         for row in rows
     ]
@@ -102,7 +117,7 @@ def class_percent_changes(
             )
         base = per_model[baseline]
         out[class_name] = {
-            model: percent_change(value, base)
+            model: _percent_change_of(f"class {class_name!r} model {model!r}", value, base)
             for model, value in per_model.items()
             if model != baseline
         }

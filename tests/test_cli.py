@@ -293,6 +293,26 @@ class TestReportCommand:
     def test_unknown_baseline_exit_1(self):
         assert main(["report", str(FIXTURES / "published_metrics.json"), "--baseline", "nope"]) == 1
 
+    @pytest.mark.parametrize(
+        "models, message",
+        [
+            ([("b", 1e-300), ("huge", 1e308)],
+             "model 'huge' map_all: percent change of 1e+308 against 1e-300 is not finite"),
+            ([("b", 0.5), ("b", 0.8)], "models[1]: duplicate model 'b' (first at models[0])"),
+        ],
+    )
+    def test_bad_comparison_exit_1(self, models, message, tmp_path, capsys):
+        doc = {"models": [
+            {"model": name, "map_all": m, "map_50": 0.5, "average_recall": 0.5, "latency_ms": 10.0}
+            for name, m in models
+        ]}
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path), "--baseline", "b", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_malformed_metrics_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from boxlab.errors import InvalidBoxError, UndefinedOverlapError
@@ -12,9 +13,10 @@ from boxlab.geometry import (
     enclosing_diag_sq,
     intersection_area,
     iou,
+    pairwise_iou,
     union_area,
 )
-from helpers import raster_iou, sample_box
+from helpers import raster_iou, sample_box, tuple_iou
 
 
 class TestArea:
@@ -103,6 +105,42 @@ class TestBoxValidation:
 
     def test_zero_area_allowed(self):
         assert area(Box(1, 1, 1, 1)) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_message(self, bad, position):
+        coords = [0.0, 0.0, 1.0, 1.0]
+        coords[position] = bad
+        with pytest.raises(InvalidBoxError) as err:
+            Box(*coords)
+        assert str(err.value) == f"box coordinates must be finite, got {tuple(coords)}"
+
+    @pytest.mark.parametrize("coords", [(2, 0, 1, 1), (0, 3, 1, 1), (0, 0, -1e-300, 1), (5, 5, 4, 4)])
+    def test_negative_extent_message(self, coords):
+        with pytest.raises(InvalidBoxError) as err:
+            Box(*coords)
+        assert str(err.value) == f"box extents must be non-negative, got {coords}"
+
+
+class TestPairwiseIou:
+    def test_matches_scalar_oracle_exactly(self):
+        rng = random.Random(8)
+        a = [sample_box(rng).as_tuple() for _ in range(30)] + [(1, 1, 1, 3), (2, 2, 2, 2)]
+        b = [sample_box(rng).as_tuple() for _ in range(20)] + [(2, 2, 2, 2), (0, 0, 2, 1)]
+        got = pairwise_iou(np.array(a, dtype=np.float64), np.array(b, dtype=np.float64))
+        assert got.shape == (len(a), len(b))
+        assert got.tolist() == [[tuple_iou(x, y) for y in b] for x in a]
+
+    def test_empty_union_is_zero_not_an_error(self):
+        zero = np.array([[2.0, 2.0, 2.0, 2.0]])
+        assert pairwise_iou(zero, zero).tolist() == [[0.0]]
+        with pytest.raises(UndefinedOverlapError):
+            iou(Box(2, 2, 2, 2), Box(2, 2, 2, 2))
+
+    def test_empty_inputs(self):
+        some = np.array([[0.0, 0.0, 1.0, 1.0]])
+        assert pairwise_iou(np.empty((0, 4)), some).shape == (0, 1)
+        assert pairwise_iou(some, np.empty((0, 4))).shape == (1, 0)
 
 
 class TestProperties:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.errors import InvalidBoxError, ValidationError
 from boxlab.geometry import Box
@@ -16,7 +18,7 @@ from boxlab.proposals import (
     generate_anchors,
     nms,
 )
-from helpers import brute_force_nms, sample_box
+from helpers import brute_force_nms, sample_box, tuple_iou
 
 
 class TestAnchorConfig:
@@ -213,6 +215,81 @@ class TestNms:
             ScoredBox(Box(0, 0, 1, 1), 1.5)
 
 
+def _boundary_instance(n, rng):
+    """Crowded boxes mixing exact score ties, IoU-exactly-0.5 pairs and zero-area boxes."""
+    boxes, scores = [], []
+    for k in range(n):
+        x, y = rng.randrange(0, 12), rng.randrange(0, 12)
+        kind = k % 4
+        if kind == 0:
+            box = (x, y, x + 2, y + 2)
+        elif kind == 1:
+            box = (x, y, x + 2, y + 1)  # IoU exactly 0.5 with (x, y, x + 2, y + 2)
+        elif kind == 2:
+            box = (x, y, x + rng.choice([0, 3]), y + rng.choice([0, 1]))  # zero-area unless (3, 1)
+        else:
+            box = (x + rng.random(), y, x + 4, y + rng.uniform(1, 4))
+        boxes.append(box)
+        scores.append(rng.choice([0.2, 0.5, 0.9]) if rng.random() < 0.5 else rng.random())
+    return boxes, scores
+
+
+class TestNmsBlockBoundary:
+    """Greedy NMS works through its candidates in blocks of 64; results must not depend on where a block ends."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 300])
+    def test_matches_brute_force(self, n):
+        rng = random.Random(36 + n)
+        for _ in range(3):
+            boxes, scores = _boundary_instance(n, rng)
+            candidates = [ScoredBox(Box(*b), s) for b, s in zip(boxes, scores)]
+            for threshold in (0.3, 0.5, 0.7):
+                full = brute_force_nms(boxes, scores, threshold, n)
+                for max_keep in sorted({1, 2, 63, 64, 65, len(full) // 2 + 1, len(full), 1000}):
+                    expected = brute_force_nms(boxes, scores, threshold, max_keep)
+                    assert nms(candidates, threshold, max_keep) == expected
+
+    @pytest.mark.parametrize("n", [65, 128, 129])
+    def test_exact_threshold_pair_across_blocks(self, n):
+        # equal scores: visit order is input order, so rows 63 and 64 sit in different blocks
+        boxes = [(10.0 * k, 0.0, 10.0 * k + 1, 1.0) for k in range(n)]
+        boxes[63], boxes[64] = (0.0, 50.0, 2.0, 52.0), (0.0, 50.0, 2.0, 51.0)
+        candidates = [ScoredBox(Box(*b), 0.5) for b in boxes]
+        assert nms(candidates, 0.5, 1000) == list(range(n))
+        assert nms(candidates, 0.49, 1000) == [k for k in range(n) if k != 64]
+        assert nms(candidates, 0.49, 64) == list(range(64))
+
+    def test_zero_area_pairs_never_suppress(self):
+        candidates = [ScoredBox(Box(1, 1, 1, 1), 0.5) for _ in range(130)]
+        assert nms(candidates, 0.1, 1000) == list(range(130))
+
+
+_int_boxes = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 4), st.integers(0, 4)).map(
+        lambda t: (float(t[0]), float(t[1]), float(t[0] + t[2]), float(t[1] + t[3]))
+    ),
+    min_size=50,
+    max_size=140,
+)
+
+
+class TestNmsProperties:
+    """Integer corners make IoUs of exactly 0.5 common, so the strict '>' is exercised."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(boxes=_int_boxes, threshold=st.sampled_from([0.25, 0.5, 0.6]), data=st.data())
+    def test_idempotent_and_strict(self, boxes, threshold, data):
+        scores = data.draw(st.lists(st.sampled_from([0.1, 0.4, 0.7, 1.0]), min_size=len(boxes), max_size=len(boxes)))
+        candidates = [ScoredBox(Box(*b), s) for b, s in zip(boxes, scores)]
+        kept = nms(candidates, threshold, 1000)
+        assert nms([candidates[i] for i in kept], threshold, 1000) == list(range(len(kept)))
+        visit = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+        for pos, i in enumerate(visit):
+            earlier_kept = [j for j in visit[:pos] if j in kept]
+            suppressed = any(tuple_iou(boxes[i], boxes[j]) > threshold for j in earlier_kept)
+            assert (i not in kept) == suppressed
+
+
 class TestAssignProposals:
     def test_exact_match_is_positive(self):
         gt = Box(0, 0, 2, 2)
@@ -244,6 +321,35 @@ class TestAssignProposals:
         gt = Box(0, 0, 2, 2)
         (record,) = assign_proposals([gt], [gt, gt], 0.5)
         assert record.gt_index == 0
+
+    def test_matches_naive_argmax(self):
+        rng = random.Random(37)
+        for _ in range(50):
+            gts = [sample_box(rng).as_tuple() for _ in range(rng.randrange(1, 8))]
+            gts += rng.sample(gts, rng.randrange(0, len(gts) + 1))  # duplicate GTs tie on IoU
+            props = [sample_box(rng).as_tuple() for _ in range(rng.randrange(0, 40))]
+            props += [(x, y, x, y + 1) for x, y in ((1, 1), (5, 5))] + [(2, 2, 2, 2)]  # zero-area
+            props += [(g[0], g[1], g[0], g[3]) for g in gts[:2]]  # zero-area on a GT edge
+            records = assign_proposals([Box(*p) for p in props], [Box(*g) for g in gts], 0.5)
+            for i, (prop, rec) in enumerate(zip(props, records)):
+                ious = [tuple_iou(prop, g) for g in gts]
+                best = max(range(len(gts)), key=lambda j: (ious[j], -j))
+                assert (rec.proposal_index, rec.positive, rec.gt_index, rec.iou) == (
+                    i, ious[best] > 0.5, best, ious[best]
+                )
+            assert len(records) == len(props)
+
+    def test_empty_proposals(self):
+        assert assign_proposals([], [Box(0, 0, 1, 1)], 0.5) == []
+
+    def test_equal_iou_ties_go_to_lower_index(self):
+        # the two GTs are mirror images around the proposal, so their IoUs are equal
+        records = assign_proposals([Box(2, 0, 4, 2)], [Box(3, 0, 5, 2), Box(1, 0, 3, 2), Box(3, 0, 5, 2)], 0.3)
+        assert [(r.gt_index, r.iou, r.positive) for r in records] == [(0, 1 / 3, True)]
+
+    def test_zero_area_proposal_is_negative(self):
+        (record,) = assign_proposals([Box(1, 1, 1, 1)], [Box(0, 0, 2, 2), Box(1, 1, 1, 1)], 0.5)
+        assert (record.positive, record.gt_index, record.iou) == (False, 0, 0.0)
 
     def test_threshold_validation(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from boxlab.errors import UnknownBaselineError, ValidationError
+from boxlab.errors import DuplicateIdError, UnknownBaselineError, ValidationError
 from boxlab.reports import (
     ModelReportRow,
     class_percent_changes,
@@ -59,6 +59,11 @@ class TestPercentChange:
         with pytest.raises(ValidationError):
             percent_change(1.0, 0.0)
 
+    @pytest.mark.parametrize("value, baseline", [(1e308, 1e-300), (-1e308, 1e-300), (1e308, -1e-300)])
+    def test_overflow_rejected(self, value, baseline):
+        with pytest.raises(ValidationError, match="is not finite"):
+            percent_change(value, baseline)
+
 
 class TestDeriveReportStats:
     def test_fps_full_precision(self):
@@ -77,6 +82,22 @@ class TestDeriveReportStats:
         with pytest.raises(UnknownBaselineError):
             derive_report_stats(rows, "mNothing")
 
+    def test_overflowed_change_names_model_and_field(self):
+        rows = [ModelReportRow("b", 0.5, 0.5, 1e-300, 10.0), ModelReportRow("huge", 0.5, 0.5, 1e308, 10.0)]
+        with pytest.raises(ValidationError) as err:
+            derive_report_stats(rows, "b")
+        assert str(err.value) == "model 'huge' average_recall: percent change of 1e+308 against 1e-300 is not finite"
+
+    def test_duplicate_model_names_rejected(self):
+        rows = [ModelReportRow(name, 0.5, 0.5, 0.5, 10.0) for name in ("b", "c", "b", "c", "b")]
+        with pytest.raises(DuplicateIdError) as err:
+            derive_report_stats(rows, "c")
+        assert str(err.value) == (
+            "models[2]: duplicate model 'b' (first at models[0]); "
+            "models[3]: duplicate model 'c' (first at models[1]); "
+            "models[4]: duplicate model 'b' (first at models[0])"
+        )
+
 
 class TestClassPercentChanges:
     def test_headline_cp_boosts_from_fixture(self):
@@ -89,6 +110,11 @@ class TestClassPercentChanges:
     def test_missing_baseline_for_class(self):
         with pytest.raises(UnknownBaselineError):
             class_percent_changes({"CP": {"mL1": 0.4}}, "mBaseline")
+
+    def test_overflowed_change_names_class_and_model(self):
+        with pytest.raises(ValidationError) as err:
+            class_percent_changes({"CP": {"b": 1e-300, "mL1": 1e308}}, "b")
+        assert str(err.value) == "class 'CP' model 'mL1': percent change of 1e+308 against 1e-300 is not finite"
 
 
 class TestRendering:
