@@ -364,9 +364,12 @@ def _load_metrics_doc(path: str) -> tuple[list[ModelReportRow], dict]:
 def cmd_report(args: argparse.Namespace) -> Output:
     rows, per_class = _load_metrics_doc(args.metrics)
     stats = derive_report_stats(rows, args.baseline)
-    class_changes = {
-        metric: class_percent_changes(table, args.baseline) for metric, table in per_class.items()
-    }
+    class_changes = {}
+    for metric, table in per_class.items():
+        try:
+            class_changes[metric] = class_percent_changes(table, args.baseline)
+        except ValidationError as exc:
+            raise type(exc)(f"per_class.{metric}: {exc}") from None
 
     def doc() -> dict:
         return {

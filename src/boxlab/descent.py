@@ -119,18 +119,21 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
     iterate including the initial box. Descent also stops early when the
     gradient is exactly zero (no future iterate can move) or, with
     backtracking enabled, when no step up to ``max_halvings`` halvings is
-    non-increasing.
+    non-increasing; a candidate whose loss raises is rejected like one whose
+    loss increases. Each visited box's loss (value and gradient) is computed
+    once: an accepted candidate's result becomes the next iterate's.
     """
     if area(target) <= 0.0:
         raise ValidationError(f"target must have positive area, got {target.as_tuple()}")
 
     pred = init
+    result = loss(cfg.loss_kind, target, pred)
     points: list[TrajectoryPoint] = []
     converged_at: int | None = None
     steps = 0
     while True:
-        result = loss(cfg.loss_kind, target, pred)
-        grad_norm = math.sqrt(sum(g * g for g in result.gradient))
+        g1, g2, g3, g4 = result.gradient
+        grad_norm = math.sqrt(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4)
         points.append(TrajectoryPoint(pred, result.value, grad_norm))
         if iou(target, pred) >= cfg.success_iou:
             converged_at = steps
@@ -139,23 +142,22 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
             break
 
         if cfg.backtracking:
-            accepted = None
             step_size = cfg.learning_rate
             for _ in range(cfg.max_halvings + 1):
                 candidate = _step(pred, result.gradient, step_size, cfg.parameterization)
                 try:
-                    candidate_value = loss(cfg.loss_kind, target, candidate).value
+                    candidate_result = loss(cfg.loss_kind, target, candidate)
                 except BoxlabError:
-                    candidate_value = math.inf
-                if candidate_value <= result.value:
-                    accepted = candidate
+                    candidate_result = None  # rejected, like a loss increase
+                if candidate_result is not None and candidate_result.value <= result.value:
                     break
                 step_size /= 2.0
-            if accepted is None:
+            else:
                 break
-            pred = accepted
+            pred, result = candidate, candidate_result
         else:
             pred = _step(pred, result.gradient, cfg.learning_rate, cfg.parameterization)
+            result = loss(cfg.loss_kind, target, pred)
         steps += 1
 
     return Trajectory(

@@ -84,12 +84,12 @@ def _iou_terms(gt, pred):
     Returns ``(iou, union, d_iou, d_union)``. Disjoint and edge-touching
     pairs take the non-overlap branch: intersection 0 with zero gradient.
     """
-    gx1, gy1, gx2, gy2 = gt.as_tuple()
-    px1, py1, px2, py2 = pred.as_tuple()
+    gx1, gy1, gx2, gy2 = gt.x_min, gt.y_min, gt.x_max, gt.y_max
+    px1, py1, px2, py2 = pred.x_min, pred.y_min, pred.x_max, pred.y_max
     pw = px2 - px1
     ph = py2 - py1
 
-    d_area_p = (-ph, -pw, ph, pw)
+    # d(area_p) = (-ph, -pw, ph, pw)
     area_p = pw * ph
     area_g = (gx2 - gx1) * (gy2 - gy1)
 
@@ -97,47 +97,48 @@ def _iou_terms(gt, pred):
     ih = min(gy2, py2) - max(gy1, py1)
     if iw > 0.0 and ih > 0.0:
         inter = iw * ih
-        d_inter = (
-            ih * (-1.0 if px1 > gx1 else 0.0),
-            iw * (-1.0 if py1 > gy1 else 0.0),
-            ih * (1.0 if px2 < gx2 else 0.0),
-            iw * (1.0 if py2 < gy2 else 0.0),
-        )
+        di1 = ih * (-1.0 if px1 > gx1 else 0.0)
+        di2 = iw * (-1.0 if py1 > gy1 else 0.0)
+        di3 = ih * (1.0 if px2 < gx2 else 0.0)
+        di4 = iw * (1.0 if py2 < gy2 else 0.0)
     else:
         inter = 0.0
-        d_inter = (0.0, 0.0, 0.0, 0.0)
+        di1 = di2 = di3 = di4 = 0.0
 
     union = area_p + area_g - inter
     if union <= 0.0:
         raise UndefinedOverlapError(
             f"IoU undefined: both boxes have zero area ({gt.as_tuple()}, {pred.as_tuple()})"
         )
-    d_union = tuple(dp - di for dp, di in zip(d_area_p, d_inter))
+    du1 = -ph - di1
+    du2 = -pw - di2
+    du3 = ph - di3
+    du4 = pw - di4
     iou = inter / union
     usq = union * union
-    d_iou = tuple((di * union - inter * du) / usq for di, du in zip(d_inter, d_union))
-    return iou, union, d_iou, d_union
+    d_iou = (
+        (di1 * union - inter * du1) / usq,
+        (di2 * union - inter * du2) / usq,
+        (di3 * union - inter * du3) / usq,
+        (di4 * union - inter * du4) / usq,
+    )
+    return iou, union, d_iou, (du1, du2, du3, du4)
 
 
 def _hull_terms(gt, pred):
-    """Enclosing-box width/height and their gradients w.r.t. the predicted corners."""
-    gx1, gy1, gx2, gy2 = gt.as_tuple()
-    px1, py1, px2, py2 = pred.as_tuple()
+    """Enclosing-box width/height and ``(dew/dx1, deh/dy1, dew/dx2, deh/dy2)``;
+    the cross derivatives (ew by y, eh by x) are zero."""
+    gx1, gy1, gx2, gy2 = gt.x_min, gt.y_min, gt.x_max, gt.y_max
+    px1, py1, px2, py2 = pred.x_min, pred.y_min, pred.x_max, pred.y_max
     ew = max(gx2, px2) - min(gx1, px1)
     eh = max(gy2, py2) - min(gy1, py1)
-    d_ew: GradVec = (
+    d_hull: GradVec = (
         -1.0 if px1 < gx1 else 0.0,
-        0.0,
-        1.0 if px2 > gx2 else 0.0,
-        0.0,
-    )
-    d_eh: GradVec = (
-        0.0,
         -1.0 if py1 < gy1 else 0.0,
-        0.0,
+        1.0 if px2 > gx2 else 0.0,
         1.0 if py2 > gy2 else 0.0,
     )
-    return ew, eh, d_ew, d_eh
+    return ew, eh, d_hull
 
 
 def loss_l1(gt: Box, pred: Box) -> LossResult:
@@ -151,43 +152,52 @@ def loss_l1(gt: Box, pred: Box) -> LossResult:
 
 def loss_iou(gt: Box, pred: Box) -> LossResult:
     """``1 - IoU``; locally constant (zero gradient) when the boxes are disjoint."""
-    iou, _, d_iou, _ = _iou_terms(gt, pred)
-    return LossResult(1.0 - iou, tuple(-d for d in d_iou))
+    iou, _, (d1, d2, d3, d4), _ = _iou_terms(gt, pred)
+    return LossResult(1.0 - iou, (-d1, -d2, -d3, -d4))
 
 
 def loss_giou(gt: Box, pred: Box) -> LossResult:
     """``1 - IoU + (C - U)/C`` where C is the enclosing-box area."""
-    iou, union, d_iou, d_union = _iou_terms(gt, pred)
-    ew, eh, d_ew, d_eh = _hull_terms(gt, pred)
+    iou, union, (di1, di2, di3, di4), (du1, du2, du3, du4) = _iou_terms(gt, pred)
+    ew, eh, (h1, h2, h3, h4) = _hull_terms(gt, pred)
     c_area = ew * eh
-    d_c = (eh * d_ew[0], ew * d_eh[1], eh * d_ew[2], ew * d_eh[3])
+    dc1, dc2, dc3, dc4 = eh * h1, ew * h2, eh * h3, ew * h4
     csq = c_area * c_area
     # d[(C - U)/C] = d[1 - U/C] = -(dU*C - U*dC)/C^2
     value = 1.0 - iou + (c_area - union) / c_area
-    gradient = tuple(
-        -di - (du * c_area - union * dc) / csq for di, du, dc in zip(d_iou, d_union, d_c)
+    gradient = (
+        -di1 - (du1 * c_area - union * dc1) / csq,
+        -di2 - (du2 * c_area - union * dc2) / csq,
+        -di3 - (du3 * c_area - union * dc3) / csq,
+        -di4 - (du4 * c_area - union * dc4) / csq,
     )
     return LossResult(value, gradient)
 
 
 def _diou_terms(gt, pred):
     """DIoU value and gradient, plus the IoU (reused by CIoU)."""
-    iou, _, d_iou, _ = _iou_terms(gt, pred)
-    ew, eh, d_ew, d_eh = _hull_terms(gt, pred)
+    iou, _, (di1, di2, di3, di4), _ = _iou_terms(gt, pred)
+    ew, eh, (h1, h2, h3, h4) = _hull_terms(gt, pred)
 
-    gcx, gcy = gt.center()
-    pcx, pcy = pred.center()
-    rho2 = (pcx - gcx) ** 2 + (pcy - gcy) ** 2
+    gcx = (gt.x_min + gt.x_max) / 2.0
+    gcy = (gt.y_min + gt.y_max) / 2.0
+    pcx = (pred.x_min + pred.x_max) / 2.0
+    pcy = (pred.y_min + pred.y_max) / 2.0
     # Each corner moves its center coordinate by 1/2: d(rho2)/dx = (pcx - gcx).
-    d_rho2 = (pcx - gcx, pcy - gcy, pcx - gcx, pcy - gcy)
+    drx = pcx - gcx
+    dry = pcy - gcy
+    rho2 = drx ** 2 + dry ** 2
 
     c2 = ew * ew + eh * eh
-    d_c2 = (2.0 * ew * d_ew[0], 2.0 * eh * d_eh[1], 2.0 * ew * d_ew[2], 2.0 * eh * d_eh[3])
+    dc1, dc2, dc3, dc4 = 2.0 * ew * h1, 2.0 * eh * h2, 2.0 * ew * h3, 2.0 * eh * h4
 
     c2sq = c2 * c2
     value = 1.0 - iou + rho2 / c2
-    gradient = tuple(
-        -di + (dr * c2 - rho2 * dc) / c2sq for di, dr, dc in zip(d_iou, d_rho2, d_c2)
+    gradient = (
+        -di1 + (drx * c2 - rho2 * dc1) / c2sq,
+        -di2 + (dry * c2 - rho2 * dc2) / c2sq,
+        -di3 + (drx * c2 - rho2 * dc3) / c2sq,
+        -di4 + (dry * c2 - rho2 * dc4) / c2sq,
     )
     return value, gradient, iou
 
@@ -238,12 +248,11 @@ def loss_ciou(gt: Box, pred: Box) -> LossResult:
     constant under differentiation, so the gradient is ``grad_DIoU + alpha*dV``.
     Raises DegenerateAspectError if either box has zero width or height.
     """
-    diou_value, diou_grad, iou = _diou_terms(gt, pred)
-    v, d_v = _aspect_terms(gt, pred)
+    diou_value, (g1, g2, g3, g4), iou = _diou_terms(gt, pred)
+    v, (dv1, dv2, dv3, dv4) = _aspect_terms(gt, pred)
     alpha = _ciou_alpha(iou, v)
     value = diou_value + alpha * v
-    gradient = tuple(dg + alpha * dv for dg, dv in zip(diou_grad, d_v))
-    return LossResult(value, gradient)
+    return LossResult(value, (g1 + alpha * dv1, g2 + alpha * dv2, g3 + alpha * dv3, g4 + alpha * dv4))
 
 
 _DISPATCH = {

@@ -76,10 +76,17 @@ def _percent_change_of(what: str, value: float, baseline: float) -> float:
         raise ValidationError(f"{what}: {exc}") from None
 
 
+def _check_rate(what: str, value: float) -> None:
+    """Raise ``ValidationError`` naming ``what`` unless ``value`` is in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{what}: expected a value in [0, 1], got {value!r}")
+
+
 def derive_report_stats(
     rows: Sequence[ModelReportRow], baseline: str
 ) -> list[DerivedModelStats]:
-    """Derived comparisons for every row against the named baseline row; model names must be unique."""
+    """Derived comparisons for every row against the named baseline row; model names must be
+    unique, mAP, mAP@50 and AR in [0, 1] (checked after the row's percent changes) and fps finite."""
     reject_duplicates("", "model", {"models": [row.model for row in rows]})
     by_name = {row.model: row for row in rows}
     if baseline not in by_name:
@@ -87,8 +94,9 @@ def derive_report_stats(
             f"baseline {baseline!r} not among models {sorted(by_name)}"
         )
     base = by_name[baseline]
-    return [
-        DerivedModelStats(
+    stats = []
+    for i, row in enumerate(rows):
+        stat = DerivedModelStats(
             model=row.model,
             fps=1000.0 / row.latency_ms,
             f1=row.f1,
@@ -98,8 +106,12 @@ def derive_report_stats(
                 f"model {row.model!r} average_recall", row.average_recall, base.average_recall
             ),
         )
-        for row in rows
-    ]
+        for field in ("map_all", "map_50", "average_recall"):
+            _check_rate(f"models[{i}].{field}", getattr(row, field))
+        if not math.isfinite(stat.fps):
+            raise ValidationError(f"models[{i}].latency_ms: 1000/latency_ms is not finite, got {row.latency_ms!r}")
+        stats.append(stat)
+    return stats
 
 
 def class_percent_changes(
@@ -107,7 +119,8 @@ def class_percent_changes(
 ) -> dict[str, dict[str, float]]:
     """Percent change per (class, model) vs the baseline model's value for that class.
 
-    ``per_class`` maps class name -> model name -> metric value.
+    ``per_class`` maps class name -> model name -> metric value; every value
+    must be in [0, 1] (checked after that class's percent changes).
     """
     out: dict[str, dict[str, float]] = {}
     for class_name, per_model in per_class.items():
@@ -121,6 +134,8 @@ def class_percent_changes(
             for model, value in per_model.items()
             if model != baseline
         }
+        for model, value in per_model.items():
+            _check_rate(f"class {class_name!r} model {model!r}", value)
     return out
 
 

@@ -313,6 +313,32 @@ class TestReportCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["models"][0].update(map_all=1e308, average_recall=1e308, latency_ms=1e-320),
+             "models[0].map_all: expected a value in [0, 1], got 1e+308"),
+            (lambda doc: doc["models"][3].update(map_50=1.2), "models[3].map_50: expected a value in [0, 1], got 1.2"),
+            (lambda doc: doc["models"][1].update(average_recall=-0.25),
+             "models[1].average_recall: expected a value in [0, 1], got -0.25"),
+            (lambda doc: doc["models"][2].update(latency_ms=1e-320),
+             "models[2].latency_ms: 1000/latency_ms is not finite, got 1e-320"),
+            (lambda doc: doc["per_class"]["map_50"]["CP"].update(mIoU=36.9),
+             "per_class.map_50: class 'CP' model 'mIoU': expected a value in [0, 1], got 36.9"),
+            (lambda doc: doc["per_class"]["map_all"]["KD"].update(mBaseline=-0.0001),
+             "per_class.map_all: class 'KD' model 'mBaseline': expected a value in [0, 1], got -0.0001"),
+        ],
+    )
+    def test_out_of_range_metrics_exit_1(self, edit, message, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "published_metrics.json").read_text())
+        edit(doc)
+        bad = tmp_path / "metrics.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["report", str(bad), "--baseline", "mBaseline", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_malformed_metrics_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -47,6 +47,9 @@ CASES.update(
         "evaluate_max_dets_1_csv": EVALUATE + ["--max-dets", "1", "--format", "csv"],
         "evaluate_files": EVALUATE + ["--format", "csv", "--output", "{out}", "--json-output", "{sidecar}"],
         "evaluate_sidecar_table": EVALUATE + ["--iou-thresholds", "0.5,0.75", "--json-output", "{sidecar}"],
+        # L1 and the default success IoU of 0.9.
+        "convergence_l1_giou_csv": ["convergence", "--trials", "30", "--losses", "l1,giou", "--lr", "3.0",
+                                    "--max-iters", "100", "--seed", "5", "--format", "csv"],
         "anchors_feature_sizes_csv": ["anchors", "--feature-sizes", "2x3,1x2", "--strides", "8,16", "--ratios",
                                       "0.5,1", "--format", "csv"],
         "anchors_output_json": COMMANDS["anchors"] + ["--format", "json", "--output", "{out}"],

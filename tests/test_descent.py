@@ -3,17 +3,89 @@ import random
 
 import pytest
 
+import boxlab.descent
 from boxlab.descent import (
     DescentConfig,
     PairSampler,
+    Trajectory,
+    TrajectoryPoint,
+    _step,
     convergence_study,
     run_descent,
     trial_csv_rows,
 )
-from boxlab.errors import ValidationError
+from boxlab.errors import BoxlabError, DegenerateAspectError, ValidationError
 from boxlab.geometry import Box, iou
-from boxlab.losses import LossKind
+from boxlab.losses import LossKind, loss
 from helpers import sample_disjoint_pair
+
+# Concentric and contained in the prediction, so CIoU's gradient is symmetric:
+# at this learning rate the first corner step collapses the width to zero
+# (x 2..2), and CIoU raises on that candidate.
+RAISING_CIOU = (Box(-1.0, -1.0, 5.0, 3.0), Box(0.0, 0.0, 4.0, 2.0), 54.0)
+
+
+def reference_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
+    """The descent loop as first written: the loss of every iterate is computed at
+    the head of the loop, so an accepted candidate's loss is computed twice.
+    It calls the loss through ``boxlab.descent`` so that ``loss_calls`` sees it."""
+    pred = init
+    points = []
+    converged_at = None
+    steps = 0
+    while True:
+        result = boxlab.descent.loss(cfg.loss_kind, target, pred)
+        grad_norm = math.sqrt(sum(g * g for g in result.gradient))
+        points.append(TrajectoryPoint(pred, result.value, grad_norm))
+        if iou(target, pred) >= cfg.success_iou:
+            converged_at = steps
+            break
+        if steps >= cfg.max_iters or grad_norm == 0.0:
+            break
+        if cfg.backtracking:
+            accepted = None
+            step_size = cfg.learning_rate
+            for _ in range(cfg.max_halvings + 1):
+                candidate = _step(pred, result.gradient, step_size, cfg.parameterization)
+                try:
+                    candidate_value = boxlab.descent.loss(cfg.loss_kind, target, candidate).value
+                except BoxlabError:
+                    candidate_value = math.inf
+                if candidate_value <= result.value:
+                    accepted = candidate
+                    break
+                step_size /= 2.0
+            if accepted is None:
+                break
+            pred = accepted
+        else:
+            pred = _step(pred, result.gradient, cfg.learning_rate, cfg.parameterization)
+        steps += 1
+    return Trajectory(points=tuple(points), converged_at=converged_at, final_iou=iou(target, pred))
+
+
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """Every ``(pred, raised)`` that ``run_descent`` passes to its loss, in order."""
+    calls = []
+
+    def recording(kind, gt, pred):
+        try:
+            result = loss(kind, gt, pred)
+        except BoxlabError:
+            calls.append((pred, True))
+            raise
+        calls.append((pred, False))
+        return result
+
+    monkeypatch.setattr(boxlab.descent, "loss", recording)
+    return calls
+
+
+SAMPLED_PAIRS = PairSampler(seed=71, disjoint=False).sample_pairs(20) + PairSampler(seed=72).sample_pairs(20)
+# At learning rate 2 the first L1 step mirrors x about the target: the candidate's
+# loss equals the current one, and a tie is accepted.
+TIED_L1_STEP = (Box(1.25, 1.0, 3.25, 3.0), Box(1.0, 1.0, 3.0, 3.0))
 
 
 class TestRunDescent:
@@ -100,6 +172,76 @@ class TestRunDescent:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValidationError):
             DescentConfig(loss_kind=LossKind.IOU, **kwargs)
+
+
+class TestLossEvaluations:
+    @pytest.mark.parametrize("parameterization", ["corner", "center"])
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_one_call_per_visited_box_with_backtracking(self, kind, parameterization, loss_calls):
+        cfg = DescentConfig(loss_kind=kind, learning_rate=3.0, max_iters=60, backtracking=True,
+                            parameterization=parameterization)
+        for init, target in SAMPLED_PAIRS:
+            loss_calls.clear()
+            trajectory = run_descent(init, target, cfg)
+            boxes = [box for box, _ in loss_calls]
+            loss_calls.clear()
+            assert reference_descent(init, target, cfg) == trajectory
+            # The start, then each candidate once: the reference loop computes
+            # every accepted candidate a second time.
+            assert len(boxes) == len(loss_calls) - (len(trajectory.points) - 1)
+            assert boxes[0] == init
+            visited = iter(boxes)
+            assert all(point.box in visited for point in trajectory.points)
+
+    @pytest.mark.parametrize("parameterization", ["corner", "center"])
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_one_call_per_point_without_backtracking(self, kind, parameterization, loss_calls):
+        cfg = DescentConfig(loss_kind=kind, learning_rate=0.5, max_iters=60, parameterization=parameterization)
+        for init, target in SAMPLED_PAIRS:
+            loss_calls.clear()
+            trajectory = run_descent(init, target, cfg)
+            assert [box for box, _ in loss_calls] == [point.box for point in trajectory.points]
+
+    def test_raising_candidate_is_rejected(self, loss_calls):
+        init, target, lr = RAISING_CIOU
+        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30, backtracking=True)
+        trajectory = run_descent(init, target, cfg)
+        assert loss_calls[1] == (Box(2.0, -1.5, 2.0, 3.5), True)
+        assert trajectory.points[1].box != loss_calls[1][0]
+        assert trajectory.converged_at is not None
+
+    def test_raising_step_propagates_without_backtracking(self, loss_calls):
+        init, target, lr = RAISING_CIOU
+        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30)
+        with pytest.raises(DegenerateAspectError):
+            run_descent(init, target, cfg)
+        assert loss_calls == [(init, False), (Box(2.0, -1.5, 2.0, 3.5), True)]
+        with pytest.raises(DegenerateAspectError):
+            reference_descent(init, target, cfg)
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("backtracking", [False, True])
+    @pytest.mark.parametrize("parameterization", ["corner", "center"])
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_sampled_pairs(self, kind, parameterization, backtracking):
+        cfg = DescentConfig(loss_kind=kind, learning_rate=2.0, max_iters=60, backtracking=backtracking,
+                            parameterization=parameterization)
+        for init, target in SAMPLED_PAIRS + [TIED_L1_STEP]:
+            got, want = run_descent(init, target, cfg), reference_descent(init, target, cfg)
+            # repr tells -0.0 from 0.0, which == does not.
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("parameterization", ["corner", "center"])
+    def test_raising_ciou_candidate(self, parameterization, loss_calls):
+        init, target, lr = RAISING_CIOU
+        if parameterization == "center":
+            lr *= 2.0  # the center step halves the size change
+        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30, backtracking=True,
+                            parameterization=parameterization)
+        got = run_descent(init, target, cfg)
+        assert any(raised for _, raised in loss_calls)
+        assert repr(got) == repr(reference_descent(init, target, cfg))
 
 
 class TestConvergenceStudy:

@@ -1,0 +1,128 @@
+"""Bit-for-bit golden values and gradients of the five losses on adversarial pairs.
+
+The pairs in ``fixtures/loss_golden.json`` cover coordinate ties, touching
+edges, disjoint and nested pairs, an IoU of exactly 0.5 (the CIoU gate),
+zero-width and zero-height predictions (CIoU raises) and both boxes of zero
+area (every IoU-family loss raises), plus seeded float pairs over several
+magnitudes. Every input and output is stored as ``float.hex``, so the signs
+of zeros are pinned too.
+
+L1, IoU, GIoU and DIoU must match exactly. CIoU goes through ``math.atan``,
+which may differ by an ulp between libms: where this libm reproduces the two
+stored ``atan`` values of a case, CIoU must match exactly; elsewhere each
+component may differ by at most 2 ulp. Regenerate only for an intended change
+of the loss arithmetic:
+
+    PYTHONPATH=src python tests/test_loss_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import pathlib
+import random
+
+import pytest
+
+from boxlab.errors import BoxlabError
+from boxlab.geometry import Box
+from boxlab.losses import LossKind, loss
+
+GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "loss_golden.json"
+
+GT = (0.0, 0.0, 4.0, 4.0)
+# Intervals over these values: ties with the GT edges (0, 4), touching (-2..0,
+# 4..5), disjoint (5..6), nested (1..4), containing (-2..5) and zero width.
+X_VALUES = (-2.0, 0.0, 1.0, 4.0, 5.0, 6.0)
+# (0, 2) against the GT's (0, 4) with equal x gives an IoU of exactly 0.5.
+Y_INTERVALS = ((0.0, 4.0), (1.0, 3.0), (0.0, 2.0), (-1.0, 2.0), (4.0, 5.0), (2.0, 2.0))
+SPECIAL = [
+    ((1.0, 1.0, 1.0, 3.0), (1.0, 1.0, 1.0, 3.0)),  # both zero area: IoU undefined
+    ((1.0, 1.0, 1.0, 3.0), (0.0, 0.0, 2.0, 2.0)),  # zero-width GT: CIoU raises
+    ((0.0, 0.0, 4.0, 4.0), (2.0, 0.0, 4.0, 4.0)),  # IoU exactly 0.5, shared right edge
+    ((0.0, 0.0, 2.0, 1.0), (0.0, 0.0, 1.0, 1.0)),  # IoU exactly 0.5, shared left edge
+    ((0.1, 0.2, 0.30000000000000004, 0.7), (0.1, 0.2, 0.3, 0.7)),  # one-ulp edge gap
+    ((-1e-300, -1e-300, 1e-300, 1e-300), (0.0, 0.0, 1e-300, 1e-300)),  # subnormal areas
+    ((1e150, 1e150, 3e150, 2e150), (1.5e150, 0.5e150, 4e150, 2.5e150)),  # large magnitudes
+]
+
+
+def cases() -> list[tuple[tuple, tuple]]:
+    """The (gt, pred) corner tuples of every golden case, in a fixed order."""
+    x_intervals = [(a, b) for i, a in enumerate(X_VALUES) for b in X_VALUES[i:]]
+    out = [(GT, (x1, y1, x2, y2)) for x1, x2 in x_intervals for y1, y2 in Y_INTERVALS]
+    out += SPECIAL
+    rng = random.Random(20240)
+    for scale in (1e-3, 1.0, 1e3, 1e6):
+        for _ in range(8):
+            boxes = []
+            for _ in range(2):
+                x, y = rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale
+                boxes.append((x, y, x + rng.uniform(0.1, 4) * scale, y + rng.uniform(0.1, 4) * scale))
+            out.append(tuple(boxes))
+    return out
+
+
+def aspect_atan(b: tuple) -> str | None:
+    """``math.atan(width/height)`` as CIoU's aspect term computes it, or None for a flat box."""
+    w, h = b[2] - b[0], b[3] - b[1]
+    return math.atan(w / h).hex() if w > 0.0 and h > 0.0 else None
+
+
+def outputs(kind: LossKind, gt: tuple, pred: tuple) -> list[str] | str:
+    """Value and gradient as hex floats, or the name of the error the loss raises."""
+    try:
+        result = loss(kind, Box(*gt), Box(*pred))
+    except BoxlabError as exc:
+        return type(exc).__name__
+    return [x.hex() for x in (result.value, *result.gradient)]
+
+
+def record(gt: tuple, pred: tuple) -> dict:
+    """One case: its inputs, CIoU's two ``atan`` values and the outputs of every kind."""
+    rec = {"gt": [x.hex() for x in gt], "pred": [x.hex() for x in pred], "atan": [aspect_atan(gt), aspect_atan(pred)]}
+    rec.update((kind.value, outputs(kind, gt, pred)) for kind in LossKind)
+    return rec
+
+
+def golden_cases() -> list[tuple[dict, tuple, tuple]]:
+    """Each stored record with its (gt, pred) inputs decoded."""
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return [(rec, *(tuple(float.fromhex(x) for x in rec[key]) for key in ("gt", "pred"))) for rec in records]
+
+
+def ulps_apart(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def test_golden_covers_every_case():
+    assert [(gt, pred) for _, gt, pred in golden_cases()] == cases()
+    raised = {(k.value, rec[k.value]) for rec, _, _ in golden_cases() for k in LossKind if isinstance(rec[k.value], str)}
+    assert ("ciou", "DegenerateAspectError") in raised
+    assert ("giou", "UndefinedOverlapError") in raised
+
+
+@pytest.mark.parametrize("kind", [k for k in LossKind if k is not LossKind.CIOU], ids=lambda k: k.value)
+def test_exact_match(kind):
+    for rec, gt, pred in golden_cases():
+        assert outputs(kind, gt, pred) == rec[kind.value], (gt, pred)
+
+
+def test_ciou_match():
+    for rec, gt, pred in golden_cases():
+        got, want = outputs(LossKind.CIOU, gt, pred), rec["ciou"]
+        if isinstance(want, str) or [aspect_atan(gt), aspect_atan(pred)] == rec["atan"]:
+            assert got == want, (gt, pred)
+            continue
+        # This libm's atan differs from the one that made the golden.
+        assert not isinstance(got, str), (gt, pred)
+        for mine, theirs in zip(got, want):
+            assert ulps_apart(float.fromhex(mine), float.fromhex(theirs)) <= 2, (gt, pred)
+
+
+if __name__ == "__main__":
+    records = [record(gt, pred) for gt, pred in cases()]
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n", encoding="utf-8")

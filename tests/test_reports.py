@@ -88,6 +88,34 @@ class TestDeriveReportStats:
             derive_report_stats(rows, "b")
         assert str(err.value) == "model 'huge' average_recall: percent change of 1e+308 against 1e-300 is not finite"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (ModelReportRow("b", 1e308, 0.5, 1e308, 1e-320), "models[0].map_all: expected a value in [0, 1], got 1e+308"),
+            (ModelReportRow("b", 0.5, -0.0001, 0.5, 10.0), "models[0].map_50: expected a value in [0, 1], got -0.0001"),
+            (ModelReportRow("b", 0.5, 0.5, 1.5, 10.0), "models[0].average_recall: expected a value in [0, 1], got 1.5"),
+            (ModelReportRow("b", 0.5, 0.5, 0.5, 1e-320),
+             "models[0].latency_ms: 1000/latency_ms is not finite, got 1e-320"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, row, message):
+        with pytest.raises(ValidationError) as err:
+            derive_report_stats([row], "b")
+        assert str(err.value) == message
+
+    def test_out_of_range_value_names_its_row(self):
+        rows = [ModelReportRow("b", 0.5, 0.5, 0.5, 10.0), ModelReportRow("c", 0.5, 0.5, 0.5, 10.0),
+                ModelReportRow("d", 1.0000000000000002, 0.5, 0.5, 10.0)]
+        with pytest.raises(ValidationError) as err:
+            derive_report_stats(rows, "c")
+        assert str(err.value) == "models[2].map_all: expected a value in [0, 1], got 1.0000000000000002"
+
+    def test_range_bounds_accepted(self):
+        rows = [ModelReportRow("b", 1.0, 1.0, 1.0, 1e-300), ModelReportRow("c", 0.0, 0.0, 0.0, 1e300)]
+        stats = derive_report_stats(rows, "b")
+        assert [s.map_pct_change for s in stats] == [0.0, -100.0]
+        assert stats[0].fps == 1e303
+
     def test_duplicate_model_names_rejected(self):
         rows = [ModelReportRow(name, 0.5, 0.5, 0.5, 10.0) for name in ("b", "c", "b", "c", "b")]
         with pytest.raises(DuplicateIdError) as err:
@@ -110,6 +138,19 @@ class TestClassPercentChanges:
     def test_missing_baseline_for_class(self):
         with pytest.raises(UnknownBaselineError):
             class_percent_changes({"CP": {"mL1": 0.4}}, "mBaseline")
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"CP": {"b": 0.5, "mL1": 1.5}}, "class 'CP' model 'mL1': expected a value in [0, 1], got 1.5"),
+            ({"CP": {"b": -0.5, "mL1": 0.5}}, "class 'CP' model 'b': expected a value in [0, 1], got -0.5"),
+            ({"CP": {"b": 0.5}, "KD": {"b": 2.0}}, "class 'KD' model 'b': expected a value in [0, 1], got 2.0"),
+        ],
+    )
+    def test_out_of_range_value_names_class_and_model(self, table, message):
+        with pytest.raises(ValidationError) as err:
+            class_percent_changes(table, "b")
+        assert str(err.value) == message
 
     def test_overflowed_change_names_class_and_model(self):
         with pytest.raises(ValidationError) as err:
