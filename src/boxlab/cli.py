@@ -351,7 +351,10 @@ def _load_metrics_doc(path: str) -> tuple[list[ModelReportRow], dict]:
     for i, rec in enumerate(doc["models"]):
         ctx = f"models[{i}]"
         values = (_number(rec, key, ctx) for key in ("map_all", "map_50", "average_recall", "latency_ms"))
-        rows.append(ModelReportRow(str(_field(rec, "model", ctx)), *values))
+        try:
+            rows.append(ModelReportRow(str(_field(rec, "model", ctx)), *values))
+        except ValidationError as exc:  # the row's own check names only the field
+            raise ValidationError(f"{ctx}.{exc}") from None
     per_class: dict[str, dict] = {}
     for metric, table in _object(doc.get("per_class") or {}, "per_class").items():
         per_class[metric] = {}

@@ -1,26 +1,24 @@
 """COCO-style detection metrics: greedy matching, interpolated AP, mAP/AR/F1.
 
 Each class is evaluated with the structure of COCOeval (Lin et al.,
-"Microsoft COCO: Common Objects in Context", ECCV 2014): set up once, then
-match once per threshold.
+"Microsoft COCO: Common Objects in Context", ECCV 2014), on arrays:
 
-1. set-up, once per (class, image) slice: visit detections in descending
-   score order (ties broken by input index) and cap them at
-   ``max_detections_per_image``. For each kept detection, compute its IoU
-   with every ground truth of the slice exactly once and keep the
-   overlapping ones as its candidate row, sorted by descending IoU (equal
-   IoUs: lower ground-truth index first). The class's kept detections are
-   also ranked globally by score, once;
-2. one matching pass per IoU threshold: each detection, in score order,
-   takes the first still-unmatched ground truth in its row, and the walk
-   stops at the first IoU below the threshold. This is greedy matching to
-   the unmatched ground truth with the highest IoU >= threshold;
-3. the TP flags in global rank order give both the cumulative
-   precision/recall curve and the maximum achieved recall. AP is the mean
-   of interpolated precision (max precision at recall >= r) at
-   ``recall_samples`` evenly spaced recall points in [0, 1].
+1. set-up, once per class: rank its detections by descending score (ties
+   broken by input index) and keep at most ``max_detections_per_image`` per
+   image. One join gives every same-image (kept detection, ground truth)
+   pair one IoU; the pairs with IoU > 0 are sorted by (detection rank,
+   -IoU, ground-truth index);
+2. one matching pass per IoU threshold over that pair table: each detection,
+   in rank order, takes its first still-unmatched ground truth with IoU >=
+   the threshold: the one with the highest IoU, equal IoUs going to the
+   lower index;
+3. the TP flags in rank order give both the cumulative precision/recall
+   curve and the maximum achieved recall. AP is the mean of interpolated
+   precision (max precision at recall >= r) at ``recall_samples`` evenly
+   spaced recall points in [0, 1].
 
-Candidate rows are held for one slice at a time. ``match_detections``,
+``BoxColumns`` inputs (what the COCO loaders return) are used as they are;
+any other sequence is converted to columns once. ``match_detections``,
 ``average_precision`` and ``max_achieved_recall`` are thin wrappers over the
 same core for a single slice or threshold.
 
@@ -36,18 +34,19 @@ aggregation unless ``EvalConfig.include_gt_free_classes`` is set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from .errors import EmptyEvaluationError, InvalidBoxError, ValidationError
-from .geometry import Box, area, iou
+from .geometry import Box, area, iou  # noqa: F401  (iou stays patchable here; evaluate makes no scalar IoU call)
 
 __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
     "Detection",
     "GroundTruthAnnotation",
+    "BoxColumns",
     "EvalConfig",
     "PerClassResult",
     "EvalReport",
@@ -144,45 +143,134 @@ def f1(precision_like: float, recall_like: float) -> float:
     return 2.0 * precision_like * recall_like / (precision_like + recall_like)
 
 
-def _candidate_row(box: Box, gts: Sequence[GroundTruthAnnotation]) -> list[tuple[float, int]]:
-    """The ground truths ``box`` overlaps, as ``(-iou, index)`` pairs, best first.
-
-    Each pair's IoU is computed exactly once. Sorting puts the higher IoU
-    first and, on equal IoU, the lower ground-truth index: the matching
-    tie-break. Zero-IoU pairs are left out because no threshold matches them.
+class BoxColumns(Sequence):
+    """Detections (or ground truths, when ``scores`` is None) as arrays: ``image``
+    and ``cls`` code into the ``image_ids`` and ``class_ids`` tables, ``boxes`` is
+    (N, 4) corner-form float64, ``scores`` (N,). Indexing and iteration build
+    ``Detection`` (``GroundTruthAnnotation``) values; it equals a list or tuple of them.
     """
-    row = []
-    for j, gt in enumerate(gts):
-        overlap = iou(box, gt.box)
-        if overlap > 0.0:
-            row.append((-overlap, j))
-    row.sort()
-    return row
+
+    def __init__(self, image_ids, class_ids, image, cls, boxes, scores=None) -> None:
+        self.image_ids, self.class_ids = tuple(image_ids), tuple(class_ids)
+        self.image, self.cls, self.boxes, self.scores = image, cls, boxes, scores
+
+    def __len__(self) -> int:
+        return len(self.image)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        ids = (self.image_ids[self.image[i]], self.class_ids[self.cls[i]], Box(*self.boxes[i].tolist()))
+        return GroundTruthAnnotation(*ids) if self.scores is None else Detection(*ids, float(self.scores[i]))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (BoxColumns, list, tuple)) else NotImplemented
 
 
-def _match_rows(
-    rows: Sequence[list[tuple[float, int]]], n_gt: int, t: float
-) -> tuple[list[bool], list[bool]]:
-    """One greedy pass at threshold ``t`` over candidate rows in score order.
+def _coded(dets: Sequence, gts: Sequence):
+    """The detections as (image codes, class codes, (N, 4) boxes, scores), the
+    ground truths as (image codes, class codes, boxes), and the class id of
+    each class code. Ids are coded alike on both sides: ``BoxColumns`` are
+    re-coded through their id tables, and other sequences converted once.
+    """
+    image_code: dict = {}
+    class_code: dict = {}
+    coded = []
+    for items, scored in ((gts, False), (dets, True)):
+        if isinstance(items, BoxColumns):
+            image = np.array([image_code.setdefault(v, len(image_code)) for v in items.image_ids], np.intp)[items.image]
+            cls = np.array([class_code.setdefault(v, len(class_code)) for v in items.class_ids], np.intp)[items.cls]
+            coded.append((image, cls, items.boxes, items.scores))
+            continue
+        image = np.array([image_code.setdefault(x.image_id, len(image_code)) for x in items], np.intp)
+        cls = np.array([class_code.setdefault(x.class_id, len(class_code)) for x in items], np.intp)
+        boxes = np.array([x.box.as_tuple() for x in items], np.float64).reshape(-1, 4)
+        coded.append((image, cls, boxes, np.array([x.score for x in items], np.float64) if scored else None))
+    return coded[1], coded[0][:3], tuple(class_code)
 
-    Each detection takes the first still-unmatched ground truth in its row;
-    the walk stops at the first IoU below ``t``.
+
+def _match(dets, gts, thresholds, cap: int):
+    """Greedy matching of (image codes, boxes, scores) detections against
+    (image codes, boxes) ground truths at every threshold, IoUs computed with
+    ``geometry.iou``'s operations (a valid ground truth has positive area, so
+    no union is empty).
 
     Returns:
-        (tp flags aligned to ``rows``, matched flags per ground-truth index).
+        (input indices of the kept detections in rank order, and per threshold
+         (their TP flags, the ground truths' matched flags in input order)).
     """
-    matched = [False] * n_gt
+    (d_img, d_boxes, d_scores), (g_img, g_boxes) = dets, gts
+    rank = np.argsort(-d_scores, kind="stable")
+    by_image = np.argsort(d_img[rank], kind="stable")
+    grouped = d_img[rank][by_image]
+    position = np.empty(len(rank), dtype=np.intp)
+    position[by_image] = np.arange(len(rank)) - np.searchsorted(grouped, grouped)
+    kept = rank[position < cap]
+
+    g_order = np.argsort(g_img, kind="stable")
+    lo = np.searchsorted(g_img[g_order], d_img[kept], "left")
+    counts = np.searchsorted(g_img[g_order], d_img[kept], "right") - lo
+    det = np.repeat(np.arange(len(kept)), counts)
+    gt = g_order[np.arange(len(det)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+    a, b = d_boxes[kept][det], g_boxes[gt]
+    with np.errstate(over="ignore", invalid="ignore"):  # areas past 1e308 give inf or NaN, as floats do
+        iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+        ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+        union = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]) + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) - inter
+        overlap = inter / union
+    hit = overlap > 0.0
+    det, gt, overlap = det[hit], gt[hit], overlap[hit]
+    table = np.lexsort((gt, -overlap, det))  # (rank, -IoU, ground-truth index): the tie-break
+    det, gt, overlap = det[table], gt[table], overlap[table]
+
     flags = []
-    for row in rows:
-        hit = False
-        for neg_overlap, j in row:
-            if -neg_overlap < t:
-                break
-            if not matched[j]:
-                matched[j] = hit = True
-                break
-        flags.append(hit)
-    return flags, matched
+    for t in thresholds:
+        tp, taken = bytearray(len(kept)), bytearray(len(g_img))
+        last = -1
+        above = overlap >= t
+        for d, g in zip(det[above].tolist(), gt[above].tolist()):
+            if d != last and not taken[g]:
+                taken[g] = tp[d] = 1
+                last = d
+        flags.append((np.frombuffer(tp, dtype=np.uint8), taken))
+    return kept, flags
+
+
+def _interpolated_ap(tp: np.ndarray, n_gt: int, recall_samples: int) -> float:
+    """AP from TP flags in score-rank order; 0.0 when there are no detections."""
+    if not len(tp):
+        return 0.0
+    hits = np.cumsum(tp)
+    # Interpolated precision: max precision over ranks with recall >= r.
+    max_prec_from = np.maximum.accumulate((hits / np.arange(1, len(tp) + 1))[::-1])[::-1]
+    at = np.searchsorted(hits / n_gt, np.arange(recall_samples) / (recall_samples - 1))
+    total = 0.0
+    for p in max_prec_from[at[at < len(tp)]].tolist():  # in order: np.sum's pairwise order changes the bits
+        total += p
+    return total / recall_samples
+
+
+def _class_metrics(dets, gts, thresholds, cfg: EvalConfig):
+    """(AP, max achieved recall) per threshold for one class, from one set of flags.
+
+    Both are 0.0 when the class has no ground truths (whether it is skipped
+    from aggregation in that case is the aggregator's policy decision).
+    """
+    n_gt = len(gts[0])
+    if n_gt == 0:
+        zeros = (0.0,) * len(thresholds)
+        return zeros, zeros
+    _, flags = _match(dets, gts, thresholds, cfg.max_detections_per_image)
+    aps = tuple(_interpolated_ap(tp, n_gt, cfg.recall_samples) for tp, _ in flags)
+    recalls = tuple(int(tp.sum()) / n_gt for tp, _ in flags)
+    return aps, recalls
+
+
+def _one_class(dets, gts, t: float, cfg: EvalConfig):
+    """``_class_metrics`` at threshold ``t`` of all the records, whatever their class ids."""
+    (d_img, _, d_boxes, d_scores), (g_img, _, g_boxes), _ = _coded(dets, gts)
+    return _class_metrics((d_img, d_boxes, d_scores), (g_img, g_boxes), (t,), cfg)
 
 
 def match_detections(
@@ -202,99 +290,12 @@ def match_detections(
         (tp flags aligned to the detection input order,
          matched flags aligned to the ground-truth input order).
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    flags, matched = _match_rows([_candidate_row(dets[i].box, gts) for i in order], len(gts), t)
-    tp_flags = [False] * len(dets)
-    for i, flag in zip(order, flags):
-        tp_flags[i] = flag
-    return tp_flags, matched
-
-
-def _ranked_flags_per_threshold(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthAnnotation],
-    thresholds: Sequence[float],
-    max_detections_per_image: int,
-) -> list[list[bool]]:
-    """TP flags for one class across all images, one list per threshold.
-
-    Each list is in global score-rank order. The per-image cap applies before
-    matching, and capped-out detections are dropped from the ranking. Each
-    slice's candidate rows serve every threshold and are then dropped; the
-    ranking is built once.
-    """
-    by_image: dict[Hashable, list[int]] = defaultdict(list)
-    for i, det in enumerate(dets):
-        by_image[det.image_id].append(i)
-    gts_by_image: dict[Hashable, list[GroundTruthAnnotation]] = defaultdict(list)
-    for gt in gts:
-        gts_by_image[gt.image_id].append(gt)
-
-    def rank(i: int) -> tuple[float, int]:
-        return (-dets[i].score, i)
-
-    tp = [[False] * len(dets) for _ in thresholds]
-    kept: list[int] = []
-    for image_id, indices in by_image.items():
-        indices.sort(key=rank)
-        del indices[max_detections_per_image:]
-        image_gts = gts_by_image.get(image_id, [])
-        rows = [_candidate_row(dets[i].box, image_gts) for i in indices]
-        for tp_at_t, t in zip(tp, thresholds):
-            flags, _ = _match_rows(rows, len(image_gts), t)
-            for i, flag in zip(indices, flags):
-                tp_at_t[i] = flag
-        kept.extend(indices)
-    kept.sort(key=rank)
-    return [[tp_at_t[i] for i in kept] for tp_at_t in tp]
-
-
-def _interpolated_ap(flags: Sequence[bool], n_gt: int, recall_samples: int) -> float:
-    """AP from TP flags in score-rank order; 0.0 when there are no detections."""
-    if not flags:
-        return 0.0
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp = 0
-    for k, flag in enumerate(flags, start=1):
-        tp += int(flag)
-        precisions.append(tp / k)
-        recalls.append(tp / n_gt)
-
-    # Interpolated precision: max precision over ranks with recall >= r.
-    max_prec_from = precisions.copy()
-    for k in range(len(max_prec_from) - 2, -1, -1):
-        max_prec_from[k] = max(max_prec_from[k], max_prec_from[k + 1])
-
-    total = 0.0
-    denom = recall_samples - 1
-    for j in range(recall_samples):
-        r = j / denom
-        k = bisect_left(recalls, r)
-        if k < len(recalls):
-            total += max_prec_from[k]
-    return total / recall_samples
-
-
-def _class_metrics(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthAnnotation],
-    thresholds: Sequence[float],
-    cfg: EvalConfig,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(AP, max achieved recall) per threshold for one class, from one set of flags.
-
-    Both are 0.0 when the class has no ground truths (whether it is skipped
-    from aggregation in that case is the aggregator's policy decision).
-    """
-    n_gt = len(gts)
-    if n_gt == 0:
-        zeros = (0.0,) * len(thresholds)
-        return zeros, zeros
-    per_threshold = _ranked_flags_per_threshold(dets, gts, thresholds, cfg.max_detections_per_image)
-    aps = tuple(_interpolated_ap(flags, n_gt, cfg.recall_samples) for flags in per_threshold)
-    recalls = tuple(sum(flags) / n_gt for flags in per_threshold)
-    return aps, recalls
+    (_, _, d_boxes, d_scores), (_, _, g_boxes), _ = _coded(dets, gts)
+    one_image = np.zeros(len(d_boxes), np.intp), np.zeros(len(g_boxes), np.intp)  # image ids are not compared
+    kept, [(tp, matched)] = _match((one_image[0], d_boxes, d_scores), (one_image[1], g_boxes), (t,), len(d_boxes))
+    tp_flags = np.zeros(len(d_boxes), dtype=bool)
+    tp_flags[kept] = tp
+    return tp_flags.tolist(), [bool(m) for m in matched]
 
 
 def average_precision(
@@ -308,7 +309,7 @@ def average_precision(
     Returns 0.0 when the class has no ground truths (whether it is skipped
     from aggregation in that case is the aggregator's policy decision).
     """
-    return _class_metrics(dets, gts, (t,), cfg)[0][0]
+    return _one_class(dets, gts, t, cfg)[0][0]
 
 
 def max_achieved_recall(
@@ -318,7 +319,7 @@ def max_achieved_recall(
     cfg: EvalConfig = EvalConfig(),
 ) -> float:
     """Best recall reachable with at most ``max_detections_per_image`` detections."""
-    return _class_metrics(dets, gts, (t,), cfg)[1][0]
+    return _one_class(dets, gts, t, cfg)[1][0]
 
 
 def _class_key(c: Hashable) -> tuple[bool, object]:
@@ -332,32 +333,24 @@ def evaluate(
     cfg: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Full evaluation: per-class AP/recall at every threshold, then aggregates."""
-    classes = {gt.class_id for gt in gts}
-    if cfg.include_gt_free_classes:
-        classes |= {det.class_id for det in dets}
-
-    dets_by_class: dict[Hashable, list[Detection]] = defaultdict(list)
-    for det in dets:
-        dets_by_class[det.class_id].append(det)
-    gts_by_class: dict[Hashable, list[GroundTruthAnnotation]] = defaultdict(list)
-    for gt in gts:
-        gts_by_class[gt.class_id].append(gt)
+    (d_img, d_cls, d_boxes, d_scores), (g_img, g_cls, g_boxes), class_ids = _coded(dets, gts)
+    classes = set(g_cls.tolist()) | set(d_cls.tolist() if cfg.include_gt_free_classes else ())
 
     ap50_index = _ap50_index(cfg.iou_thresholds)
     results = []
-    for class_id in sorted(classes, key=_class_key):
-        class_gts = gts_by_class.get(class_id, [])
+    for c in sorted(classes, key=lambda c: _class_key(class_ids[c])):
+        dm, gm = d_cls == c, g_cls == c
         aps, recalls = _class_metrics(
-            dets_by_class.get(class_id, []), class_gts, cfg.iou_thresholds, cfg
+            (d_img[dm], d_boxes[dm], d_scores[dm]), (g_img[gm], g_boxes[gm]), cfg.iou_thresholds, cfg
         )
         results.append(
             PerClassResult(
-                class_id=class_id,
+                class_id=class_ids[c],
                 ap_per_threshold=aps,
                 recall_per_threshold=recalls,
                 ap_all=sum(aps) / len(aps),
                 ap_50=None if ap50_index is None else aps[ap50_index],
-                num_ground_truths=len(class_gts),
+                num_ground_truths=int(gm.sum()),
             )
         )
     return aggregate(results)

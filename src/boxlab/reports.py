@@ -39,7 +39,7 @@ class ModelReportRow:
 
     def __post_init__(self) -> None:
         if self.latency_ms <= 0.0:
-            raise ValidationError(f"latency_ms must be positive, got {self.latency_ms}")
+            raise ValidationError(f"latency_ms: must be positive, got {self.latency_ms}")
 
     @property
     def f1(self) -> float:

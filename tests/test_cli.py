@@ -141,6 +141,38 @@ class TestEvaluateCommand:
         broken.write_text("[{,]")
         assert main(["evaluate", gt, str(broken)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ('[{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1' + "0" * 400 + ', 1], "score": 0.5}]', 2,
+             "predictions[0].bbox[2]: expected a finite number, got an integer too large for a float"),
+            ('[{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 1' + "0" * 400 + "}]", 2,
+             "predictions[0].score: expected a finite number, got an integer too large for a float"),
+            ('[{"image_id": 1, "category_id": 1, "bbox": [1e308, 0, 1e308, 1], "score": 0.5}]', 1,
+             "{pred}: predictions[0]: bbox (1e+308, 0.0, 1e+308, 1.0) has a corner that is not finite"),
+            ('[{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "image_id": 2}]', 2,
+             "{pred}: duplicate key 'image_id' in a JSON object"),
+        ],
+        ids=["huge_bbox_int", "huge_score_int", "overflowing_corner", "duplicate_key"],
+    )
+    def test_bad_prediction_named_without_traceback(self, dataset, tmp_path, capsys, text, code, message):
+        gt, _ = dataset
+        pred = tmp_path / "bad_pred.json"
+        pred.write_text(text)
+        assert main(["evaluate", gt, str(pred)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == "error: " + message.replace("{pred}", str(pred)) + "\n"
+        assert captured.out == ""
+
+    def test_huge_integer_image_height_exit_2(self, dataset, tmp_path, capsys):
+        _, pred = dataset
+        gt = tmp_path / "gt.json"
+        gt.write_text('{"images": [{"id": 1, "width": 100, "height": 1' + "0" * 400 + '}], "categories": []}')
+        assert main(["evaluate", str(gt), pred]) == 2
+        assert capsys.readouterr().err == (
+            "error: images[0].height: expected a finite number, got an integer too large for a float\n"
+        )
+
 
 class TestSplitCommand:
     def test_json_partition(self, dataset, capsys):
@@ -337,6 +369,24 @@ class TestReportCommand:
         assert main(["report", str(bad), "--baseline", "mBaseline", "--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_nonpositive_latency_names_the_record(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "published_metrics.json").read_text())
+        doc["models"][1]["latency_ms"] = -3
+        bad = tmp_path / "metrics.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["report", str(bad), "--baseline", "mBaseline"]) == 1
+        assert capsys.readouterr().err == "error: models[1].latency_ms: must be positive, got -3.0\n"
+
+    def test_duplicate_key_exit_2(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "published_metrics.json").read_text())
+        text = json.dumps(doc).replace('"CP": {', '"CP": {"mL1": 0.5, "mL1": 0.9, ', 1)
+        bad = tmp_path / "metrics.json"
+        bad.write_text(text)
+        assert main(["report", str(bad), "--baseline", "mBaseline"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: duplicate key 'mL1' in a JSON object\n"
         assert captured.out == ""
 
     def test_malformed_metrics_exit_2(self, tmp_path):
