@@ -12,16 +12,7 @@ from .errors import (
     UnknownBaselineError,
     ValidationError,
 )
-from .geometry import (
-    Box,
-    area,
-    center_distance_sq,
-    enclosing_box,
-    enclosing_diag_sq,
-    intersection_area,
-    iou,
-    union_area,
-)
+from .geometry import Box, area, intersection_area, iou
 from .losses import (
     CiouInternals,
     LossKind,

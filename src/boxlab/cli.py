@@ -122,6 +122,10 @@ def _round4(x: float | None) -> str:
     return "n/a" if x is None else f"{x:.4f}"
 
 
+def _signed2(x: float | None) -> str:
+    return "n/a" if x is None else f"{x:+.2f}"
+
+
 # --- evaluate -------------------------------------------------------------
 
 
@@ -401,7 +405,7 @@ def cmd_report(args: argparse.Namespace) -> Output:
                 _round4(s.f1),
                 f"{row.latency_ms:.1f}",
                 f"{s.fps:.1f}",
-                f"{s.map_pct_change:+.2f}",
+                _signed2(s.map_pct_change),
             ]
             for row, s in zip(rows, stats)
         ]
@@ -409,7 +413,7 @@ def cmd_report(args: argparse.Namespace) -> Output:
         sections: list[Section] = [(None, model_headers, model_rows)]
         for metric, changes in class_changes.items():
             change_rows = [
-                [class_name, model, f"{pct:+.2f}"]
+                [class_name, model, _signed2(pct)]
                 for class_name, per_model in sorted(changes.items())
                 for model, pct in sorted(per_model.items())
             ]

@@ -10,8 +10,8 @@ one pass pulls out ids and numbers under the strict type checks, then whole
 arrays are checked. Loading validates everything the evaluator relies on:
 finite numbers (``json.load`` accepts NaN, Infinity and integers no float
 holds), no key repeated in an object, unique image and category ids,
-referential integrity (dangling image/category ids), box validity (positive
-area for ground truth, non-negative extents and finite corners for
+referential integrity (dangling image/category ids), box validity (positive,
+finite area for ground truth, non-negative extents and finite corners for
 predictions), and image-bounds containment for annotations. When an array
 check fails, the records are walked to name the offenders: they are collected
 and reported together; a field of the wrong type or a non-finite number
@@ -168,8 +168,14 @@ def load_manifest(path: str) -> DatasetManifest:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
 
+    sections = {}
+    for name in ("images", "categories", "annotations"):
+        sections[name] = [] if raw.get(name) is None else raw[name]
+        if not isinstance(sections[name], list):
+            raise ParseError(f"{path}: {name}: expected a list, got {type(raw[name]).__name__}")
+
     images = []
-    for i, rec in enumerate(raw.get("images", []) or []):
+    for i, rec in enumerate(sections["images"]):
         ctx = f"images[{i}]"
         images.append(
             ImageInfo(
@@ -180,7 +186,7 @@ def load_manifest(path: str) -> DatasetManifest:
             )
         )
     categories = []
-    for i, rec in enumerate(raw.get("categories", []) or []):
+    for i, rec in enumerate(sections["categories"]):
         ctx = f"categories[{i}]"
         categories.append(Category(id=_int_id(rec, "id", ctx), name=str(_field(rec, "name", ctx))))
 
@@ -188,20 +194,20 @@ def load_manifest(path: str) -> DatasetManifest:
     reject_duplicates(f"{path}: ", "id", ids)
     image_dims = {im.id: (im.width, im.height) for im in images}
     category_ids = dict.fromkeys(ids["categories"])
-    records = raw.get("annotations", []) or []
-    del raw  # the image and category records are no longer needed
+    records = sections["annotations"]
+    del raw, sections  # the image and category records are no longer needed
 
     columns = _columns(records, image_dims, category_ids, scored=False)
     if columns is not None:
         (annotations, extents), boxes = columns, columns[0].boxes
         bounds = np.array(list(image_dims.values()), dtype=np.float64).reshape(-1, 2) + _BOUNDS_TOL
-        with np.errstate(over="ignore"):  # an area past 1e308 is inf, still positive
+        with np.errstate(over="ignore"):  # an area past 1e308 is inf, named by the per-record check
             areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
         if (
             (extents > 0.0).all()
             and (boxes[:, :2] >= -_BOUNDS_TOL).all()
             and (boxes[:, 2:] <= bounds[annotations.image]).all()
-            and (areas > 0.0).all()
+            and ((areas > 0.0) & (areas < math.inf)).all()
         ):
             return DatasetManifest(images=tuple(images), categories=tuple(categories), annotations=annotations)
 
@@ -228,8 +234,11 @@ def load_manifest(path: str) -> DatasetManifest:
                 f"{ctx}: bbox ({x}, {y}, {w}, {h}) outside image bounds {img_w}x{img_h}"
             )
             continue
-        if (x + w - x) * (y + h - y) <= 0.0:
+        corner_area = (x + w - x) * (y + h - y)
+        if corner_area <= 0.0:
             bad_boxes.append(f"{ctx}: bbox ({x}, {y}, {w}, {h}) has zero area as corners")
+        elif corner_area == math.inf:
+            bad_boxes.append(f"{ctx}: bbox ({x}, {y}, {w}, {h}) has an area as corners that is not finite")
     if dangling:
         raise DanglingIdError(f"{path}: " + "; ".join(dangling))
     raise InvalidBoxError(f"{path}: " + "; ".join(bad_boxes))

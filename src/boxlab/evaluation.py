@@ -40,7 +40,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import EmptyEvaluationError, InvalidBoxError, ValidationError
-from .geometry import Box, area, iou  # noqa: F401  (iou stays patchable here; evaluate makes no scalar IoU call)
+from .geometry import Box, area, iou, iou_array  # noqa: F401  (iou: bench/tracing.py rebinds this name)
 
 __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
@@ -79,16 +79,16 @@ class Detection:
 
 @dataclass(frozen=True)
 class GroundTruthAnnotation:
-    """One labeled box; must have positive area."""
+    """One labeled box; must have positive, finite area (past 1e308 its IoU with itself is NaN)."""
 
     image_id: Hashable
     class_id: Hashable
     box: Box
 
     def __post_init__(self) -> None:
-        if area(self.box) <= 0.0:
+        if not 0.0 < area(self.box) < math.inf:
             raise InvalidBoxError(
-                f"ground-truth box must have positive area, got {self.box.as_tuple()}"
+                f"ground-truth box must have positive, finite area, got {self.box.as_tuple()}"
             )
 
 
@@ -191,9 +191,8 @@ def _coded(dets: Sequence, gts: Sequence):
 
 def _match(dets, gts, thresholds, cap: int):
     """Greedy matching of (image codes, boxes, scores) detections against
-    (image codes, boxes) ground truths at every threshold, IoUs computed with
-    ``geometry.iou``'s operations (a valid ground truth has positive area, so
-    no union is empty).
+    (image codes, boxes) ground truths at every threshold, one ``iou_array``
+    over every same-image pair.
 
     Returns:
         (input indices of the kept detections in rank order, and per threshold
@@ -212,13 +211,7 @@ def _match(dets, gts, thresholds, cap: int):
     counts = np.searchsorted(g_img[g_order], d_img[kept], "right") - lo
     det = np.repeat(np.arange(len(kept)), counts)
     gt = g_order[np.arange(len(det)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
-    a, b = d_boxes[kept][det], g_boxes[gt]
-    with np.errstate(over="ignore", invalid="ignore"):  # areas past 1e308 give inf or NaN, as floats do
-        iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-        ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-        union = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]) + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) - inter
-        overlap = inter / union
+    overlap = iou_array(d_boxes[kept][det], g_boxes[gt])
     hit = overlap > 0.0
     det, gt, overlap = det[hit], gt[hit], overlap[hit]
     table = np.lexsort((gt, -overlap, det))  # (rank, -IoU, ground-truth index): the tie-break

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidBoxError, ValidationError
-from .geometry import Box, pairwise_iou
+from .geometry import Box, iou_array
 
 __all__ = [
     "AnchorConfig",
@@ -165,7 +165,7 @@ def _boxes_array(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-# Sorted rows per pairwise_iou call in nms: a (64, n) float64 matrix is 0.5 MB at n = 1,000.
+# Sorted rows per iou_array call in nms: a (64, n) float64 matrix is 0.5 MB at n = 1,000.
 _NMS_BLOCK = 64
 
 
@@ -195,7 +195,7 @@ def nms(
     keep: list[int] = []
     for start in range(0, n, _NMS_BLOCK):
         rows = start + np.flatnonzero(alive[start : start + _NMS_BLOCK])  # skip rows already suppressed
-        overlaps = pairwise_iou(boxes[rows], boxes[start:]) > iou_threshold
+        overlaps = iou_array(boxes[rows][:, None], boxes[start:][None]) > iou_threshold
         for i, row in zip(rows.tolist(), overlaps):
             if not alive[i]:
                 continue
@@ -225,7 +225,7 @@ def assign_proposals(
             ProposalAssignment(i, positive=False, gt_index=None, iou=0.0)
             for i in range(len(proposals))
         ]
-    ious = pairwise_iou(_boxes_array(proposals), _boxes_array(gts))
+    ious = iou_array(_boxes_array(proposals)[:, None], _boxes_array(gts)[None])
     best = ious.argmax(axis=1).tolist()
     best_ious = ious.max(axis=1).tolist()
     return [

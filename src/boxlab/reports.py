@@ -4,7 +4,8 @@ A report row carries the measured quantities (mAP, mAP@50, average recall,
 latency); FPS and F1 are derived, never stored: ``DerivedModelStats.fps`` is
 ``1000/latency_ms``, rounded only where a table displays it, and ``f1`` is the
 harmonic mean of mAP and average recall. Comparisons against a named baseline
-are plain percent changes ``100*(x - b)/b``.
+are plain percent changes ``100*(x - b)/b``; against a zero baseline the
+change is None (``n/a`` in a table, ``null`` in JSON).
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class DerivedModelStats:
     model: str
     fps: float
     f1: float
-    map_pct_change: float
-    map_50_pct_change: float
-    recall_pct_change: float
+    map_pct_change: float | None  # None against a zero baseline, as are the other two
+    map_50_pct_change: float | None
+    recall_pct_change: float | None
 
 
 def percent_change(value: float, baseline: float) -> float:
@@ -68,8 +69,11 @@ def percent_change(value: float, baseline: float) -> float:
     return change
 
 
-def _percent_change_of(what: str, value: float, baseline: float) -> float:
-    """:func:`percent_change`, with ``what`` (the model and field) named in its error."""
+def _percent_change_of(what: str, value: float, baseline: float) -> float | None:
+    """:func:`percent_change`, with ``what`` (the model and field) named in its error; None
+    against a zero baseline, where a report shows the one change as n/a."""
+    if baseline == 0.0:
+        return None
     try:
         return percent_change(value, baseline)
     except ValidationError as exc:
@@ -116,8 +120,9 @@ def derive_report_stats(
 
 def class_percent_changes(
     per_class: Mapping[str, Mapping[str, float]], baseline: str
-) -> dict[str, dict[str, float]]:
-    """Percent change per (class, model) vs the baseline model's value for that class.
+) -> dict[str, dict[str, float | None]]:
+    """Percent change per (class, model) vs the baseline model's value for that class
+    (None where that value is 0).
 
     ``per_class`` maps class name -> model name -> metric value; every value
     must be in [0, 1] (checked after that class's percent changes).

@@ -164,6 +164,33 @@ class TestEvaluateCommand:
         assert captured.err == "error: " + message.replace("{pred}", str(pred)) + "\n"
         assert captured.out == ""
 
+    def test_overflowing_ground_truth_area_exit_1(self, tmp_path, capsys):
+        # A perfect prediction of this box used to score mAP 0.0000 with exit 0.
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({
+            "images": [{"id": 1, "width": 1e308, "height": 1e308}],
+            "categories": [{"id": 1, "name": "alpha"}],
+            "annotations": [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e300, 1e300]}],
+        }))
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e300, 1e300], "score": 0.9}]))
+        assert main(["evaluate", str(gt), str(pred)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {gt}: annotations[0]: bbox (0.0, 0.0, 1e+300, 1e+300) has an area as corners that is not finite\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("section, value", [("annotations", 5), ("images", {"a": 1}), ("categories", "x")])
+    def test_section_not_a_list_exit_2(self, dataset, tmp_path, capsys, section, value):
+        _, pred = dataset
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({section: value}))
+        assert main(["evaluate", str(gt), pred]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {gt}: {section}: expected a list, got {type(value).__name__}\n"
+        assert captured.out == ""
+
     def test_huge_integer_image_height_exit_2(self, dataset, tmp_path, capsys):
         _, pred = dataset
         gt = tmp_path / "gt.json"
@@ -370,6 +397,35 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_zero_baseline_change_is_na(self, tmp_path, capsys):
+        doc = {
+            "models": [
+                {"model": "b", "map_all": 0.0, "map_50": 0.5, "average_recall": 0.5, "latency_ms": 10.0},
+                {"model": "c", "map_all": 0.25, "map_50": 0.75, "average_recall": 0.5, "latency_ms": 20.0},
+            ],
+            "per_class": {"map_all": {"CP": {"b": 0.0, "c": 0.5}, "KD": {"b": 0.5, "c": 0.25}}},
+        }
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path), "--baseline", "b"]) == 0
+        assert capsys.readouterr().out == (
+            "model  mAP     mAP@0.50  AR      F1      latency_ms  fps    mAP_change_%\n"
+            "-----  ------  --------  ------  ------  ----------  -----  ------------\n"
+            "b      0.0000  0.5000    0.5000  0.0000  10.0        100.0  n/a\n"
+            "c      0.2500  0.7500    0.5000  0.3333  20.0        50.0   n/a\n"
+            "\n"
+            "percent change vs b (map_all)\n"
+            "class  model  change_%\n"
+            "-----  -----  --------\n"
+            "CP     c      n/a\n"
+            "KD     c      -50.00\n"
+        )
+        assert main(["report", str(path), "--baseline", "b", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [m["map_pct_change"] for m in out["models"]] == [None, None]
+        assert [m["map_50_pct_change"] for m in out["models"]] == [0.0, 50.0]
+        assert out["class_pct_changes"] == {"map_all": {"CP": {"c": None}, "KD": {"c": -50.0}}}
 
     def test_nonpositive_latency_names_the_record(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "published_metrics.json").read_text())

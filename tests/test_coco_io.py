@@ -460,6 +460,41 @@ class TestInputBoundary:
             load_manifest(path)
         assert str(err.value) == f"{path}: annotations[0]: bbox (1.0, 1.0, 1e-200, 1e-200) has zero area as corners"
 
+    def test_ground_truth_area_overflowing_named(self, tmp_path):
+        # Its corner-form area is inf, so even an identical prediction would get IoU NaN: a miss.
+        doc = {
+            "images": [{"id": 1, "width": 1e308, "height": 1e308}],
+            "categories": [{"id": 1, "name": "alpha"}],
+            "annotations": [
+                {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e150, 1e150]},
+                {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e300, 1e300]},
+            ],
+        }
+        path = _write(tmp_path, "gt.json", doc)
+        with pytest.raises(InvalidBoxError) as err:
+            load_manifest(path)
+        assert str(err.value) == (
+            f"{path}: annotations[1]: bbox (0.0, 0.0, 1e+300, 1e+300) has an area as corners that is not finite"
+        )
+
+    @pytest.mark.parametrize("section", ["images", "categories", "annotations"])
+    @pytest.mark.parametrize("value", [5, {"a": 1}, "", False], ids=["int", "dict", "str", "bool"])
+    def test_section_not_a_list_named(self, tmp_path, section, value):
+        doc = _manifest_doc()
+        doc[section] = value
+        path = _write(tmp_path, "gt.json", doc)
+        with pytest.raises(ParseError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: {section}: expected a list, got {type(value).__name__}"
+
+    @pytest.mark.parametrize("section", ["images", "categories", "annotations"])
+    def test_null_or_absent_section_is_empty(self, tmp_path, section):
+        for edit in (lambda doc: doc.update({section: None}), lambda doc: doc.pop(section)):
+            doc = _manifest_doc()
+            edit(doc)
+            manifest = load_manifest(_write(tmp_path, "gt.json", doc))
+            assert len(getattr(manifest, section)) == 0
+
     @pytest.mark.parametrize(
         "text, key",
         [

@@ -1,8 +1,10 @@
 import json
+import math
 import pathlib
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from boxlab import evaluation
@@ -342,25 +344,30 @@ class TestCoreEquivalence:
                 assert recalls == result.recall_per_threshold
 
     def test_each_pair_iou_computed_at_most_once(self, monkeypatch):
-        calls = Counter()
-        real_iou = evaluation.iou
+        # evaluate computes every IoU in geometry.iou_array: it must be handed exactly one
+        # element per (kept detection, ground truth) pair of each (class, image) slice.
+        handed = []
+        real_iou_array = evaluation.iou_array
 
-        def counting_iou(a, b):
-            calls[id(a), id(b)] += 1
-            return real_iou(a, b)
+        def counting_iou_array(a, b):
+            handed.append(math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])))
+            return real_iou_array(a, b)
 
-        monkeypatch.setattr(evaluation, "iou", counting_iou)
+        monkeypatch.setattr(evaluation, "iou_array", counting_iou_array)
         rng = random.Random(48)
+        pairs_seen = 0
         for _ in range(40):
             raw_dets, raw_gts = self._dense_instance(rng)
             if not raw_gts:
                 continue
-            dets, gts = self._objects(raw_dets, raw_gts)
-            slice_of = {id(x.box): (x.image_id, x.class_id) for x in [*dets, *gts]}
-            calls.clear()
-            evaluate(dets, gts, EvalConfig(max_detections_per_image=self.CAP))
-            assert max(calls.values(), default=0) <= 1
-            assert all(slice_of[a] == slice_of[b] for a, b in calls)
+            dets_per_slice = Counter((im, c) for im, c, _, _ in raw_dets)
+            gts_per_slice = Counter((im, c) for im, c, _ in raw_gts)
+            handed.clear()
+            evaluate(*self._objects(raw_dets, raw_gts), EvalConfig(max_detections_per_image=self.CAP))
+            pairs = sum(min(n, self.CAP) * gts_per_slice[key] for key, n in dets_per_slice.items())
+            assert sum(handed) == pairs
+            pairs_seen += pairs
+        assert pairs_seen > 100
 
 
 class TestEvaluateAndAggregate:
@@ -457,6 +464,12 @@ class TestValidation:
     def test_gt_positive_area(self):
         with pytest.raises(InvalidBoxError):
             _gt(1, 1, (0, 0, 0, 1))
+
+    def test_gt_finite_area(self):
+        # An area past 1e308 is inf, and the box's IoU with itself NaN.
+        with pytest.raises(InvalidBoxError, match=r"positive, finite area, got \(0, 0, 1e\+300, 1e\+300\)"):
+            _gt(1, 1, (0, 0, 1e300, 1e300))
+        assert _gt(1, 1, (0, 0, 1e150, 1e150)).box.x_max == 1e150
 
     def test_config_thresholds(self):
         with pytest.raises(ValidationError):

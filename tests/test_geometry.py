@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from boxlab.errors import InvalidBoxError, UndefinedOverlapError
-from boxlab.geometry import (
-    Box,
-    area,
-    center_distance_sq,
-    enclosing_box,
-    enclosing_diag_sq,
-    intersection_area,
-    iou,
-    pairwise_iou,
-    union_area,
-)
+from boxlab.geometry import Box, area, intersection_area, iou, iou_array
+from boxlab.losses import loss_diou, loss_giou, loss_iou
 from helpers import raster_iou, sample_box, tuple_iou
+
+
+def _giou_penalty(a, b):
+    """``(C - U) / C``, C the area of the enclosing box and U the union, as the GIoU loss adds it."""
+    return loss_giou(a, b).value - loss_iou(a, b).value
+
+
+def _diou_penalty(a, b):
+    """``rho^2 / c^2``: squared center distance over squared enclosing diagonal, as the DIoU loss adds it."""
+    return loss_diou(a, b).value - loss_iou(a, b).value
 
 
 class TestArea:
@@ -57,37 +58,49 @@ class TestIou:
 
 
 class TestEnclosingBox:
+    """The enclosing box C, seen through the GIoU penalty ``(C - U) / C``."""
+
     def test_disjoint_hull(self):
-        assert enclosing_box(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == Box(0, 0, 3, 3)
+        # C is 3x3 and U two unit squares.
+        assert _giou_penalty(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == pytest.approx(7 / 9, abs=1e-15)
 
     def test_idempotent(self):
         b = Box(0, 0, 2, 2)
-        assert enclosing_box(b, b) == b
+        assert _giou_penalty(b, b) == 0.0
 
     def test_overlapping_hull(self):
-        assert enclosing_box(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == Box(0, 0, 3, 3)
+        # C is 3x3, U = 4 + 4 - 1.
+        assert _giou_penalty(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == pytest.approx(2 / 9, abs=1e-15)
 
 
 class TestCenterDistanceSq:
+    """The squared center distance rho^2, seen through the DIoU penalty ``rho^2 / c^2``."""
+
     def test_identical(self):
-        assert center_distance_sq(Box(1, 2, 3, 4), Box(1, 2, 3, 4)) == 0.0
+        assert _diou_penalty(Box(1, 2, 3, 4), Box(1, 2, 3, 4)) == 0.0
 
     def test_shifted(self):
-        assert center_distance_sq(Box(0, 0, 2, 2), Box(2, 0, 4, 2)) == 4.0
+        # c^2 = 4^2 + 2^2 = 20, so rho^2 = 4.
+        assert 20.0 * _diou_penalty(Box(0, 0, 2, 2), Box(2, 0, 4, 2)) == pytest.approx(4.0, abs=1e-14)
 
     def test_concentric(self):
-        assert center_distance_sq(Box(0, 0, 4, 4), Box(1, 1, 3, 3)) == 0.0
+        assert _diou_penalty(Box(0, 0, 4, 4), Box(1, 1, 3, 3)) == 0.0
 
 
 class TestEnclosingDiagSq:
+    """The squared enclosing diagonal c^2, seen through the DIoU penalty ``rho^2 / c^2``."""
+
     def test_side_by_side(self):
-        assert enclosing_diag_sq(Box(0, 0, 2, 2), Box(2, 0, 4, 2)) == 20.0
+        # rho^2 = 2^2, so c^2 = 20.
+        assert 4.0 / _diou_penalty(Box(0, 0, 2, 2), Box(2, 0, 4, 2)) == pytest.approx(20.0, abs=1e-12)
 
     def test_unit_square(self):
-        assert enclosing_diag_sq(Box(0, 0, 1, 1), Box(0, 0, 1, 1)) == 2.0
+        # The hull is the unit square and rho^2 = 2 * 0.25^2.
+        assert 0.125 / _diou_penalty(Box(0, 0, 1, 1), Box(0, 0, 0.5, 0.5)) == pytest.approx(2.0, abs=1e-14)
 
     def test_diagonal_pair(self):
-        assert enclosing_diag_sq(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == 18.0
+        # rho^2 = 2^2 + 2^2, so c^2 = 18.
+        assert 8.0 / _diou_penalty(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == pytest.approx(18.0, abs=1e-12)
 
 
 class TestBoxValidation:
@@ -122,25 +135,48 @@ class TestBoxValidation:
         assert str(err.value) == f"box extents must be non-negative, got {coords}"
 
 
-class TestPairwiseIou:
+class TestIouArray:
     def test_matches_scalar_oracle_exactly(self):
         rng = random.Random(8)
         a = [sample_box(rng).as_tuple() for _ in range(30)] + [(1, 1, 1, 3), (2, 2, 2, 2)]
         b = [sample_box(rng).as_tuple() for _ in range(20)] + [(2, 2, 2, 2), (0, 0, 2, 1)]
-        got = pairwise_iou(np.array(a, dtype=np.float64), np.array(b, dtype=np.float64))
+        got = iou_array(np.array(a, dtype=np.float64)[:, None], np.array(b, dtype=np.float64)[None])
         assert got.shape == (len(a), len(b))
         assert got.tolist() == [[tuple_iou(x, y) for y in b] for x in a]
 
     def test_empty_union_is_zero_not_an_error(self):
         zero = np.array([[2.0, 2.0, 2.0, 2.0]])
-        assert pairwise_iou(zero, zero).tolist() == [[0.0]]
+        assert iou_array(zero[:, None], zero[None]).tolist() == [[0.0]]
         with pytest.raises(UndefinedOverlapError):
             iou(Box(2, 2, 2, 2), Box(2, 2, 2, 2))
 
     def test_empty_inputs(self):
         some = np.array([[0.0, 0.0, 1.0, 1.0]])
-        assert pairwise_iou(np.empty((0, 4)), some).shape == (0, 1)
-        assert pairwise_iou(some, np.empty((0, 4))).shape == (1, 0)
+        assert iou_array(np.empty((0, 4))[:, None], some[None]).shape == (0, 1)
+        assert iou_array(some[:, None], np.empty((0, 4))[None]).shape == (1, 0)
+        assert iou_array(np.empty((0, 4)), np.empty((0, 4))).shape == (0,)
+
+    def test_broadcast_shapes(self):
+        rng = random.Random(12)
+        a = np.array([[sample_box(rng).as_tuple() for _ in range(3)] for _ in range(2)], dtype=np.float64)
+        b = np.array([sample_box(rng).as_tuple() for _ in range(5)], dtype=np.float64)
+        got = iou_array(a[:, :, None], b[None, None])
+        assert got.shape == (2, 3, 5)
+        assert got.tolist() == [[[tuple_iou(x, y) for y in b.tolist()] for x in row] for row in a.tolist()]
+        assert iou_array(a[0, 0], b).tolist() == got[0, 0].tolist()  # one box against a row of boxes
+
+    def test_elementwise(self):
+        rng = random.Random(13)
+        a = [sample_box(rng).as_tuple() for _ in range(40)] + [(2, 2, 2, 2), (0, 0, 1, 1)]
+        b = [sample_box(rng).as_tuple() for _ in range(40)] + [(2, 2, 2, 2), (1, 0, 2, 1)]
+        got = iou_array(np.array(a, dtype=np.float64), np.array(b, dtype=np.float64))
+        assert got.tolist() == [tuple_iou(x, y) for x, y in zip(a[:-2], b[:-2])] + [0.0, 0.0]
+
+    def test_overflowing_areas_give_zero(self):
+        # The areas are inf, so the union is inf - inf = NaN: no overlap, and no warning.
+        huge = np.array([0.0, 0.0, 1e300, 1e300])
+        with np.errstate(all="raise"):
+            assert iou_array(huge, huge) == 0.0
 
 
 class TestProperties:
@@ -159,41 +195,38 @@ class TestProperties:
             a = sample_box(rng)
             b = sample_box(rng)
             dx, dy = rng.uniform(-20, 20), rng.uniform(-20, 20)
-            at, bt = a.translate(dx, dy), b.translate(dx, dy)
+            at = Box(*(c + d for c, d in zip(a.as_tuple(), (dx, dy, dx, dy))))
+            bt = Box(*(c + d for c, d in zip(b.as_tuple(), (dx, dy, dx, dy))))
             assert iou(at, bt) == pytest.approx(iou(a, b), abs=1e-9)
-            assert center_distance_sq(at, bt) == pytest.approx(
-                center_distance_sq(a, b), abs=1e-9
-            )
-            assert enclosing_diag_sq(at, bt) == pytest.approx(
-                enclosing_diag_sq(a, b), abs=1e-9
-            )
+            assert intersection_area(at, bt) == pytest.approx(intersection_area(a, b), abs=1e-9)
+            assert _giou_penalty(at, bt) == pytest.approx(_giou_penalty(a, b), abs=1e-9)
+            assert _diou_penalty(at, bt) == pytest.approx(_diou_penalty(a, b), abs=1e-9)
 
     def test_scale_covariance_power_of_two_is_exact(self):
         rng = random.Random(9)
         for _ in range(500):
             a = sample_box(rng)
             b = sample_box(rng)
-            a2, b2 = a.scale(2.0), b.scale(2.0)
+            a2, b2 = Box(*(2.0 * c for c in a.as_tuple())), Box(*(2.0 * c for c in b.as_tuple()))
             assert iou(a2, b2) == iou(a, b)
-            assert union_area(a2, b2) == 4.0 * union_area(a, b)
-            assert center_distance_sq(a2, b2) == 4.0 * center_distance_sq(a, b)
-            assert enclosing_diag_sq(a2, b2) == 4.0 * enclosing_diag_sq(a, b)
-            assert area(enclosing_box(a2, b2)) == 4.0 * area(enclosing_box(a, b))
+            assert area(a2) == 4.0 * area(a)
+            assert intersection_area(a2, b2) == 4.0 * intersection_area(a, b)
+            assert _giou_penalty(a2, b2) == _giou_penalty(a, b)
+            assert _diou_penalty(a2, b2) == _diou_penalty(a, b)
 
     def test_area_ordering(self):
         rng = random.Random(10)
         for _ in range(1000):
             a = sample_box(rng)
             b = sample_box(rng)
-            union = union_area(a, b)
-            enclosing = area(enclosing_box(a, b))
             inter = intersection_area(a, b)
-            # allow a few ulps: union (a + b - inter) and hull width*height are
-            # mathematically equal under containment but round differently
-            slack = 1e-12 * max(1.0, enclosing)
-            assert enclosing >= union - slack
-            assert union >= inter - slack
-            assert center_distance_sq(a, b) <= enclosing_diag_sq(a, b) + slack
+            assert area(a) + area(b) - inter >= inter
+            # C >= U: the GIoU penalty (C - U) / C is non-negative, up to a few
+            # ulps: under containment U (a + b - inter) and C (hull width * height)
+            # are mathematically equal but round differently.
+            assert loss_giou(a, b).value >= loss_iou(a, b).value - 1e-12
+            # rho^2 <= c^2: the DIoU penalty rho^2 / c^2 is in [0, 1).
+            assert 0.0 <= loss_diou(a, b).value - loss_iou(a, b).value < 1.0
 
     def test_iou_matches_rasterization_oracle(self):
         # Integer boxes built on a hundredths grid, counted at unit resolution

@@ -169,7 +169,11 @@ class TestRangesAndIdentities:
             pred = sample_box(rng)
             dx, dy = rng.uniform(-30, 30), rng.uniform(-30, 30)
             for kind in LossKind:
-                moved = loss(kind, gt.translate(dx, dy), pred.translate(dx, dy)).value
+                moved = loss(
+                    kind,
+                    Box(*(c + d for c, d in zip(gt.as_tuple(), (dx, dy, dx, dy)))),
+                    Box(*(c + d for c, d in zip(pred.as_tuple(), (dx, dy, dx, dy)))),
+                ).value
                 assert moved == pytest.approx(loss(kind, gt, pred).value, abs=1e-9)
 
     def test_doubling_scale_exact(self):
@@ -179,7 +183,7 @@ class TestRangesAndIdentities:
         for _ in range(300):
             gt = sample_box(rng)
             pred = sample_box(rng)
-            g2, p2 = gt.scale(2.0), pred.scale(2.0)
+            g2, p2 = Box(*(2.0 * c for c in gt.as_tuple())), Box(*(2.0 * c for c in pred.as_tuple()))
             for kind in (LossKind.IOU, LossKind.GIOU, LossKind.DIOU, LossKind.CIOU):
                 assert loss(kind, g2, p2).value == loss(kind, gt, pred).value
             assert loss_l1(g2, p2).value == 2.0 * loss_l1(gt, pred).value

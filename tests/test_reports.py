@@ -116,6 +116,20 @@ class TestDeriveReportStats:
         assert [s.map_pct_change for s in stats] == [0.0, -100.0]
         assert stats[0].fps == 1e303
 
+    def test_zero_baseline_change_is_none(self):
+        rows = [ModelReportRow("b", 0.0, 0.5, 0.5, 10.0), ModelReportRow("c", 0.25, 0.0, 0.75, 10.0)]
+        stats = derive_report_stats(rows, "b")
+        assert [(s.map_pct_change, s.map_50_pct_change, s.recall_pct_change) for s in stats] == [
+            (None, 0.0, 0.0),
+            (None, -100.0, 50.0),
+        ]
+
+    def test_zero_baseline_keeps_other_errors(self):
+        rows = [ModelReportRow("b", 0.0, 0.5, 0.5, 10.0), ModelReportRow("c", 0.0, 0.5, 1.5, 10.0)]
+        with pytest.raises(ValidationError) as err:
+            derive_report_stats(rows, "b")
+        assert str(err.value) == "models[1].average_recall: expected a value in [0, 1], got 1.5"
+
     def test_duplicate_model_names_rejected(self):
         rows = [ModelReportRow(name, 0.5, 0.5, 0.5, 10.0) for name in ("b", "c", "b", "c", "b")]
         with pytest.raises(DuplicateIdError) as err:
@@ -151,6 +165,10 @@ class TestClassPercentChanges:
         with pytest.raises(ValidationError) as err:
             class_percent_changes(table, "b")
         assert str(err.value) == message
+
+    def test_zero_baseline_change_is_none(self):
+        changes = class_percent_changes({"CP": {"b": 0.0, "mL1": 0.4, "mIoU": 0.0}, "KD": {"b": 0.5, "mL1": 0.6}}, "b")
+        assert changes == {"CP": {"mL1": None, "mIoU": None}, "KD": {"mL1": pytest.approx(20.0)}}
 
     def test_overflowed_change_names_class_and_model(self):
         with pytest.raises(ValidationError) as err:
