@@ -52,6 +52,9 @@ class AugmentParams:
     shift_scale_rotate_prob: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in _PARAM_FIELDS:  # NaN passes every range check below, and an infinite bound samples NaN
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValidationError("image dimensions must be positive")
         for name in ("flip_prob", "shift_scale_rotate_prob"):

@@ -165,7 +165,8 @@ def _boxes_array(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-# Sorted rows per iou_array call in nms: a (64, n) float64 matrix is 0.5 MB at n = 1,000.
+# Sorted rows per block in nms. A block meets the k boxes kept so far in one (64, k)
+# IoU matrix and its own survivors in one (64, 64) matrix: 0.5 MB of float64 at k = 1,000.
 _NMS_BLOCK = 64
 
 
@@ -190,19 +191,24 @@ def nms(
     order = np.lexsort((np.arange(n), -scores))
     boxes = _boxes_array([c.box for c in candidates])[order]
 
-    # alive[i] refers to the i-th box in visit order; each kept box clears the later ones it overlaps.
-    alive = np.ones(n, dtype=bool)
     keep: list[int] = []
+    kept = np.empty((0, 4))  # boxes of ``keep``, in visit order
     for start in range(0, n, _NMS_BLOCK):
-        rows = start + np.flatnonzero(alive[start : start + _NMS_BLOCK])  # skip rows already suppressed
-        overlaps = iou_array(boxes[rows][:, None], boxes[start:][None]) > iou_threshold
-        for i, row in zip(rows.tolist(), overlaps):
-            if not alive[i]:
+        block = boxes[start : start + _NMS_BLOCK]
+        # Only a box kept earlier can suppress a row, so rows any of them overlaps are dropped first.
+        suppressed = (iou_array(block[:, None], kept[None]) > iou_threshold).any(axis=1)
+        rows = start + np.flatnonzero(~suppressed)
+        survivors = boxes[rows]
+        overlaps = iou_array(survivors[:, None], survivors[None]) > iou_threshold
+        alive = np.ones(len(rows), dtype=bool)
+        for j, i in enumerate(rows.tolist()):
+            if not alive[j]:
                 continue
             keep.append(int(order[i]))
             if len(keep) >= max_keep:
                 return keep
-            alive[i + 1 :] &= ~row[i + 1 - start :]
+            alive[j + 1 :] &= ~overlaps[j, j + 1 :]
+        kept = np.concatenate((kept, survivors[alive]))
     return keep
 
 

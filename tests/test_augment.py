@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.augment import (
     AugmentParams,
@@ -41,6 +43,20 @@ class TestFlip:
         twice = flip_box_h(flip_box_h(b, 100.0), 100.0)
         for got, want in zip(twice.as_tuple(), b.as_tuple()):
             assert got == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        width=st.floats(1e-3, 1e9),
+        xs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        y_min=st.floats(-1e6, 1e6),
+        height=st.floats(0.0, 1e6),
+    )
+    def test_involution_property(self, width, xs, y_min, height):
+        b = Box(xs[0] * width, y_min, xs[1] * width, y_min + height)
+        twice = flip_box_h(flip_box_h(b, width), width)
+        assert (twice.y_min, twice.y_max) == (b.y_min, b.y_max)
+        assert abs(twice.x_min - b.x_min) <= 1e-12 * width
+        assert abs(twice.x_max - b.x_max) <= 1e-12 * width
 
     def test_preserves_area_and_y_extent(self):
         rng = random.Random(52)
@@ -231,4 +247,22 @@ class TestParamsValidation:
         base = {"image_width": 100.0, "image_height": 80.0}
         base.update(kwargs)
         with pytest.raises(ValidationError):
+            AugmentParams(**base)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "image_width",
+            "image_height",
+            "flip_prob",
+            "max_shift_frac",
+            "max_scale_delta",
+            "max_rotate_deg",
+            "shift_scale_rotate_prob",
+        ],
+    )
+    def test_rejects_non_finite(self, name, value):
+        base = {"image_width": 100.0, "image_height": 80.0, name: value}
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite, got {value}$"):
             AugmentParams(**base)

@@ -1,0 +1,38 @@
+"""Every committed BENCH_*.json holds parent and change medians for each workload it covers.
+
+A BENCH file records one change's before/after benchmark runs.
+The workload and metric names are the ones BENCHMARK.json declares, so a file
+that misspells one or drops a side cannot back a claim.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_some_bench_file_is_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_parent_and_change_medians(path):
+    workloads = json.loads(path.read_text(encoding="utf-8"))["workloads"]
+    assert workloads, f"{path.name} covers no workload"
+    assert set(workloads) <= WORKLOADS, f"{path.name}: unknown workloads {sorted(set(workloads) - WORKLOADS)}"
+    for name, entry in workloads.items():
+        for side in ("parent", "change"):
+            for metric in METRICS:
+                where = f"{path.name} {name} {side} {metric}"
+                stats = entry[side].get(metric)
+                assert isinstance(stats, dict), f"{where}: missing"
+                values = [stats.get(k) for k in ("q1", "median", "q3")]
+                assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values), f"{where}: {values}"
+                assert values == sorted(values), f"{where}: quartiles out of order {values}"

@@ -328,6 +328,22 @@ class TestAugmentPlanCommand:
         ]) == 0
         assert len(out.read_text().strip().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--max-shift-frac", "nan", "max_shift_frac"),
+            ("--max-shift-frac", "inf", "max_shift_frac"),
+            ("--max-scale-delta", "-inf", "max_scale_delta"),
+            ("--max-rotate-deg", "nan", "max_rotate_deg"),
+            ("--flip-prob", "nan", "flip_prob"),
+        ],
+    )
+    def test_non_finite_bound_exits_1(self, flag, value, field, capsys):
+        assert main(["augment-plan", "--images", "2", "--image-size", "10x10", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} must be finite, got {float(value)}\n"
+        assert captured.out == ""
+
 
 class TestReportCommand:
     def test_table_contains_derived_values(self, capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab import proposals
 from boxlab.errors import InvalidBoxError, ValidationError
-from boxlab.geometry import Box
+from boxlab.geometry import Box, iou_array
 from boxlab.proposals import (
     Anchor,
     AnchorConfig,
@@ -94,6 +95,9 @@ class TestGenerateAnchors:
             generate_anchors(AnchorConfig(strides=(8, 16)), [(2, 2), size])
 
 
+_corner_and_extents = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
+
+
 class TestBoxDelta:
     def test_identity_encoding(self):
         anchor = Box(0, 0, 2, 2)
@@ -122,6 +126,16 @@ class TestBoxDelta:
     def test_nonpositive_target_extent(self):
         with pytest.raises(InvalidBoxError):
             encode_delta(Box(0, 0, 2, 2), Box(0, 0, 0, 1))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(anchor=_corner_and_extents, target=_corner_and_extents)
+    def test_round_trip_property(self, anchor, target):
+        anchor, target = (Box(x, y, x + w, y + h) for x, y, w, h in (anchor, target))
+        decoded = decode_delta(anchor, encode_delta(anchor, target))
+        # relative to the largest coordinate: a corner near 0 inherits the rounding of the centers
+        scale = max(abs(v) for v in anchor.as_tuple() + target.as_tuple())
+        for got, want in zip(decoded.as_tuple(), target.as_tuple()):
+            assert abs(got - want) <= 1e-9 * scale
 
 
 def _scored(boxes_scores):
@@ -232,6 +246,23 @@ def _boundary_instance(n, rng):
         boxes.append(box)
         scores.append(rng.choice([0.2, 0.5, 0.9]) if rng.random() < 0.5 else rng.random())
     return boxes, scores
+
+
+class TestNmsWork:
+    def test_iou_work_is_bounded_by_kept_boxes(self, monkeypatch):
+        # Disjoint boxes: nothing is suppressed, so max_keep ends the walk inside the first block,
+        # and no row needs comparing with the 936 candidates it never reaches.
+        elements = []
+
+        def counting_iou_array(a, b):
+            out = iou_array(a, b)
+            elements.append(out.size)
+            return out
+
+        monkeypatch.setattr(proposals, "iou_array", counting_iou_array)
+        candidates = [ScoredBox(Box(3.0 * k, 0.0, 3.0 * k + 1, 1.0), 0.5) for k in range(1000)]
+        assert nms(candidates, 0.5, max_keep=10) == list(range(10))
+        assert sum(elements) <= 64 * 64
 
 
 class TestNmsBlockBoundary:
