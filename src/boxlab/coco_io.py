@@ -5,17 +5,18 @@ Ground truth is the usual ``{"images": [...], "categories": [...],
 ``{"image_id", "category_id", "bbox", "score"}`` records. Boxes are stored
 as ``(x, y, width, height)`` and converted to corner form on load.
 
-Annotations and predictions load column-backed (``evaluation.BoxColumns``):
-one pass pulls out ids and numbers under the strict type checks, then whole
-arrays are checked. Loading validates everything the evaluator relies on:
-finite numbers (``json.load`` accepts NaN, Infinity and integers no float
-holds), no key repeated in an object, unique image and category ids,
-referential integrity (dangling image/category ids), box validity (positive,
-finite area for ground truth, non-negative extents and finite corners for
-predictions), and image-bounds containment for annotations. When an array
-check fails, the records are walked to name the offenders: they are collected
-and reported together; a field of the wrong type or a non-finite number
-stops the load at that record.
+Annotations and predictions load column-backed (``evaluation.BoxColumns``) in
+one typed pass that pulls ids and numbers into arrays. Only if that pass fails
+does a strict per-record walk run, to stop the load with ``ParseError`` at the
+first malformed record or non-finite number (``json.load`` accepts NaN,
+Infinity and integers no float holds). Every other check is one array mask,
+which also names the bad records: dangling image or category ids, box
+extents, image bounds and a positive, finite corner-form area for ground
+truth, score range and finite corners for predictions. Each bad record is
+named by its first failing check, and the load raises ``DanglingIdError``,
+else ``InvalidBoxError``, else ``ValidationError``, naming every record of
+that class. A key repeated in a JSON object and a repeated image or category
+id are rejected too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -128,38 +130,65 @@ def _bbox(record: Any, context: str) -> tuple[float, float, float, float]:
     return tuple(_finite(item, f"{context}.bbox[{i}]") for i, item in enumerate(value))  # type: ignore[return-value]
 
 
-def _columns(records: Any, image_ids: dict | None, class_ids: dict | None, scored: bool):
+def _columns(path: str, context: str, records: list, image_ids: list | None, class_ids: list | None, scored: bool):
     """One pass over ``records`` with the strict type checks (ids are ints, numbers
-    ints or floats, never bools): ids coded by the order of the ``image_ids`` and
-    ``class_ids`` keys (None: every id, first seen first), corners ``x + w``, ``y + h``.
+    ints or floats, never bools): ids coded by their index in ``image_ids`` and
+    ``class_ids`` (None: every id, first seen first), corners ``x + w``, ``y + h``.
+    Returns (columns, (N, 2) bbox extents).
 
-    Returns (columns, (N, 2) bbox extents), or None when a record is malformed, an
-    id is unknown, or a number or corner is not finite as a float.
+    Only when that pass fails does the strict walk run, to raise ``ParseError`` at the
+    first malformed record or non-finite number. An unknown id raises ``DanglingIdError``.
     """
+    values = None
     try:
         ids = [r["image_id"] for r in records], [r["category_id"] for r in records]
         bboxes = [r["bbox"] for r in records]
-        scores = [r["score"] for r in records] if scored else []
-        if set(map(type, bboxes)) - {list} or set(map(len, bboxes)) - {4}:
-            return None
-        numbers = [v for b in bboxes for v in b] + scores
-        if set(map(type, ids[0] + ids[1])) - {int} or set(map(type, numbers)) - {int, float}:
-            return None
-        tables = [list(dict.fromkeys(col) if t is None else t) for col, t in zip(ids, (image_ids, class_ids))]
-        codes = [
-            np.fromiter(map({v: k for k, v in enumerate(table)}.__getitem__, col), np.intp, len(col))
-            for col, table in zip(ids, tables)
-        ]
-        values = np.array(numbers, dtype=np.float64)
+        numbers = [v for b in bboxes for v in b] + ([r["score"] for r in records] if scored else [])
+        typed = set(map(type, ids[0] + ids[1])) <= {int} and set(map(type, numbers)) <= {int, float}
+        if typed and set(map(len, bboxes)) <= {4}:
+            values = np.array(numbers, dtype=np.float64)
     except (TypeError, KeyError, OverflowError):
-        return None
+        pass
+    if values is None or not np.isfinite(values).all():
+        for i, rec in enumerate(records):
+            ctx = f"{context}[{i}]"
+            _int_id(rec, "image_id", ctx), _int_id(rec, "category_id", ctx), _bbox(rec, ctx)
+            if scored:
+                _number(rec, "score", ctx)
+    tables = [list(dict.fromkeys(col) if t is None else t) for col, t in zip(ids, (image_ids, class_ids))]
+    codes = [
+        np.fromiter(map({v: k for k, v in enumerate(table)}.get, col, repeat(-1)), np.intp, len(col))
+        for col, table in zip(ids, tables)
+    ]
+    _reject(path, context, records, [
+        (DanglingIdError, codes[0] < 0, lambda rec: f"unknown image_id {rec['image_id']}"),
+        (DanglingIdError, codes[1] < 0, lambda rec: f"unknown category_id {rec['category_id']}"),
+    ])
     boxes = values[: 4 * len(bboxes)].reshape(-1, 4)
     extents = boxes[:, 2:].copy()
-    with np.errstate(over="ignore"):  # an overflowing corner is named by the caller's per-record check
+    with np.errstate(over="ignore"):  # an overflowing corner is named by the caller's checks
         boxes[:, 2:] += boxes[:, :2]
-    if not np.isfinite(boxes).all() or not np.isfinite(values).all():
-        return None
     return BoxColumns(*tables, *codes, boxes, values[4 * len(bboxes) :] if scored else None), extents
+
+
+def _xywh(rec: dict) -> tuple[float, ...]:
+    return tuple(map(float, rec["bbox"]))
+
+
+def _reject(path: str, context: str, records: list, checks: list) -> None:
+    """Raise for the records that ``checks``, a list of (error class, bad-record mask,
+    message builder), mark bad. Each record is named by its first failing check; the
+    first of ``DanglingIdError``, ``InvalidBoxError`` and ``ValidationError`` that
+    names any record is raised, naming all of them in record order.
+    """
+    unnamed = np.ones(len(records), dtype=bool)
+    named: dict[type, list] = {DanglingIdError: [], InvalidBoxError: [], ValidationError: []}
+    for error, bad, message in checks:
+        named[error] += [(i, message(records[i])) for i in np.flatnonzero(bad & unnamed)]
+        unnamed &= ~bad
+    for error, found in named.items():
+        if found:
+            raise error(f"{path}: " + "; ".join(f"{context}[{i}]: {text}" for i, text in sorted(found)))
 
 
 def load_manifest(path: str) -> DatasetManifest:
@@ -193,55 +222,25 @@ def load_manifest(path: str) -> DatasetManifest:
     ids = {"images": [im.id for im in images], "categories": [c.id for c in categories]}
     reject_duplicates(f"{path}: ", "id", ids)
     image_dims = {im.id: (im.width, im.height) for im in images}
-    category_ids = dict.fromkeys(ids["categories"])
     records = sections["annotations"]
     del raw, sections  # the image and category records are no longer needed
 
-    columns = _columns(records, image_dims, category_ids, scored=False)
-    if columns is not None:
-        (annotations, extents), boxes = columns, columns[0].boxes
-        bounds = np.array(list(image_dims.values()), dtype=np.float64).reshape(-1, 2) + _BOUNDS_TOL
-        with np.errstate(over="ignore"):  # an area past 1e308 is inf, named by the per-record check
-            areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-        if (
-            (extents > 0.0).all()
-            and (boxes[:, :2] >= -_BOUNDS_TOL).all()
-            and (boxes[:, 2:] <= bounds[annotations.image]).all()
-            and ((areas > 0.0) & (areas < math.inf)).all()
-        ):
-            return DatasetManifest(images=tuple(images), categories=tuple(categories), annotations=annotations)
-
-    # An array check failed: name the first malformed record, or every dangling or invalid one.
-    dangling: list[str] = []
-    bad_boxes: list[str] = []
-    for i, rec in enumerate(records):
-        ctx = f"annotations[{i}]"
-        image_id = _int_id(rec, "image_id", ctx)
-        category_id = _int_id(rec, "category_id", ctx)
-        x, y, w, h = _bbox(rec, ctx)
-        if image_id not in image_dims:
-            dangling.append(f"{ctx}: unknown image_id {image_id}")
-            continue
-        if category_id not in category_ids:
-            dangling.append(f"{ctx}: unknown category_id {category_id}")
-            continue
-        if w <= 0.0 or h <= 0.0:
-            bad_boxes.append(f"{ctx}: non-positive bbox extents ({x}, {y}, {w}, {h})")
-            continue
-        img_w, img_h = image_dims[image_id]
-        if x < -_BOUNDS_TOL or y < -_BOUNDS_TOL or x + w > img_w + _BOUNDS_TOL or y + h > img_h + _BOUNDS_TOL:
-            bad_boxes.append(
-                f"{ctx}: bbox ({x}, {y}, {w}, {h}) outside image bounds {img_w}x{img_h}"
-            )
-            continue
-        corner_area = (x + w - x) * (y + h - y)
-        if corner_area <= 0.0:
-            bad_boxes.append(f"{ctx}: bbox ({x}, {y}, {w}, {h}) has zero area as corners")
-        elif corner_area == math.inf:
-            bad_boxes.append(f"{ctx}: bbox ({x}, {y}, {w}, {h}) has an area as corners that is not finite")
-    if dangling:
-        raise DanglingIdError(f"{path}: " + "; ".join(dangling))
-    raise InvalidBoxError(f"{path}: " + "; ".join(bad_boxes))
+    annotations, extents = _columns(path, "annotations", records, ids["images"], ids["categories"], scored=False)
+    boxes = annotations.boxes
+    bounds = np.array(list(image_dims.values()), dtype=np.float64).reshape(-1, 2) + _BOUNDS_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past 1e308, NaN beside an overflowed corner
+        areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    _reject(path, "annotations", records, [
+        (InvalidBoxError, (extents <= 0.0).any(axis=1), lambda rec: f"non-positive bbox extents {_xywh(rec)}"),
+        (
+            InvalidBoxError,
+            (boxes[:, :2] < -_BOUNDS_TOL).any(axis=1) | (boxes[:, 2:] > bounds[annotations.image]).any(axis=1),
+            lambda rec: "bbox {} outside image bounds {}x{}".format(_xywh(rec), *image_dims[rec["image_id"]]),
+        ),
+        (InvalidBoxError, areas <= 0.0, lambda rec: f"bbox {_xywh(rec)} has zero area as corners"),
+        (InvalidBoxError, np.isinf(areas), lambda rec: f"bbox {_xywh(rec)} has an area as corners that is not finite"),
+    ])
+    return DatasetManifest(images=tuple(images), categories=tuple(categories), annotations=annotations)
 
 
 def save_manifest(manifest: DatasetManifest, path: str) -> None:
@@ -277,48 +276,25 @@ def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequ
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON list of predictions")
 
-    image_ids = dict.fromkeys(im.id for im in manifest.images) if manifest is not None else None
-    category_ids = dict.fromkeys(c.id for c in manifest.categories) if manifest is not None else None
-    columns = _columns(raw, image_ids, category_ids, scored=True)
-    if columns is not None:
-        detections, extents = columns
-        if (extents >= 0.0).all() and (detections.scores >= 0.0).all() and (detections.scores <= 1.0).all():
-            return detections
-
-    # An array check failed: name the first malformed record, or every dangling or invalid one.
-    dangling: list[str] = []
-    bad_boxes: list[str] = []
-    bad_scores: list[str] = []
-    for i, rec in enumerate(raw):
-        ctx = f"predictions[{i}]"
-        image_id = _int_id(rec, "image_id", ctx)
-        category_id = _int_id(rec, "category_id", ctx)
-        x, y, w, h = _bbox(rec, ctx)
-        score = _number(rec, "score", ctx)
-        if image_ids is not None and image_id not in image_ids:
-            dangling.append(f"{ctx}: unknown image_id {image_id}")
-            continue
-        if category_ids is not None and category_id not in category_ids:
-            dangling.append(f"{ctx}: unknown category_id {category_id}")
-            continue
-        if w < 0.0 or h < 0.0:
-            bad_boxes.append(f"{ctx}: negative bbox extents ({x}, {y}, {w}, {h})")
-            continue
-        if not 0.0 <= score <= 1.0:
-            bad_scores.append(f"{ctx}: score {score} outside [0, 1]")
-            continue
-        if not math.isfinite(x + w) or not math.isfinite(y + h):
-            bad_boxes.append(f"{ctx}: bbox ({x}, {y}, {w}, {h}) has a corner that is not finite")
-    if dangling:
-        raise DanglingIdError(f"{path}: " + "; ".join(dangling))
-    if bad_boxes:
-        raise InvalidBoxError(f"{path}: " + "; ".join(bad_boxes))
-    raise ValidationError(f"{path}: " + "; ".join(bad_scores))
+    image_ids = [im.id for im in manifest.images] if manifest is not None else None
+    category_ids = [c.id for c in manifest.categories] if manifest is not None else None
+    detections, extents = _columns(path, "predictions", raw, image_ids, category_ids, scored=True)
+    scores = detections.scores
+    _reject(path, "predictions", raw, [
+        (InvalidBoxError, (extents < 0.0).any(axis=1), lambda rec: f"negative bbox extents {_xywh(rec)}"),
+        (ValidationError, (scores < 0.0) | (scores > 1.0), lambda rec: f"score {float(rec['score'])} outside [0, 1]"),
+        (
+            InvalidBoxError,
+            ~np.isfinite(detections.boxes).all(axis=1),
+            lambda rec: f"bbox {_xywh(rec)} has a corner that is not finite",
+        ),
+    ])
+    return detections
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/val/test fractions (non-negative, summing to 1) plus a shuffle seed."""
+    """Train/val/test fractions (finite, non-negative, summing to 1) plus a shuffle seed."""
 
     train_frac: float
     val_frac: float
@@ -326,6 +302,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("train_frac", "val_frac", "test_frac"):  # NaN passes both checks below
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {value}")
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f < 0.0 for f in fracs):
             raise ValidationError(f"split fractions must be non-negative, got {fracs}")

@@ -49,8 +49,8 @@ class DescentConfig:
     max_halvings: int = 20
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:  # NaN fails this too
+            raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.success_iou <= 1.0:
             raise ValidationError(f"success_iou must be in (0, 1], got {self.success_iou}")
         if self.max_iters < 0:

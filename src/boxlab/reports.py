@@ -90,7 +90,8 @@ def derive_report_stats(
     rows: Sequence[ModelReportRow], baseline: str
 ) -> list[DerivedModelStats]:
     """Derived comparisons for every row against the named baseline row; model names must be
-    unique, mAP, mAP@50 and AR in [0, 1] (checked after the row's percent changes) and fps finite."""
+    unique, mAP, mAP@50 and AR in [0, 1] (checked after the row's percent changes) and fps
+    finite. F1 is computed only once the row has passed those checks."""
     reject_duplicates("", "model", {"models": [row.model for row in rows]})
     by_name = {row.model: row for row in rows}
     if baseline not in by_name:
@@ -99,22 +100,18 @@ def derive_report_stats(
         )
     base = by_name[baseline]
     stats = []
+    rates = ("map_all", "map_50", "average_recall")
     for i, row in enumerate(rows):
-        stat = DerivedModelStats(
-            model=row.model,
-            fps=1000.0 / row.latency_ms,
-            f1=row.f1,
-            map_pct_change=_percent_change_of(f"model {row.model!r} map_all", row.map_all, base.map_all),
-            map_50_pct_change=_percent_change_of(f"model {row.model!r} map_50", row.map_50, base.map_50),
-            recall_pct_change=_percent_change_of(
-                f"model {row.model!r} average_recall", row.average_recall, base.average_recall
-            ),
-        )
-        for field in ("map_all", "map_50", "average_recall"):
+        changes = [
+            _percent_change_of(f"model {row.model!r} {field}", getattr(row, field), getattr(base, field))
+            for field in rates
+        ]
+        for field in rates:
             _check_rate(f"models[{i}].{field}", getattr(row, field))
-        if not math.isfinite(stat.fps):
+        fps = 1000.0 / row.latency_ms
+        if not math.isfinite(fps):
             raise ValidationError(f"models[{i}].latency_ms: 1000/latency_ms is not finite, got {row.latency_ms!r}")
-        stats.append(stat)
+        stats.append(DerivedModelStats(row.model, fps, row.f1, *changes))
     return stats
 
 

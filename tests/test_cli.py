@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.augment import plan_from_lines, sample_plan, AugmentParams
 from boxlab.cli import Output, _render, main
@@ -235,6 +238,15 @@ class TestSplitCommand:
             "split", gt, "--train-frac", "0.9", "--val-frac", "0.9", "--test-frac", "0",
         ]) == 1
 
+    @pytest.mark.parametrize("flag", ["--train-frac", "--val-frac", "--test-frac"])
+    def test_nan_fraction_exit_1(self, dataset, capsys, flag):
+        # A NaN train fraction used to give an empty train list, a NaN test fraction a traceback.
+        fracs = {"--train-frac": "0.5", "--val-frac": "0.5", "--test-frac": "0", flag: "nan"}
+        assert main(["split", dataset[0], *(tok for pair in fracs.items() for tok in pair)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag[2:].replace('-', '_')} must be finite, got nan\n"
+        assert captured.out == ""
+
 
 class TestConvergenceCommand:
     def test_csv_trials(self, capsys):
@@ -258,6 +270,11 @@ class TestConvergenceCommand:
 
     def test_unknown_loss_exit_1(self):
         assert main(["convergence", "--trials", "30", "--losses", "l2"]) == 1
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exit_1(self, lr, capsys):
+        assert main(["convergence", "--trials", "2", "--lr", lr]) == 1
+        assert capsys.readouterr().err == f"error: learning_rate must be positive and finite, got {lr}\n"
 
 
 class TestAnchorsCommand:
@@ -398,6 +415,8 @@ class TestReportCommand:
              "models[1].average_recall: expected a value in [0, 1], got -0.25"),
             (lambda doc: doc["models"][2].update(latency_ms=1e-320),
              "models[2].latency_ms: 1000/latency_ms is not finite, got 1e-320"),
+            (lambda doc: doc["models"][1].update(map_all=-1, average_recall=1),  # an F1 of 0/0 if computed first
+             "models[1].map_all: expected a value in [0, 1], got -1.0"),
             (lambda doc: doc["per_class"]["map_50"]["CP"].update(mIoU=36.9),
              "per_class.map_50: class 'CP' model 'mIoU': expected a value in [0, 1], got 36.9"),
             (lambda doc: doc["per_class"]["map_all"]["KD"].update(mBaseline=-0.0001),
@@ -493,3 +512,81 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+
+# --- fuzzed input files: every run ends in exit 0, 1 or 2, never in a traceback ---------
+
+def _mostly(good, bad, odds=30):
+    """``good``, but ``bad`` one time in ``odds`` (shrinking goes toward ``good``): most runs get
+    deep, and every layer still sees junk."""
+    return st.integers(1, odds).flatmap(lambda k: bad if k == odds else good)
+
+
+# Typed values that the semantic checks reject (negative, subnormal, overflowing), and junk that the
+# strict type checks reject (NaN, Infinity, integers no float holds, bools, strings, null).
+_number = st.sampled_from([0, 0.5, 1.0, 2, 8.0, -1.0, 1e-200, 1e308])
+_junk = st.one_of(st.floats(), st.sampled_from([10**400, 2**70, None, True]), st.text(max_size=2))
+_value = _mostly(_number, _junk)
+_id = _mostly(st.integers(1, 2), st.one_of(st.integers(0, 3), _junk))
+_bbox = _mostly(st.lists(_value, min_size=4, max_size=4), st.one_of(st.lists(_value, max_size=5), _junk))
+
+
+def _records(fields):
+    """Lists of records with every field; now and then a record lacks fields or is another JSON value."""
+    record = _mostly(st.fixed_dictionaries(fields), st.one_of(st.fixed_dictionaries({}, optional=fields), _junk))
+    return _mostly(st.lists(record, max_size=4), _junk, odds=10)
+
+
+def _section(valid, fields):
+    """A valid section half the time, so that annotations and predictions are often evaluated."""
+    return _mostly(st.just(valid), _records(fields), odds=2)
+
+
+_box_fields = {"image_id": _id, "category_id": _id, "bbox": _bbox}
+_gt_docs = _mostly(
+    st.fixed_dictionaries({
+        "images": _section([{"id": 1, "width": 8, "height": 8}, {"id": 2, "width": 50, "height": 50}],
+                           {"id": _id, "width": _value, "height": _value}),
+        "categories": _section([{"id": 1, "name": "a"}, {"id": 2, "name": "b"}],
+                               {"id": _id, "name": st.text(max_size=2)}),
+        "annotations": _records(_box_fields),
+    }),
+    _junk,
+    odds=10,
+)
+_pred_docs = _records({**_box_fields, "score": _value})
+_rate = _mostly(st.sampled_from([0.0, 1.0, -1.0]), _value, odds=4)  # mAP -1 beside AR 1: an F1 of 0/0
+_metrics_docs = _mostly(
+    st.fixed_dictionaries({
+        "models": _records({
+            "model": st.sampled_from(["m0", "m1", "m2", "m3"]),
+            **{key: _rate for key in ("map_all", "map_50", "average_recall")},
+            "latency_ms": _mostly(st.sampled_from([10, 0.5]), _value, odds=4),
+        }),
+        "per_class": st.dictionaries(st.sampled_from(["map_all", "map_50"]), st.dictionaries(
+            st.sampled_from(["A", "B"]), st.dictionaries(st.sampled_from(["m0", "m1"]), _rate, max_size=2), max_size=2
+        ), max_size=2),
+    }),
+    _junk,
+    odds=10,
+)
+
+
+def _exit_code(argv, docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            (pathlib.Path(tmp) / name).write_text(json.dumps(doc))
+        return main([arg.format(dir=tmp) for arg in argv])
+
+
+class TestFuzzedInputExitCodes:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gt=_gt_docs, pred=_pred_docs)
+    def test_evaluate(self, gt, pred):
+        argv = ["evaluate", "{dir}/gt.json", "{dir}/pred.json", "--iou-thresholds", "0.5", "--format", "json"]
+        assert _exit_code(argv, {"gt.json": gt, "pred.json": pred}) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(metrics=_metrics_docs)
+    def test_report(self, metrics):
+        assert _exit_code(["report", "{dir}/metrics.json", "--baseline", "m0"], {"metrics.json": metrics}) in (0, 1, 2)

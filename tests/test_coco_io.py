@@ -228,6 +228,14 @@ class TestSplit:
         with pytest.raises(ValidationError):
             SplitSpec(-0.1, 0.6, 0.5)
 
+    @pytest.mark.parametrize("field", ["train_frac", "val_frac", "test_frac"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fraction_named(self, field, value):
+        fracs = {"train_frac": 0.5, "val_frac": 0.25, "test_frac": 0.25, field: value}
+        with pytest.raises(ValidationError) as err:
+            SplitSpec(**fracs)
+        assert str(err.value) == f"{field} must be finite, got {value}"
+
     def test_split_dataset_uses_image_ids(self, tmp_path):
         manifest = load_manifest(_write(tmp_path, "gt.json", _manifest_doc()))
         split = split_dataset(manifest, SplitSpec(0.5, 0.5, 0.0, seed=1))
@@ -267,6 +275,10 @@ def _both(*edits):
             edit(gt, pred)
 
     return apply
+
+
+def _no_manifest(gt, pred):
+    gt.clear()  # an empty ground-truth document: the predictions load without a manifest
 
 
 # (edit of a valid gt/pred pair, error class, exact message; {dir} is the files' directory)
@@ -351,6 +363,32 @@ INVALID_INPUTS = {
         InvalidBoxError,
         "{dir}/gt.json: annotations[0]: bbox (0.0, 0.0, 100.000000002, 80.0) outside image bounds 100.0x80.0",
     ),
+    "ann_no_images_all_dangling": (
+        lambda gt, pred: gt["images"].clear(),
+        DanglingIdError,
+        "{dir}/gt.json: annotations[0]: unknown image_id 1; annotations[1]: unknown image_id 2; "
+        "annotations[2]: unknown image_id 2",
+    ),
+    "pred_bad_score_named_before_overflowing_corner": (
+        _det(0, bbox=[1e308, 0, 1e308, 1], score=1.5),
+        ValidationError,
+        "{dir}/pred.json: predictions[0]: score 1.5 outside [0, 1]",
+    ),
+    "pred_overflowing_corner_beats_bad_score": (
+        _both(_det(0, bbox=[0, 1e308, 1, 1e308]), _det(2, score=2)),
+        InvalidBoxError,
+        "{dir}/pred.json: predictions[0]: bbox (0.0, 1e+308, 1.0, 1e+308) has a corner that is not finite",
+    ),
+    "ann_dangling_beats_zero_corner_area": (
+        _both(_ann(0, bbox=[1, 1, 1e-200, 1e-200]), _ann(2, image_id=9)),
+        DanglingIdError,
+        "{dir}/gt.json: annotations[2]: unknown image_id 9",
+    ),
+    "pred_bad_score_without_manifest": (
+        _both(_det(1, image_id=99, score=7), _no_manifest),
+        ValidationError,
+        "{dir}/pred.json: predictions[1]: score 7.0 outside [0, 1]",
+    ),
 }
 
 
@@ -360,7 +398,8 @@ def test_invalid_input_message(tmp_path, name):
     gt, pred = _pair()
     edit(gt, pred)
     with pytest.raises(error) as err:
-        load_predictions(_write(tmp_path, "pred.json", pred), load_manifest(_write(tmp_path, "gt.json", gt)))
+        manifest = load_manifest(_write(tmp_path, "gt.json", gt)) if gt else None
+        load_predictions(_write(tmp_path, "pred.json", pred), manifest)
     assert type(err.value) is error
     assert str(err.value) == message.replace("{dir}", str(tmp_path))
 

@@ -173,6 +173,13 @@ class TestRunDescent:
         with pytest.raises(ValidationError):
             DescentConfig(loss_kind=LossKind.IOU, **kwargs)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_named(self, lr):
+        # NaN passed the old `<= 0` check, and the first step then failed on a NaN box coordinate.
+        with pytest.raises(ValidationError) as err:
+            DescentConfig(loss_kind=LossKind.IOU, learning_rate=lr)
+        assert str(err.value) == f"learning_rate must be positive and finite, got {lr}"
+
 
 class TestLossEvaluations:
     @pytest.mark.parametrize("parameterization", ["corner", "center"])

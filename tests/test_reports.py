@@ -96,6 +96,8 @@ class TestDeriveReportStats:
             (ModelReportRow("b", 0.5, 0.5, 1.5, 10.0), "models[0].average_recall: expected a value in [0, 1], got 1.5"),
             (ModelReportRow("b", 0.5, 0.5, 0.5, 1e-320),
              "models[0].latency_ms: 1000/latency_ms is not finite, got 1e-320"),
+            # F1 of these is 2pr/(p+r) with p + r = 0: it is computed only after the range checks.
+            (ModelReportRow("b", -1.0, 0.5, 1.0, 10.0), "models[0].map_all: expected a value in [0, 1], got -1.0"),
         ],
     )
     def test_out_of_range_values_rejected(self, row, message):
