@@ -14,6 +14,7 @@ writes it once.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -504,8 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser for every call: a parser is a reference cycle that only the
+    # cyclic garbage collector frees, so one per call piles up in a process
+    # that calls main() many times.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         out = args.func(args)
         _emit(out if isinstance(out, str) else _render(out, args.format), args.output)

@@ -10,6 +10,11 @@ asserted. The headline facts it exposes:
 * the GIoU loss moves disjoint boxes into overlap;
 * the DIoU loss reaches high overlap in fewer iterations than GIoU on a
   shared trial suite (it steers the center directly).
+
+``run_descent`` follows one pair and keeps its whole trajectory.
+``convergence_study`` needs only where each pair stops, so it runs every
+(kind, trial) pair as one lane (a column) of (4, lanes) corner arrays and
+takes each step for all lanes at once, with ``run_descent``'s arithmetic.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
 from .errors import BoxlabError, ValidationError
-from .geometry import Box, area, intersection_area, iou
-from .losses import GradVec, LossKind, loss
+from .geometry import Box, area, intersection_area, iou, iou_array
+from .losses import _LANE_KINDS, GradVec, LossKind, _lane_loss, _LaneFallback, loss
 
 __all__ = [
     "DescentConfig",
@@ -232,6 +239,94 @@ class ConvergenceStudy:
     summary: dict[LossKind, KindSummary]
 
 
+def _lane_steps(pred: np.ndarray, gradient: np.ndarray, sizes, parameterization: str) -> np.ndarray:
+    """``_step`` of every lane (columns of the (4, N) ``pred`` and ``gradient``)
+    at every step size: (4, N, len(sizes)), unvalidated. ``_step`` raises
+    exactly where a candidate is not finite."""
+    s = np.asarray(sizes)[None, :]
+    x1, y1, x2, y2 = pred[:, :, None]
+    g1, g2, g3, g4 = gradient[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if parameterization == "corner":
+            x1, y1, x2, y2 = x1 - s * g1, y1 - s * g2, x2 - s * g3, y2 - s * g4
+            swap_x, swap_y = x2 < x1, y2 < y1  # _repaired_box
+            x1, x2 = np.where(swap_x, x2, x1), np.where(swap_x, x1, x2)
+            y1, y2 = np.where(swap_y, y2, y1), np.where(swap_y, y1, y2)
+            box = (x1, y1, x2, y2)
+        else:
+            cx = (x1 + x2) / 2.0 - s * (g1 + g3)
+            cy = (y1 + y2) / 2.0 - s * (g2 + g4)
+            w = np.abs((x2 - x1) - s * (g3 - g1) / 2.0)
+            h = np.abs((y2 - y1) - s * (g4 - g2) / 2.0)
+            box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    return np.stack(box)
+
+
+def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: DescentConfig):
+    """``run_descent`` on every lane at once: lane ``i`` starts at ``inits[:, i]``
+    toward ``targets[:, i]`` ((4, N) corner rows) with loss kind ``codes[i]``.
+
+    Returns each lane's ``converged_at`` (-1 for None) and its final box, (4, N).
+    Raises ``_LaneFallback`` where ``run_descent`` would raise on some lane.
+    """
+    if ((targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0).any():
+        raise _LaneFallback
+    if cfg.backtracking and cfg.max_halvings < 0:  # no step is ever tried
+        raise _LaneFallback
+    sizes = [cfg.learning_rate]
+    # Past the first zero step size every candidate is the same box, so the scan stops there.
+    while cfg.backtracking and len(sizes) <= cfg.max_halvings and sizes[-1] > 0.0:
+        sizes.append(sizes[-1] / 2.0)
+
+    value, gradient, raises = _lane_loss(codes, targets, inits)
+    if raises.any():
+        raise _LaneFallback
+    converged_at = np.full(len(codes), -1)
+    final = inits.copy()
+    lane, pred = np.arange(len(codes)), inits
+    steps = 0
+    while True:
+        hit = iou_array(targets.T, pred.T) >= cfg.success_iou
+        converged_at[lane[hit]] = steps
+        # grad_norm == 0.0 exactly where every g*g is 0 (a NaN component is not).
+        stop = hit | (gradient * gradient == 0.0).all(0) | (steps >= cfg.max_iters)
+        if cfg.backtracking and not stop.all():
+            # Every step size of every moving lane in one kernel call; a lane takes
+            # its first accepted candidate, and stops if it has none.
+            k = len(sizes)
+            candidates = _lane_steps(pred[:, ~stop], gradient[:, ~stop], sizes, cfg.parameterization)
+            cand_value, cand_gradient, cand_raises = _lane_loss(
+                np.repeat(codes[~stop], k), np.repeat(targets[:, ~stop], k, axis=1), candidates.reshape(4, -1)
+            )
+            finite = np.isfinite(candidates).all(0)
+            accepted = finite & ~cand_raises.reshape(-1, k) & (cand_value.reshape(-1, k) <= value[~stop, None])
+            first = (accepted | ~finite).argmax(1)
+            rows = np.arange(len(first))
+            if (~finite[rows, first]).any():  # _step raises on a box built before any accepted one
+                raise _LaneFallback
+            moved = accepted[rows, first]
+            pick = rows[moved], first[moved]
+            stop[~stop] = ~moved
+        final[:, lane[stop]] = pred[:, stop]
+        keep = ~stop
+        if not keep.any():
+            return converged_at, final
+        lane, targets, codes = lane[keep], targets[:, keep], codes[keep]
+        if cfg.backtracking:
+            pred = candidates[:, pick[0], pick[1]]
+            value = cand_value.reshape(-1, k)[pick]
+            gradient = cand_gradient.reshape(4, -1, k)[:, pick[0], pick[1]]
+            del candidates, cand_value, cand_gradient  # before the next block is built
+        else:
+            pred = _lane_steps(pred[:, keep], gradient[:, keep], sizes, cfg.parameterization)[:, :, 0]
+            if not np.isfinite(pred).all():
+                raise _LaneFallback
+            value, gradient, raises = _lane_loss(codes, targets, pred)
+            if raises.any():
+                raise _LaneFallback
+        steps += 1
+
+
 def convergence_study(
     trials: int,
     loss_kinds: Iterable[LossKind],
@@ -243,6 +338,11 @@ def convergence_study(
     ``cfg.loss_kind`` is overridden per kind; everything else is shared, so
     median iteration counts are directly comparable across kinds.
     Non-converged trials count as +inf iterations in the median.
+
+    The records are those of ``run_descent`` on each (kind, trial) pair, which
+    run here in lockstep as lanes. Where ``run_descent`` raises on some pair,
+    the pairs are re-run one by one with it, in (kind, trial) order, so the
+    study raises the same error.
     """
     if trials < 30:
         raise ValidationError(f"need at least 30 trials for a meaningful study, got {trials}")
@@ -251,35 +351,38 @@ def convergence_study(
         raise ValidationError("loss_kinds must not be empty")
 
     pairs = sampler.sample_pairs(trials)
-    records: list[TrialRecord] = []
+    lanes = [(kind, init, target) for kind in kinds for init, target in pairs]
+    try:
+        converged_at, final = _lockstep(
+            np.array([init.as_tuple() for _, init, _ in lanes]).T.copy(),
+            np.array([target.as_tuple() for _, _, target in lanes]).T.copy(),
+            np.array([_LANE_KINDS.index(kind) for kind, _, _ in lanes]),
+            cfg,
+        )
+        outcomes = [
+            (None if at < 0 else at, iou(target, Box(*box)))
+            for (_, _, target), at, box in zip(lanes, converged_at.tolist(), final.T.tolist())
+        ]
+    except _LaneFallback:
+        outcomes = []
+        for kind, init, target in lanes:
+            trajectory = run_descent(init, target, replace(cfg, loss_kind=kind))
+            outcomes.append((trajectory.converged_at, trajectory.final_iou))
+
+    records = tuple(
+        TrialRecord(trial=i % trials, loss_kind=kind, converged=at is not None, iterations=at, final_iou=final_iou)
+        for i, ((kind, _, _), (at, final_iou)) in enumerate(zip(lanes, outcomes))
+    )
     summary: dict[LossKind, KindSummary] = {}
-    for kind in kinds:
-        kind_cfg = replace(cfg, loss_kind=kind)
-        iteration_counts: list[float] = []
-        converged_count = 0
-        for trial, (init, target) in enumerate(pairs):
-            trajectory = run_descent(init, target, kind_cfg)
-            records.append(
-                TrialRecord(
-                    trial=trial,
-                    loss_kind=kind,
-                    converged=trajectory.converged,
-                    iterations=trajectory.converged_at,
-                    final_iou=trajectory.final_iou,
-                )
-            )
-            if trajectory.converged:
-                converged_count += 1
-                iteration_counts.append(float(trajectory.converged_at))  # type: ignore[arg-type]
-            else:
-                iteration_counts.append(math.inf)
+    for j, kind in enumerate(kinds):
+        iterations = [r.iterations for r in records[j * trials:(j + 1) * trials]]
         summary[kind] = KindSummary(
             loss_kind=kind,
             trials=trials,
-            convergence_rate=converged_count / trials,
-            median_iterations=float(statistics.median(iteration_counts)),
+            convergence_rate=sum(it is not None for it in iterations) / trials,
+            median_iterations=float(statistics.median(math.inf if it is None else float(it) for it in iterations)),
         )
-    return ConvergenceStudy(records=tuple(records), summary=summary)
+    return ConvergenceStudy(records=records, summary=summary)
 
 
 def trial_csv_rows(study: ConvergenceStudy) -> list[list[str]]:

@@ -137,7 +137,12 @@ class EvalReport:
 
 
 def f1(precision_like: float, recall_like: float) -> float:
-    """Harmonic mean ``2pr/(p+r)``; defined as 0 when both inputs are 0."""
+    """Harmonic mean ``2pr/(p+r)``; defined as 0 when both inputs are 0.
+
+    Raises ``ValidationError`` naming both inputs unless each lies in [0, 1].
+    """
+    if not (0.0 <= precision_like <= 1.0 and 0.0 <= recall_like <= 1.0):  # NaN fails this too
+        raise ValidationError(f"F1 needs values in [0, 1], got {precision_like!r} and {recall_like!r}")
     if precision_like == 0.0 and recall_like == 0.0:
         return 0.0
     return 2.0 * precision_like * recall_like / (precision_like + recall_like)

@@ -29,7 +29,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateAspectError, UndefinedOverlapError
+import numpy as np
+
+from .errors import DegenerateAspectError, UndefinedOverlapError, ValidationError
 from .geometry import Box
 
 __all__ = [
@@ -186,7 +188,12 @@ def _diou_terms(gt, pred):
     # Each corner moves its center coordinate by 1/2: d(rho2)/dx = (pcx - gcx).
     drx = pcx - gcx
     dry = pcy - gcy
-    rho2 = drx ** 2 + dry ** 2
+    try:
+        rho2 = drx ** 2 + dry ** 2
+    except OverflowError:  # finite inputs only: inf ** 2 is inf without an error
+        raise ValidationError(
+            f"DIoU undefined: the squared center distance overflows ({gt.as_tuple()}, {pred.as_tuple()})"
+        ) from None
 
     c2 = ew * ew + eh * eh
     dc1, dc2, dc3, dc4 = 2.0 * ew * h1, 2.0 * eh * h2, 2.0 * ew * h3, 2.0 * eh * h4
@@ -302,3 +309,153 @@ def finite_diff_gradient(kind: LossKind, gt: Box, pred: Box, h: float = 1e-5) ->
         lo[i] -= h
         grad.append((f(Box(*hi)) - f(Box(*lo))) / (2.0 * h))
     return tuple(grad)
+
+
+# --- lanes ----------------------------------------------------------------
+# The losses of many (gt, pred) pairs at once, for descent's lockstep study.
+# Each expression is the scalar one in the same order, so every value is the
+# scalar's bit for bit; a gradient component may differ only in the sign of a
+# zero. Python's ``d ** 2`` is ``np.float_power(d, 2.0)`` (numpy's ``** 2`` is
+# ``d*d``, which rounds differently from libm ``pow``), and CIoU's ``atan``
+# stays ``math.atan``, called only where the aspect term counts (IoU >= 0.5).
+
+_LANE_KINDS = tuple(LossKind)  # a lane's code is its kind's index here
+_D_EXTENT = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # d(width or height)/d(each corner)
+_D_V_SIGN = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+_HWHW = np.array([1, 0, 1, 0])  # (w, h).take(_HWHW, 0) is (h, w, h, w), one per corner
+_WHWH = np.array([0, 1, 0, 1])
+
+
+class _LaneFallback(Exception):
+    """A lane reached an input the lanes do not mirror: one where the scalar code
+    raises an error it does not catch. The caller re-runs the scalar code."""
+
+
+def _check_mirrored(zero_division: np.ndarray, raised: np.ndarray) -> None:
+    # A division by an underflowed zero, where the scalar loss raises ZeroDivisionError.
+    if (zero_division & ~raised).any():
+        raise _LaneFallback
+
+
+def _iou_lanes(g, p):
+    """``_iou_terms`` over (4, N) lanes, plus where it raises: iou and union (N,),
+    d_iou and d_union (4, N)."""
+    iwh = np.minimum(g[2:], p[2:]) - np.maximum(g[:2], p[:2])  # (iw, ih)
+    overlap = (iwh[0] > 0.0) & (iwh[1] > 0.0)
+    iwh = np.where(overlap, iwh, 0.0)
+    inter = iwh[0] * iwh[1]
+    # di1 = ih * (-1.0 if px1 > gx1 else 0.0), ..., di4 = iw * (1.0 if py2 < gy2 else 0.0)
+    inside = np.concatenate([p[:2] > g[:2], p[2:] < g[2:]])
+    d_inter = iwh.take(_HWHW, 0) * np.where(inside, _D_EXTENT, 0.0)
+
+    pwh = p[2:] - p[:2]
+    union = pwh[0] * pwh[1] + (g[2] - g[0]) * (g[3] - g[1]) - inter
+    raised = union <= 0.0
+    d_union = pwh.take(_HWHW, 0) * _D_EXTENT - d_inter  # (-ph - di1, -pw - di2, ph - di3, pw - di4)
+    usq = union * union
+    _check_mirrored(usq == 0.0, raised)
+    d_iou = (d_inter * union - inter * d_union) / usq
+    return inter / union, union, d_iou, d_union, raised
+
+
+def _hull_lanes(g, p):
+    """``_hull_terms`` over (4, N) lanes: (ew, eh) as (2, N) and the (4, N) hull derivatives."""
+    ewh = np.maximum(g[2:], p[2:]) - np.minimum(g[:2], p[:2])
+    outside = np.concatenate([p[:2] < g[:2], p[2:] > g[2:]])
+    return ewh, np.where(outside, _D_EXTENT, 0.0)
+
+
+def _l1_lanes(g, p):
+    a = np.abs(g - p)
+    value = (a[0] + a[1] + a[2] + a[3]) / 4.0
+    gradient = np.where(p > g, 0.25, np.where(p < g, -0.25, 0.0))
+    return value, gradient, np.zeros(len(value), bool)
+
+
+def _iou_loss_lanes(g, p):
+    iou, _, d_iou, _, raised = _iou_lanes(g, p)
+    return 1.0 - iou, -d_iou, raised
+
+
+def _giou_lanes(g, p):
+    iou, union, d_iou, d_union, raised = _iou_lanes(g, p)
+    ewh, d_hull = _hull_lanes(g, p)
+    c_area = ewh[0] * ewh[1]
+    d_c = ewh.take(_HWHW, 0) * d_hull
+    csq = c_area * c_area
+    _check_mirrored(csq == 0.0, raised)
+    value = 1.0 - iou + (c_area - union) / c_area
+    return value, -d_iou - (d_union * c_area - union * d_c) / csq, raised
+
+
+def _diou_lanes(g, p):
+    """``_diou_terms`` over (4, N) lanes, plus where it raises."""
+    iou, _, d_iou, _, raised = _iou_lanes(g, p)
+    ewh, d_hull = _hull_lanes(g, p)
+    dr = (p[:2] + p[2:]) / 2.0 - (g[:2] + g[2:]) / 2.0  # (drx, dry)
+    dr_sq = np.float_power(dr, 2.0)
+    raised |= (np.isinf(dr_sq) & np.isfinite(dr)).any(0)  # where Python's ** raises OverflowError
+    rho2 = dr_sq[0] + dr_sq[1]
+    c2 = ewh[0] * ewh[0] + ewh[1] * ewh[1]
+    d_c2 = (2.0 * ewh).take(_WHWH, 0) * d_hull
+    c2sq = c2 * c2
+    _check_mirrored(c2sq == 0.0, raised)
+    value = 1.0 - iou + rho2 / c2
+    return value, -d_iou + (dr.take(_WHWH, 0) * c2 - rho2 * d_c2) / c2sq, raised, iou
+
+
+def _diou_loss_lanes(g, p):
+    return _diou_lanes(g, p)[:3]
+
+
+def _ciou_lanes(g, p):
+    value, gradient, raised, iou = _diou_lanes(g, p)
+    gwh = g[2:] - g[:2]
+    pwh = p[2:] - p[:2]
+    raised |= (gwh <= 0.0).any(0) | (pwh <= 0.0).any(0)
+    _check_mirrored(pwh[0] * pwh[0] + pwh[1] * pwh[1] == 0.0, raised)
+    # Below IoU 0.5 alpha is 0 and the value and gradient are DIoU's, so t (with
+    # its two atan calls) is computed only at or above the gate, and is 0 elsewhere.
+    gate = ~raised & (iou >= 0.5)
+    t = np.zeros(len(gate))
+    for i, a, b, c, d in zip(np.flatnonzero(gate).tolist(), *(x[gate].tolist() for x in (*gwh, *pwh))):
+        t[i] = math.atan(a / b) - math.atan(c / d)
+    pw, ph = pwh
+    v = _FOUR_OVER_PI_SQ * t * t
+    common = 2.0 * _FOUR_OVER_PI_SQ * t / (pw * pw + ph * ph)
+    d_v = common * pwh.take(_HWHW, 0) * _D_V_SIGN  # (common*ph, -common*pw, -common*ph, common*pw)
+    denom = (1.0 - iou) + v
+    alpha = np.where(gate & (denom > 0.0), v / denom, 0.0)
+    return value + alpha * v, gradient + alpha * d_v, raised
+
+
+_LANE_TERMS = {
+    LossKind.L1: _l1_lanes,
+    LossKind.IOU: _iou_loss_lanes,
+    LossKind.GIOU: _giou_lanes,
+    LossKind.DIOU: _diou_loss_lanes,
+    LossKind.CIOU: _ciou_lanes,
+}
+
+
+def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
+    """The loss of every lane at once: lane ``i`` is kind ``_LANE_KINDS[codes[i]]``
+    of ``gt[:, i]`` against ``pred[:, i]``, where ``gt`` and ``pred`` are (4, N)
+    float64 rows of x_min, y_min, x_max and y_max. Each run of equal codes is one
+    block, so lanes grouped by kind cost one block per kind.
+
+    Returns ``(value (N,), gradient (4, N), raises (N,))``: ``raises`` is True
+    exactly where the scalar loss raises a BoxlabError, and elsewhere value and
+    gradient equal the scalar ones (a zero component may differ in sign).
+    Raises ``_LaneFallback`` where the scalar loss raises anything else.
+    """
+    n = len(codes)
+    value = np.empty(n)
+    gradient = np.empty((4, n))
+    raises = np.empty(n, bool)
+    cuts = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), n]
+    with np.errstate(all="ignore"):  # the raising lanes' values are never read
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            terms = _LANE_TERMS[_LANE_KINDS[codes[a]]]
+            value[a:b], gradient[:, a:b], raises[a:b] = terms(gt[:, a:b], pred[:, a:b])
+    return value, gradient, raises

@@ -276,6 +276,19 @@ class TestConvergenceCommand:
         assert main(["convergence", "--trials", "2", "--lr", lr]) == 1
         assert capsys.readouterr().err == f"error: learning_rate must be positive and finite, got {lr}\n"
 
+    @pytest.mark.parametrize("loss", ["diou", "ciou"])
+    def test_overflowing_center_distance(self, loss, capsys):
+        # Every step of 1e200/2**k moves the center by about 1e193, whose square
+        # overflows: `drx ** 2` used to end in an OverflowError traceback.
+        argv = ["convergence", "--trials", "30", "--losses", loss, "--lr", "1e200", "--max-iters", "20",
+                "--seed", "3", "--format", "csv"]
+        assert main(argv) == 0  # backtracking rejects each overflowing candidate, so no trial moves
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert len(rows) == 30 and all(row[2:] == ["0", "", "0.0"] for row in rows)
+        assert main(argv + ["--no-backtracking"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DIoU undefined: the squared center distance overflows (")
+
 
 class TestAnchorsCommand:
     def test_explicit_feature_sizes_csv(self, capsys):
@@ -590,3 +603,17 @@ class TestFuzzedInputExitCodes:
     @given(metrics=_metrics_docs)
     def test_report(self, metrics):
         assert _exit_code(["report", "{dir}/metrics.json", "--baseline", "m0"], {"metrics.json": metrics}) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        lr=st.floats(1e-300, 1e308),
+        max_iters=st.integers(0, 50),
+        success_iou=_mostly(st.floats(0.0, 1.0, exclude_min=True), st.floats(), odds=10),
+        parameterization=st.sampled_from(["corner", "center"]),
+        backtracking=st.sampled_from(["--backtracking", "--no-backtracking"]),
+    )
+    def test_convergence(self, lr, max_iters, success_iou, parameterization, backtracking):
+        argv = ["convergence", "--trials", "30", "--losses", "l1,iou,giou,diou,ciou", "--lr", repr(lr),
+                "--max-iters", str(max_iters), f"--success-iou={success_iou!r}",
+                "--parameterization", parameterization, backtracking, "--format", "csv", "--output", "{dir}/out.csv"]
+        assert _exit_code(argv, {}) in (0, 1, 2)

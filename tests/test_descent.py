@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from boxlab.descent import (
     PairSampler,
     Trajectory,
     TrajectoryPoint,
+    TrialRecord,
     _step,
     convergence_study,
     run_descent,
@@ -322,3 +324,111 @@ class TestConvergenceStudy:
             PairSampler(size_range=(0.0, 1.0))
         with pytest.raises(ValidationError):
             PairSampler(coord_range=(0.0, 2.0), size_range=(0.5, 3.0))
+
+
+class FixedPairs:
+    """Stands in for a PairSampler: ``convergence_study`` only asks it for ``trials`` pairs."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def sample_pairs(self, n):
+        assert n == len(self.pairs)
+        return list(self.pairs)
+
+
+LANE_PAIRS = SAMPLED_PAIRS + [TIED_L1_STEP, RAISING_CIOU[:2]]
+
+
+def outcome(fn):
+    """``repr`` of what ``fn()`` returns, or the class and message of the BoxlabError it raises."""
+    try:
+        return repr(fn())
+    except BoxlabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def scalar_records(pairs, kinds, cfg):
+    """The study's records, one ``run_descent`` per (kind, trial) pair in (kind, trial) order."""
+    records = []
+    for kind in sorted(kinds, key=lambda k: k.value):
+        for trial, (init, target) in enumerate(pairs):
+            t = run_descent(init, target, replace(cfg, loss_kind=kind))
+            records.append(TrialRecord(trial, kind, t.converged, t.converged_at, t.final_iou))
+    return tuple(records)
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """The pairs ``convergence_study`` hands to ``run_descent`` (it does so only to raise its error)."""
+    calls = []
+
+    def recording(init, target, cfg):
+        calls.append((init, target))
+        return run_descent(init, target, cfg)
+
+    monkeypatch.setattr(boxlab.descent, "run_descent", recording)
+    return calls
+
+
+class TestLockstepStudy:
+    """``convergence_study`` runs its pairs as lanes; they must stop where ``run_descent`` stops."""
+
+    @pytest.mark.parametrize("lr", [0.1, 2.0, 3.0])
+    @pytest.mark.parametrize("backtracking", [False, True])
+    @pytest.mark.parametrize("parameterization", ["corner", "center"])
+    def test_records_match_run_descent(self, parameterization, backtracking, lr, scalar_calls):
+        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=lr, max_iters=40, backtracking=backtracking,
+                            parameterization=parameterization)
+        want = scalar_records(LANE_PAIRS, list(LossKind), cfg)
+        study = convergence_study(len(LANE_PAIRS), list(LossKind), FixedPairs(LANE_PAIRS), cfg)
+        assert scalar_calls == []  # the lanes made these records
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(study.records) == repr(want)
+
+    @pytest.mark.parametrize("parameterization", ["corner", "center"])
+    def test_raising_ciou_candidate_rejected(self, parameterization, scalar_calls):
+        init, target, lr = RAISING_CIOU
+        if parameterization == "center":
+            lr *= 2.0  # the center step halves the size change
+        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30, backtracking=True,
+                            parameterization=parameterization)
+        pairs = [(init, target)] + SAMPLED_PAIRS[:29]
+        study = convergence_study(30, [LossKind.CIOU], FixedPairs(pairs), cfg)
+        assert scalar_calls == []
+        assert repr(study.records) == repr(scalar_records(pairs, [LossKind.CIOU], cfg))
+        assert study.records[0].converged
+
+    def test_summary_from_lane_records(self):
+        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=3.0, max_iters=100, backtracking=True)
+        study = convergence_study(30, [LossKind.GIOU, LossKind.DIOU], PairSampler(seed=68), cfg)
+        for kind, summary in study.summary.items():
+            records = [r for r in study.records if r.loss_kind is kind]
+            iterations = sorted(math.inf if r.iterations is None else r.iterations for r in records)
+            assert summary.convergence_rate == sum(r.converged for r in records) / 30
+            assert summary.median_iterations == iterations[14] / 2 + iterations[15] / 2
+
+    @pytest.mark.parametrize(
+        "pair, kinds, cfg, error",
+        [
+            # IoU's gradient near these 0.1-wide boxes is about 10: a step of 1e308 leaves the floats.
+            ((Box(0.0, 0.0, 0.1, 0.1), Box(0.05, 0.05, 0.15, 0.15)), [LossKind.IOU],
+             DescentConfig(loss_kind=LossKind.IOU, learning_rate=1e308), "InvalidBoxError"),
+            ((Box(0.0, 0.0, 0.1, 0.1), Box(0.05, 0.05, 0.15, 0.15)), [LossKind.IOU],
+             DescentConfig(loss_kind=LossKind.IOU, learning_rate=1e308, backtracking=True), "InvalidBoxError"),
+            (RAISING_CIOU[:2], [LossKind.CIOU, LossKind.DIOU],
+             DescentConfig(loss_kind=LossKind.CIOU, learning_rate=RAISING_CIOU[2], max_iters=30),
+             "DegenerateAspectError"),
+            (TIED_L1_STEP, [LossKind.DIOU, LossKind.L1],
+             DescentConfig(loss_kind=LossKind.DIOU, learning_rate=1e200, max_iters=5), "ValidationError"),
+        ],
+        ids=["non-finite-step", "non-finite-candidate", "degenerate-ciou", "overflowing-center-distance"],
+    )
+    def test_raises_as_run_descent(self, pair, kinds, cfg, error, scalar_calls):
+        # The study must raise the scalar loop's first error in (kind, trial) order, wherever
+        # the lanes meet theirs.
+        pairs = PairSampler(seed=69, disjoint=False).sample_pairs(30) + [pair]
+        want = outcome(lambda: scalar_records(pairs, kinds, cfg))
+        assert want[0] == error
+        assert outcome(lambda: convergence_study(len(pairs), kinds, FixedPairs(pairs), cfg)) == want
+        assert scalar_calls  # the error came from run_descent itself

@@ -49,6 +49,13 @@ class TestF1:
     def test_both_zero(self):
         assert f1(0.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("p, r", [(-1.0, 1.0), (1.0, -1.0), (0.5, 1.5), (float("nan"), 0.5), (0.5, float("inf"))])
+    def test_out_of_range_named(self, p, r):
+        # (-1, 1) cancelled in the denominator and raised ZeroDivisionError.
+        with pytest.raises(ValidationError) as err:
+            f1(p, r)
+        assert str(err.value) == f"F1 needs values in [0, 1], got {p!r} and {r!r}"
+
 
 class TestMatchDetections:
     def test_perfect_single(self):

@@ -10,8 +10,10 @@ of zeros are pinned too.
 L1, IoU, GIoU and DIoU must match exactly. CIoU goes through ``math.atan``,
 which may differ by an ulp between libms: where this libm reproduces the two
 stored ``atan`` values of a case, CIoU must match exactly; elsewhere each
-component may differ by at most 2 ulp. Regenerate only for an intended change
-of the loss arithmetic:
+component may differ by at most 2 ulp. The lane kernel that descent's
+convergence study runs is held to the same values, to gradients equal up to
+the sign of a zero, and to raising exactly where the scalar loss raises.
+Regenerate only for an intended change of the loss arithmetic:
 
     PYTHONPATH=src python tests/test_loss_golden.py
 """
@@ -23,11 +25,12 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from boxlab.errors import BoxlabError
 from boxlab.geometry import Box
-from boxlab.losses import LossKind, loss
+from boxlab.losses import _LANE_KINDS, LossKind, _lane_loss, loss
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "loss_golden.json"
 
@@ -121,6 +124,42 @@ def test_ciou_match():
         assert not isinstance(got, str), (gt, pred)
         for mine, theirs in zip(got, want):
             assert ulps_apart(float.fromhex(mine), float.fromhex(theirs)) <= 2, (gt, pred)
+
+
+def lane_outputs(codes: list[int]) -> list[tuple]:
+    """The lane kernel over every golden case, case ``i`` as a lane of kind code ``codes[i]``."""
+    cases = golden_cases()
+    value, gradient, raises = _lane_loss(
+        np.array(codes), np.array([gt for _, gt, _ in cases]).T, np.array([pred for _, _, pred in cases]).T
+    )
+    return list(zip(value.tolist(), gradient.T.tolist(), raises.tolist()))
+
+
+def assert_lane_matches(kind: LossKind, rec: dict, gt: tuple, pred: tuple, lane: tuple) -> None:
+    value, gradient, raises = lane
+    want = rec[kind.value]
+    assert raises == isinstance(want, str), (kind, gt, pred)
+    if raises:
+        return
+    if kind is LossKind.CIOU and [aspect_atan(gt), aspect_atan(pred)] != rec["atan"]:
+        want = outputs(kind, gt, pred)  # this libm's atan: hold the lanes to the scalar loss
+    assert value.hex() == want[0], (kind, gt, pred)
+    # == lets a zero's sign differ; NaN (past 1e150 the squared union overflows) equals NaN.
+    assert np.array_equal(gradient, [float.fromhex(x) for x in want[1:]], equal_nan=True), (kind, gt, pred)
+
+
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+def test_lane_kernel(kind):
+    lanes = lane_outputs([_LANE_KINDS.index(kind)] * len(golden_cases()))
+    for (rec, gt, pred), lane in zip(golden_cases(), lanes):
+        assert_lane_matches(kind, rec, gt, pred, lane)
+
+
+def test_lane_kernel_mixed_kinds():
+    # Neighbouring lanes of different kinds: one block per run of equal codes.
+    codes = [(i // 3) % len(_LANE_KINDS) for i in range(len(golden_cases()))]
+    for (rec, gt, pred), code, lane in zip(golden_cases(), codes, lane_outputs(codes)):
+        assert_lane_matches(_LANE_KINDS[code], rec, gt, pred, lane)
 
 
 if __name__ == "__main__":

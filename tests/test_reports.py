@@ -36,6 +36,10 @@ class TestModelReportRow:
         row = ModelReportRow("m", 0.9408, 0.9428, 0.973, 59.5)
         assert row.f1 == pytest.approx(0.9566, abs=1e-4)
 
+    def test_f1_of_out_of_range_values_named(self):
+        with pytest.raises(ValidationError, match=r"F1 needs values in \[0, 1\], got -1.0 and 1.0"):
+            ModelReportRow("m", -1.0, 0.5, 1.0, 10.0).f1
+
     def test_published_rows_reproduce_f1_and_fps(self):
         rows, doc = _published_rows()
         for row, rec in zip(rows, doc["models"]):
