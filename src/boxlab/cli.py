@@ -282,6 +282,11 @@ def cmd_convergence(args: argparse.Namespace) -> Output:
 # --- anchors --------------------------------------------------------------
 
 
+# Most anchors one ``anchors`` run tiles, checked before any tiling. A 3840x2160 image
+# at the default pyramid tiles 2,065,680.
+_MAX_ANCHORS = 4_000_000
+
+
 def cmd_anchors(args: argparse.Namespace) -> Output:
     cfg = AnchorConfig(
         scale=args.scale,
@@ -289,12 +294,16 @@ def cmd_anchors(args: argparse.Namespace) -> Output:
         strides=_parse_list(args.strides, "--strides", int),
     )
     if args.feature_sizes:
-        feature_sizes = [_parse_pair(tok, "--feature-sizes") for tok in args.feature_sizes.split(",")]
+        flag, spec = "--feature-sizes", args.feature_sizes
+        feature_sizes = [_parse_pair(tok, flag) for tok in spec.split(",")]
     elif args.image_size:
-        width, height = _parse_pair(args.image_size, "--image-size")
-        feature_sizes = [(math.ceil(height / s), math.ceil(width / s)) for s in cfg.strides]
+        flag, spec = "--image-size", args.image_size
+        width, height = _parse_pair(spec, flag)
+        feature_sizes = [(-(-height // s), -(-width // s)) for s in cfg.strides]  # exact ceil, any size
     else:
         raise ValidationError("one of --image-size or --feature-sizes is required")
+    if sum(h * w for h, w in feature_sizes) * len(cfg.aspect_ratios) > _MAX_ANCHORS:
+        raise ValidationError(f"bad {flag} {spec!r}: tiles more than the limit of {_MAX_ANCHORS:,} anchors")
     anchors = generate_anchors(cfg, feature_sizes)
 
     def doc() -> list[dict]:

@@ -62,6 +62,8 @@ class DescentConfig:
             raise ValidationError(f"success_iou must be in (0, 1], got {self.success_iou}")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be non-negative")
+        if self.max_halvings < 0:
+            raise ValidationError(f"max_halvings must be non-negative, got {self.max_halvings}")
         if self.parameterization not in ("corner", "center"):
             raise ValidationError(
                 f"parameterization must be 'corner' or 'center', got {self.parameterization!r}"
@@ -270,8 +272,6 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
     Raises ``_LaneFallback`` where ``run_descent`` would raise on some lane.
     """
     if ((targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0).any():
-        raise _LaneFallback
-    if cfg.backtracking and cfg.max_halvings < 0:  # no step is ever tried
         raise _LaneFallback
     sizes = [cfg.learning_rate]
     # Past the first zero step size every candidate is the same box, so the scan stops there.

@@ -9,7 +9,10 @@ Anchors are not clipped to image bounds; clipping policy belongs to callers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +55,24 @@ class AnchorConfig:
             raise ValidationError(
                 f"strides must be strictly increasing positive integers, got {self.strides}"
             )
+        for stride in self.strides:
+            try:
+                halves = self._half_extents(stride)
+            except OverflowError:
+                raise ValidationError(
+                    f"scale * stride must fit a float, got scale {self.scale} and stride {stride}"
+                ) from None
+            for r, (hw, hh) in zip(self.aspect_ratios, halves):
+                if not (hw < inf and hh < inf):  # NaN fails too
+                    raise ValidationError(
+                        f"aspect_ratios: ratio {r} at stride {stride} and scale {self.scale} "
+                        f"gives a non-finite anchor half-extent {(hw, hh)}"
+                    )
+
+    def _half_extents(self, stride: int) -> list[tuple[float, float]]:
+        """(half width, half height) per aspect ratio of the anchors at ``stride``."""
+        base = float(stride * self.scale)
+        return [(base * math.sqrt(r) / 2, base / math.sqrt(r) / 2) for r in self.aspect_ratios]
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,18 +139,32 @@ def generate_anchors(
     for level, (stride, (height, width)) in enumerate(zip(cfg.strides, feature_sizes)):
         if height <= 0 or width <= 0:
             raise ValidationError(f"feature size of level {level} must be positive, got {height}x{width}")
-        base = float(stride * cfg.scale)
-        halves = [(base * math.sqrt(r) / 2, base / math.sqrt(r) / 2) for r in cfg.aspect_ratios]
+        halves = cfg._half_extents(stride)
+        n = width * len(halves)
         # (min, max) extents per ratio, computed once per column and once per row.
-        x_spans = [[(cx - hw, cx + hw) for hw, _ in halves] for cx in ((c + 0.5) * stride for c in range(width))]
+        centers = [(c + 0.5) * stride for c in range(width)]
+        x0s = [cx - hw for cx in centers for hw, _ in halves]
+        x1s = [cx + hw for cx in centers for hw, _ in halves]
+        x_ok = all(-inf < lo <= hi < inf for lo, hi in zip(x0s, x1s))
         for row in range(height):
             cy = (row + 0.5) * stride
-            y_spans = [(cy - hh, cy + hh) for _, hh in halves]
-            for col, xs in enumerate(x_spans):
-                cell = (row, col)
-                for (x0, x1), (y0, y1) in zip(xs, y_spans):
-                    anchors.append(Anchor(Box(x0, y0, x1, y1), level, cell))
+            y0s = [cy - hh for _, hh in halves]
+            y1s = [cy + hh for _, hh in halves]
+            columns = (x0s, y0s * width, x1s, y1s * width)
+            if not (x_ok and all(-inf < lo <= hi < inf for lo, hi in zip(y0s, y1s))):
+                deque(map(Box, *columns), 0)  # Box raises, naming the row's first bad anchor
+            cells = [cell for col in range(width) for cell in repeat((row, col), len(halves))]
+            anchors += _build(Anchor, (_build(Box, columns, n), repeat(level, n), cells), n)
     return anchors
+
+
+def _build(cls, columns, n: int) -> list:
+    """``n`` instances of the frozen slotted dataclass ``cls``, slot j of instance i set to
+    ``columns[j][i]`` through the slot descriptor: neither ``__init__`` nor ``__post_init__`` runs."""
+    objs = list(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, objs, column), 0)
+    return objs
 
 
 def encode_delta(anchor: Box, target: Box) -> BoxDelta:

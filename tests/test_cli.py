@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab import cli
 from boxlab.augment import plan_from_lines, sample_plan, AugmentParams
 from boxlab.cli import Output, _render, main
 
@@ -333,6 +334,19 @@ class TestAnchorsCommand:
             (["--image-size", "8x8", "--ratios", "1,inf"], "aspect ratios must be positive and finite, got (1.0, inf)"),
             (["--image-size", "8x0"], "bad --image-size '8x0': sizes must be positive"),
             (["--feature-sizes", "2x-1", "--strides", "8"], "bad --feature-sizes '2x-1': sizes must be positive"),
+            # Timed out before: about 10**15 anchors.
+            (["--image-size", "99999999x99999999"],
+             "bad --image-size '99999999x99999999': tiles more than the limit of 4,000,000 anchors"),
+            # ceil(height / stride) overflowed a float before.
+            (["--image-size", f"1x{10**400}"], f"bad --image-size '1x{10**400}': tiles more than the limit of 4,000,000 anchors"),
+            (["--feature-sizes", "1x1,2000x1000", "--strides", "4,8"],
+             "bad --feature-sizes '1x1,2000x1000': tiles more than the limit of 4,000,000 anchors"),
+            # An OverflowError traceback before.
+            (["--image-size", "8x8", "--scale", str(10**310)],
+             f"scale * stride must fit a float, got scale {10**310} and stride 4"),
+            # Box rejected the first anchor before, naming no field.
+            (["--feature-sizes", "1x1", "--strides", "1", "--scale", str(10**200), "--ratios", "1e300"],
+             f"aspect_ratios: ratio 1e+300 at stride 1 and scale {10**200} gives a non-finite anchor half-extent (inf, 5e+49)"),
         ],
     )
     def test_out_of_range_values_exit_1(self, args, message, capsys):
@@ -340,6 +354,12 @@ class TestAnchorsCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_anchor_cap_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_MAX_ANCHORS", 6)
+        assert main(["anchors", "--feature-sizes", "1x2", "--strides", "16", "--format", "csv"]) == 0
+        assert main(["anchors", "--feature-sizes", "1x1,1x2", "--strides", "8,16"]) == 1
+        assert capsys.readouterr().err == "error: bad --feature-sizes '1x1,1x2': tiles more than the limit of 6 anchors\n"
 
 
 class TestAugmentPlanCommand:
@@ -585,6 +605,18 @@ _metrics_docs = _mostly(
 )
 
 
+# Flags of `anchors`: at most 32x32 cells per level, 4 levels and 4 ratios, so no run tiles more than
+# 16,384 anchors, far under the CLI's cap; junk values stop in parsing or validation.
+_anchor_size = _mostly(st.builds("{}x{}".format, st.integers(1, 32), st.integers(1, 32)),
+                       st.sampled_from(["0x5", "8x", "ax3", "-2x4", "3x4x5", "", "1e3x2"]))
+_anchor_ratios = st.lists(_mostly(st.sampled_from([0.5, 1.0, 2.0, 0.3, 3.3]), st.floats()), min_size=1, max_size=4)
+_anchor_strides = _mostly(
+    st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True).map(sorted).map(lambda s: ",".join(map(str, s))),
+    st.sampled_from(["0", "8,8", "16,8", "4.5", "", str(10**308), str(10**400), f"1,{4 * 10**307}"]),
+)
+_anchor_scale = _mostly(st.integers(1, 16), st.sampled_from([0, -1, 10**200, 10**310]))
+
+
 def _exit_code(argv, docs):
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
@@ -616,4 +648,18 @@ class TestFuzzedInputExitCodes:
         argv = ["convergence", "--trials", "30", "--losses", "l1,iou,giou,diou,ciou", "--lr", repr(lr),
                 "--max-iters", str(max_iters), f"--success-iou={success_iou!r}",
                 "--parameterization", parameterization, backtracking, "--format", "csv", "--output", "{dir}/out.csv"]
+        assert _exit_code(argv, {}) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        image_size=st.booleans(),
+        sizes=st.lists(_anchor_size, min_size=1, max_size=4),
+        scale=_anchor_scale,
+        ratios=_anchor_ratios,
+        strides=_anchor_strides,
+    )
+    def test_anchors(self, image_size, sizes, scale, ratios, strides):
+        size_flags = ["--image-size", sizes[0]] if image_size else ["--feature-sizes", ",".join(sizes)]
+        argv = ["anchors", *size_flags, "--scale", str(scale), "--ratios", ",".join(map(repr, ratios)),
+                "--strides", strides, "--format", "csv", "--output", "{dir}/out.csv"]
         assert _exit_code(argv, {}) in (0, 1, 2)

@@ -182,6 +182,14 @@ class TestRunDescent:
             DescentConfig(loss_kind=LossKind.IOU, learning_rate=lr)
         assert str(err.value) == f"learning_rate must be positive and finite, got {lr}"
 
+    def test_negative_max_halvings_named(self):
+        # Accepted before: with backtracking no step was ever tried, and run_descent
+        # returned a 1-point trajectory with final IoU 0.0.
+        with pytest.raises(ValidationError) as err:
+            run_descent(Box(0, 0, 1, 1), Box(2, 2, 3, 3),
+                        DescentConfig(LossKind.GIOU, backtracking=True, max_halvings=-1))
+        assert str(err.value) == "max_halvings must be non-negative, got -1"
+
 
 class TestLossEvaluations:
     @pytest.mark.parametrize("parameterization", ["corner", "center"])

@@ -40,6 +40,10 @@ class TestAnchorConfig:
             {"strides": (8, 8)},
             {"strides": (16, 8)},
             {"strides": (0, 8)},
+            # generate_anchors raised OverflowError (base side) or InvalidBoxError (half-extent) before.
+            {"scale": 10**310},
+            {"scale": 10**200, "aspect_ratios": (1.0, 1e300)},
+            {"scale": 10**200, "aspect_ratios": (1e-300,)},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -93,6 +97,89 @@ class TestGenerateAnchors:
     def test_nonpositive_feature_size(self, size):
         with pytest.raises(ValidationError, match=f"level 1 must be positive, got {size[0]}x{size[1]}"):
             generate_anchors(AnchorConfig(strides=(8, 16)), [(2, 2), size])
+
+
+def _reference_anchors(cfg, feature_sizes):
+    """generate_anchors as one Anchor(Box(...)) per anchor: the loop the bulk build replaced."""
+    anchors = []
+    for level, (stride, (height, width)) in enumerate(zip(cfg.strides, feature_sizes)):
+        base = float(stride * cfg.scale)
+        halves = [(base * math.sqrt(r) / 2, base / math.sqrt(r) / 2) for r in cfg.aspect_ratios]
+        x_spans = [[(cx - hw, cx + hw) for hw, _ in halves] for cx in ((c + 0.5) * stride for c in range(width))]
+        for row in range(height):
+            cy = (row + 0.5) * stride
+            y_spans = [(cy - hh, cy + hh) for _, hh in halves]
+            for col, xs in enumerate(x_spans):
+                cell = (row, col)
+                for (x0, x1), (y0, y1) in zip(xs, y_spans):
+                    anchors.append(Anchor(Box(x0, y0, x1, y1), level, cell))
+    return anchors
+
+
+def _fields(anchors):
+    return [(a.level, a.cell, *map(float.hex, a.box.as_tuple())) for a in anchors]
+
+
+def _sharing(anchors):
+    """Per anchor, the index of the first anchor holding the same object, for each coordinate and
+    the cell: equal lists mean the same floats and tuples are shared between the same anchors."""
+    first: dict = {}
+    return [
+        [first.setdefault((k, id(v)), i) for k, v in enumerate((*a.box.as_tuple(), a.cell))]
+        for i, a in enumerate(anchors)
+    ]
+
+
+_PYRAMIDS = {
+    "default_640x360": (AnchorConfig(), [(90, 160), (45, 80), (23, 40), (12, 20)]),
+    "1x1": (AnchorConfig(strides=(16,)), [(1, 1)]),
+    "1xN": (AnchorConfig(strides=(8,)), [(1, 37)]),
+    "Nx1": (AnchorConfig(strides=(8,)), [(29, 1)]),
+    "odd_strides_4_ratios": (AnchorConfig(scale=3, aspect_ratios=(0.3, 0.7, 1.5, 3.3), strides=(3, 7, 13)),
+                             [(11, 17), (5, 7), (3, 2)]),
+    "large_scale": (AnchorConfig(scale=10**290, aspect_ratios=(0.6, 1.0, 1.7), strides=(5, 9)), [(4, 6), (3, 2)]),
+}
+
+
+class TestBulkAnchors:
+    """generate_anchors builds its objects per row without Box.__init__; every anchor must equal the
+    reference loop's, bit for bit, with the same objects shared."""
+
+    @pytest.mark.parametrize("name", sorted(_PYRAMIDS))
+    def test_matches_reference_loop(self, name):
+        cfg, sizes = _PYRAMIDS[name]
+        got, want = generate_anchors(cfg, sizes), _reference_anchors(cfg, sizes)
+        assert _fields(got) == _fields(want)
+        assert _sharing(got) == _sharing(want)
+
+    @pytest.mark.parametrize("name", sorted(_PYRAMIDS))
+    def test_objects_equal_constructed_ones(self, name):
+        cfg, sizes = _PYRAMIDS[name]
+        for a in generate_anchors(cfg, sizes):
+            assert all(hasattr(a, s) for s in Anchor.__slots__) and all(hasattr(a.box, s) for s in Box.__slots__)
+            assert type(a) is Anchor and type(a.box) is Box
+            built = Anchor(Box(*a.box.as_tuple()), a.level, a.cell)
+            assert a == built and hash(a) == hash(built)
+            assert a.box == built.box and hash(a.box) == hash(built.box)
+
+    @pytest.mark.parametrize(
+        "cfg, sizes",
+        [
+            # An x extent overflows at cell (0, 3), on the middle ratio.
+            (AnchorConfig(scale=1, aspect_ratios=(0.25, 4.0, 1.0), strides=(4 * 10**307,)), [(1, 4)]),
+            # A y extent overflows on row 1 of the second level only.
+            (AnchorConfig(scale=1, aspect_ratios=(1.0,), strides=(1, 10**308)), [(2, 2), (2, 1)]),
+            # Every row of the level fails through its x extents.
+            (AnchorConfig(scale=1, aspect_ratios=(0.5, 2.0), strides=(10**308,)), [(3, 3)]),
+        ],
+    )
+    def test_overflowing_anchor_raises_like_reference(self, cfg, sizes):
+        with pytest.raises(InvalidBoxError) as want:
+            _reference_anchors(cfg, sizes)
+        with pytest.raises(InvalidBoxError) as got:
+            generate_anchors(cfg, sizes)
+        assert str(got.value) == str(want.value)
+        assert "inf" in str(got.value)
 
 
 _corner_and_extents = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
