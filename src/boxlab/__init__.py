@@ -14,11 +14,8 @@ from .errors import (
 )
 from .geometry import Box, area, intersection_area, iou
 from .losses import (
-    CiouInternals,
     LossKind,
     LossResult,
-    ciou_internals,
-    finite_diff_gradient,
     loss,
     loss_ciou,
     loss_diou,
@@ -60,10 +57,8 @@ from .augment import (
     flip_box_h,
     plan_from_lines,
     plan_to_lines,
-    read_plan,
     sample_plan,
     shift_scale_rotate_box,
-    write_plan,
 )
 from .descent import (
     ConvergenceStudy,
@@ -85,7 +80,6 @@ from .coco_io import (
     SplitSpec,
     load_manifest,
     load_predictions,
-    save_manifest,
     split_dataset,
     split_ids,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,8 +33,6 @@ __all__ = [
     "sample_plan",
     "plan_to_lines",
     "plan_from_lines",
-    "write_plan",
-    "read_plan",
 ]
 
 MIN_KEPT_BOX_AREA = 1.0  # square pixels; clipped boxes below this are dropped
@@ -52,8 +51,10 @@ class AugmentParams:
     shift_scale_rotate_prob: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in _PARAM_FIELDS:  # NaN passes every range check below, and an infinite bound samples NaN
-            if not math.isfinite(value := getattr(self, name)):
+        # NaN passes every range check below, an infinite bound samples NaN, and an int past the
+        # float range fails at its first float operation.
+        for name in _PARAM_FIELDS:
+            if not -sys.float_info.max <= (value := getattr(self, name)) <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValidationError("image dimensions must be positive")
@@ -65,6 +66,15 @@ class AugmentParams:
             raise ValidationError("shift/scale bounds must be non-negative")
         if not 0.0 <= self.max_rotate_deg < 180.0:
             raise ValidationError(f"max_rotate_deg must be in [0, 180), got {self.max_rotate_deg}")
+        # sample_plan draws from [-frac*size, frac*size] and [1 - delta, 1 + delta] with random.uniform,
+        # which adds the interval's width to its low end: each width must be finite.
+        size = max(self.image_width, self.image_height)
+        if not 2.0 * self.max_shift_frac * size < math.inf:
+            raise ValidationError(
+                f"max_shift_frac {self.max_shift_frac} at image size {size} gives a shift range past the float range"
+            )
+        if not 2.0 * self.max_scale_delta < math.inf:
+            raise ValidationError(f"max_scale_delta {self.max_scale_delta} gives a scale range past the float range")
 
 
 @dataclass(frozen=True)
@@ -259,16 +269,3 @@ def plan_from_lines(lines: Sequence[str]) -> AugmentPlan:
         except ValueError as exc:
             raise ParseError(f"bad augment plan line: {line!r}") from exc
     return AugmentPlan(seed=seed, params=params, decisions=tuple(decisions))
-
-
-def write_plan(plan: AugmentPlan, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(plan_to_lines(plan)) + "\n")
-
-
-def read_plan(path: str) -> AugmentPlan:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return plan_from_lines(fh.read().splitlines())
-    except OSError as exc:
-        raise ParseError(f"cannot read augment plan {path}: {exc}") from exc

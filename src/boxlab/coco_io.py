@@ -40,7 +40,6 @@ __all__ = [
     "SplitSpec",
     "DatasetSplit",
     "load_manifest",
-    "save_manifest",
     "load_predictions",
     "split_ids",
     "split_dataset",
@@ -241,33 +240,6 @@ def load_manifest(path: str) -> DatasetManifest:
         (InvalidBoxError, np.isinf(areas), lambda rec: f"bbox {_xywh(rec)} has an area as corners that is not finite"),
     ])
     return DatasetManifest(images=tuple(images), categories=tuple(categories), annotations=annotations)
-
-
-def save_manifest(manifest: DatasetManifest, path: str) -> None:
-    """Write a manifest back to the COCO layout (bbox as x, y, width, height)."""
-    doc = {
-        "images": [
-            {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
-            for im in manifest.images
-        ],
-        "categories": [{"id": c.id, "name": c.name} for c in manifest.categories],
-        "annotations": [
-            {
-                "id": i,
-                "image_id": ann.image_id,
-                "category_id": ann.class_id,
-                "bbox": [
-                    ann.box.x_min,
-                    ann.box.y_min,
-                    ann.box.width,
-                    ann.box.height,
-                ],
-            }
-            for i, ann in enumerate(manifest.annotations)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
 
 
 def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequence[Detection]:

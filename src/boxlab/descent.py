@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BoxlabError, ValidationError
 from .geometry import Box, area, intersection_area, iou, iou_array
-from .losses import _LANE_KINDS, GradVec, LossKind, _lane_loss, _LaneFallback, loss
+from .losses import _LANE_KINDS, GradVec, LossKind, _lane_loss, loss
 
 __all__ = [
     "DescentConfig",
@@ -268,19 +268,19 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
     """``run_descent`` on every lane at once: lane ``i`` starts at ``inits[:, i]``
     toward ``targets[:, i]`` ((4, N) corner rows) with loss kind ``codes[i]``.
 
-    Returns each lane's ``converged_at`` (-1 for None) and its final box, (4, N).
-    Raises ``_LaneFallback`` where ``run_descent`` would raise on some lane.
+    Returns each lane's ``converged_at`` (-1 for None), its final box (4, N), and
+    ``failed`` (N,): True where ``run_descent`` raises on the lane. A failed lane
+    stops where it would raise (its target has no area, its start loss raises, a
+    step leaves the floats, or a step's loss raises without backtracking), and its
+    other two results mean nothing.
     """
-    if ((targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0).any():
-        raise _LaneFallback
     sizes = [cfg.learning_rate]
     # Past the first zero step size every candidate is the same box, so the scan stops there.
     while cfg.backtracking and len(sizes) <= cfg.max_halvings and sizes[-1] > 0.0:
         sizes.append(sizes[-1] / 2.0)
 
-    value, gradient, raises = _lane_loss(codes, targets, inits)
-    if raises.any():
-        raise _LaneFallback
+    value, gradient, failed = _lane_loss(codes, targets, inits)
+    failed |= (targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0
     converged_at = np.full(len(codes), -1)
     final = inits.copy()
     lane, pred = np.arange(len(codes)), inits
@@ -289,7 +289,7 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
         hit = iou_array(targets.T, pred.T) >= cfg.success_iou
         converged_at[lane[hit]] = steps
         # grad_norm == 0.0 exactly where every g*g is 0 (a NaN component is not).
-        stop = hit | (gradient * gradient == 0.0).all(0) | (steps >= cfg.max_iters)
+        stop = failed[lane] | hit | (gradient * gradient == 0.0).all(0) | (steps >= cfg.max_iters)
         if cfg.backtracking and not stop.all():
             # Every step size of every moving lane in one kernel call; a lane takes
             # its first accepted candidate, and stops if it has none.
@@ -302,15 +302,14 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
             accepted = finite & ~cand_raises.reshape(-1, k) & (cand_value.reshape(-1, k) <= value[~stop, None])
             first = (accepted | ~finite).argmax(1)
             rows = np.arange(len(first))
-            if (~finite[rows, first]).any():  # _step raises on a box built before any accepted one
-                raise _LaneFallback
+            failed[lane[~stop][~finite[rows, first]]] = True  # _step raises on a box built before any accepted one
             moved = accepted[rows, first]
             pick = rows[moved], first[moved]
             stop[~stop] = ~moved
         final[:, lane[stop]] = pred[:, stop]
         keep = ~stop
         if not keep.any():
-            return converged_at, final
+            return converged_at, final, failed
         lane, targets, codes = lane[keep], targets[:, keep], codes[keep]
         if cfg.backtracking:
             pred = candidates[:, pick[0], pick[1]]
@@ -319,11 +318,8 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
             del candidates, cand_value, cand_gradient  # before the next block is built
         else:
             pred = _lane_steps(pred[:, keep], gradient[:, keep], sizes, cfg.parameterization)[:, :, 0]
-            if not np.isfinite(pred).all():
-                raise _LaneFallback
             value, gradient, raises = _lane_loss(codes, targets, pred)
-            if raises.any():
-                raise _LaneFallback
+            failed[lane[raises | ~np.isfinite(pred).all(0)]] = True  # they stop at the next round's test
         steps += 1
 
 
@@ -340,9 +336,10 @@ def convergence_study(
     Non-converged trials count as +inf iterations in the median.
 
     The records are those of ``run_descent`` on each (kind, trial) pair, which
-    run here in lockstep as lanes. Where ``run_descent`` raises on some pair,
-    the pairs are re-run one by one with it, in (kind, trial) order, so the
-    study raises the same error.
+    run here in lockstep as lanes. A lane where ``run_descent`` would raise stops
+    there. Lanes do not interact, so the first such lane in (kind, trial) order
+    holds the scalar loop's first error: the study re-runs that one lane with
+    ``run_descent``, which raises it.
     """
     if trials < 30:
         raise ValidationError(f"need at least 30 trials for a meaningful study, got {trials}")
@@ -352,26 +349,21 @@ def convergence_study(
 
     pairs = sampler.sample_pairs(trials)
     lanes = [(kind, init, target) for kind in kinds for init, target in pairs]
-    try:
-        converged_at, final = _lockstep(
-            np.array([init.as_tuple() for _, init, _ in lanes]).T.copy(),
-            np.array([target.as_tuple() for _, _, target in lanes]).T.copy(),
-            np.array([_LANE_KINDS.index(kind) for kind, _, _ in lanes]),
-            cfg,
-        )
-        outcomes = [
-            (None if at < 0 else at, iou(target, Box(*box)))
-            for (_, _, target), at, box in zip(lanes, converged_at.tolist(), final.T.tolist())
-        ]
-    except _LaneFallback:
-        outcomes = []
-        for kind, init, target in lanes:
-            trajectory = run_descent(init, target, replace(cfg, loss_kind=kind))
-            outcomes.append((trajectory.converged_at, trajectory.final_iou))
+    converged_at, final, failed = _lockstep(
+        np.array([init.as_tuple() for _, init, _ in lanes]).T.copy(),
+        np.array([target.as_tuple() for _, _, target in lanes]).T.copy(),
+        np.array([_LANE_KINDS.index(kind) for kind, _, _ in lanes]),
+        cfg,
+    )
+    if failed.any():
+        kind, init, target = lanes[failed.argmax()]
+        run_descent(init, target, replace(cfg, loss_kind=kind))
+        raise AssertionError(f"lane {failed.argmax()} failed in lockstep, but run_descent did not raise")
 
     records = tuple(
-        TrialRecord(trial=i % trials, loss_kind=kind, converged=at is not None, iterations=at, final_iou=final_iou)
-        for i, ((kind, _, _), (at, final_iou)) in enumerate(zip(lanes, outcomes))
+        TrialRecord(trial=i % trials, loss_kind=kind, converged=at >= 0, iterations=None if at < 0 else at,
+                    final_iou=iou(target, Box(*box)))
+        for i, ((kind, _, target), at, box) in enumerate(zip(lanes, converged_at.tolist(), final.T.tolist()))
     )
     summary: dict[LossKind, KindSummary] = {}
     for j, kind in enumerate(kinds):

@@ -23,7 +23,8 @@ class InvalidBoxError(ValidationError):
 
 
 class UndefinedOverlapError(ValidationError):
-    """IoU requested for a pair of boxes whose union has zero area."""
+    """IoU or an IoU-family loss requested for a pair of boxes whose union has zero area,
+    or, in a loss, one of whose squared denominators underflows to 0."""
 
 
 class DegenerateAspectError(ValidationError):

@@ -38,15 +38,12 @@ __all__ = [
     "GradVec",
     "LossKind",
     "LossResult",
-    "CiouInternals",
     "loss_l1",
     "loss_iou",
     "loss_giou",
     "loss_diou",
     "loss_ciou",
-    "ciou_internals",
     "loss",
-    "finite_diff_gradient",
 ]
 
 GradVec = tuple[float, float, float, float]
@@ -72,12 +69,9 @@ class LossResult:
     gradient: GradVec
 
 
-@dataclass(frozen=True)
-class CiouInternals:
-    """Aspect-consistency term ``v`` and trade-off weight ``alpha`` of CIoU."""
-
-    v: float
-    alpha: float
+def _underflow(what: str, gt: Box, pred: Box) -> UndefinedOverlapError:
+    """The error for a squared denominator that underflows to 0 on tiny positive boxes."""
+    return UndefinedOverlapError(f"{what} underflows to 0 ({gt.as_tuple()}, {pred.as_tuple()})")
 
 
 def _iou_terms(gt, pred):
@@ -118,6 +112,8 @@ def _iou_terms(gt, pred):
     du4 = pw - di4
     iou = inter / union
     usq = union * union
+    if usq == 0.0:
+        raise _underflow("IoU undefined: the squared union", gt, pred)
     d_iou = (
         (di1 * union - inter * du1) / usq,
         (di2 * union - inter * du2) / usq,
@@ -165,6 +161,8 @@ def loss_giou(gt: Box, pred: Box) -> LossResult:
     c_area = ew * eh
     dc1, dc2, dc3, dc4 = eh * h1, ew * h2, eh * h3, ew * h4
     csq = c_area * c_area
+    if csq == 0.0:
+        raise _underflow("GIoU undefined: the squared enclosing-box area", gt, pred)
     # d[(C - U)/C] = d[1 - U/C] = -(dU*C - U*dC)/C^2
     value = 1.0 - iou + (c_area - union) / c_area
     gradient = (
@@ -199,6 +197,8 @@ def _diou_terms(gt, pred):
     dc1, dc2, dc3, dc4 = 2.0 * ew * h1, 2.0 * eh * h2, 2.0 * ew * h3, 2.0 * eh * h4
 
     c2sq = c2 * c2
+    if c2sq == 0.0:
+        raise _underflow("DIoU undefined: the squared enclosing-box diagonal", gt, pred)
     value = 1.0 - iou + rho2 / c2
     gradient = (
         -di1 + (drx * c2 - rho2 * dc1) / c2sq,
@@ -227,7 +227,10 @@ def _aspect_terms(gt, pred):
     t = math.atan(gt.width / gt.height) - math.atan(pw / ph)
     v = _FOUR_OVER_PI_SQ * t * t
     # d atan(pw/ph) = (ph*dpw - pw*dph)/(pw^2 + ph^2)
-    common = 2.0 * _FOUR_OVER_PI_SQ * t / (pw * pw + ph * ph)
+    diag_sq = pw * pw + ph * ph
+    if diag_sq == 0.0:
+        raise _underflow("CIoU undefined: the predicted box's squared diagonal", gt, pred)
+    common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
     d_v: GradVec = (common * ph, -common * pw, -common * ph, common * pw)
     return v, d_v
 
@@ -239,13 +242,6 @@ def _ciou_alpha(iou: float, v: float) -> float:
         if denom > 0.0:
             return v / denom
     return 0.0
-
-
-def ciou_internals(gt: Box, pred: Box) -> CiouInternals:
-    """The ``(v, alpha)`` pair of the CIoU loss; ``alpha`` is 0 whenever IoU < 0.5."""
-    _, _, iou = _diou_terms(gt, pred)
-    v, _ = _aspect_terms(gt, pred)
-    return CiouInternals(v=v, alpha=_ciou_alpha(iou, v))
 
 
 def loss_ciou(gt: Box, pred: Box) -> LossResult:
@@ -276,41 +272,6 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
     return _DISPATCH[kind](gt, pred)
 
 
-def finite_diff_gradient(kind: LossKind, gt: Box, pred: Box, h: float = 1e-5) -> GradVec:
-    """Central-difference gradient, a numerical check on the analytic one.
-
-    The predicted box must sit at least ``2h`` away from any non-differentiable
-    configuration (coordinate ties for L1, the overlap boundary and min/max
-    argument ties for the IoU family, the IoU = 0.5 gate for CIoU).
-
-    For CIoU this differences the function the reported gradient actually
-    differentiates — DIoU plus ``alpha*V`` with ``alpha`` frozen at the center
-    point — since ``alpha`` is held constant by convention; differencing the
-    raw value would pick up the ``V*dalpha`` term that convention drops.
-    """
-    if kind is LossKind.CIOU:
-        frozen_alpha = ciou_internals(gt, pred).alpha
-
-        def f(q: Box) -> float:
-            return loss_diou(gt, q).value + frozen_alpha * _aspect_terms(gt, q)[0]
-
-    else:
-        fn = _DISPATCH[kind]
-
-        def f(q: Box) -> float:
-            return fn(gt, q).value
-
-    base = pred.as_tuple()
-    grad = []
-    for i in range(4):
-        hi = list(base)
-        lo = list(base)
-        hi[i] += h
-        lo[i] -= h
-        grad.append((f(Box(*hi)) - f(Box(*lo))) / (2.0 * h))
-    return tuple(grad)
-
-
 # --- lanes ----------------------------------------------------------------
 # The losses of many (gt, pred) pairs at once, for descent's lockstep study.
 # Each expression is the scalar one in the same order, so every value is the
@@ -324,17 +285,6 @@ _D_EXTENT = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # d(width or height)/d(eac
 _D_V_SIGN = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 _HWHW = np.array([1, 0, 1, 0])  # (w, h).take(_HWHW, 0) is (h, w, h, w), one per corner
 _WHWH = np.array([0, 1, 0, 1])
-
-
-class _LaneFallback(Exception):
-    """A lane reached an input the lanes do not mirror: one where the scalar code
-    raises an error it does not catch. The caller re-runs the scalar code."""
-
-
-def _check_mirrored(zero_division: np.ndarray, raised: np.ndarray) -> None:
-    # A division by an underflowed zero, where the scalar loss raises ZeroDivisionError.
-    if (zero_division & ~raised).any():
-        raise _LaneFallback
 
 
 def _iou_lanes(g, p):
@@ -353,7 +303,7 @@ def _iou_lanes(g, p):
     raised = union <= 0.0
     d_union = pwh.take(_HWHW, 0) * _D_EXTENT - d_inter  # (-ph - di1, -pw - di2, ph - di3, pw - di4)
     usq = union * union
-    _check_mirrored(usq == 0.0, raised)
+    raised |= usq == 0.0
     d_iou = (d_inter * union - inter * d_union) / usq
     return inter / union, union, d_iou, d_union, raised
 
@@ -383,7 +333,7 @@ def _giou_lanes(g, p):
     c_area = ewh[0] * ewh[1]
     d_c = ewh.take(_HWHW, 0) * d_hull
     csq = c_area * c_area
-    _check_mirrored(csq == 0.0, raised)
+    raised |= csq == 0.0
     value = 1.0 - iou + (c_area - union) / c_area
     return value, -d_iou - (d_union * c_area - union * d_c) / csq, raised
 
@@ -399,7 +349,7 @@ def _diou_lanes(g, p):
     c2 = ewh[0] * ewh[0] + ewh[1] * ewh[1]
     d_c2 = (2.0 * ewh).take(_WHWH, 0) * d_hull
     c2sq = c2 * c2
-    _check_mirrored(c2sq == 0.0, raised)
+    raised |= c2sq == 0.0
     value = 1.0 - iou + rho2 / c2
     return value, -d_iou + (dr.take(_WHWH, 0) * c2 - rho2 * d_c2) / c2sq, raised, iou
 
@@ -412,17 +362,17 @@ def _ciou_lanes(g, p):
     value, gradient, raised, iou = _diou_lanes(g, p)
     gwh = g[2:] - g[:2]
     pwh = p[2:] - p[:2]
-    raised |= (gwh <= 0.0).any(0) | (pwh <= 0.0).any(0)
-    _check_mirrored(pwh[0] * pwh[0] + pwh[1] * pwh[1] == 0.0, raised)
+    pw, ph = pwh
+    diag_sq = pw * pw + ph * ph
+    raised |= (gwh <= 0.0).any(0) | (pwh <= 0.0).any(0) | (diag_sq == 0.0)
     # Below IoU 0.5 alpha is 0 and the value and gradient are DIoU's, so t (with
     # its two atan calls) is computed only at or above the gate, and is 0 elsewhere.
     gate = ~raised & (iou >= 0.5)
     t = np.zeros(len(gate))
     for i, a, b, c, d in zip(np.flatnonzero(gate).tolist(), *(x[gate].tolist() for x in (*gwh, *pwh))):
         t[i] = math.atan(a / b) - math.atan(c / d)
-    pw, ph = pwh
     v = _FOUR_OVER_PI_SQ * t * t
-    common = 2.0 * _FOUR_OVER_PI_SQ * t / (pw * pw + ph * ph)
+    common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
     d_v = common * pwh.take(_HWHW, 0) * _D_V_SIGN  # (common*ph, -common*pw, -common*ph, common*pw)
     denom = (1.0 - iou) + v
     alpha = np.where(gate & (denom > 0.0), v / denom, 0.0)
@@ -445,9 +395,8 @@ def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
     block, so lanes grouped by kind cost one block per kind.
 
     Returns ``(value (N,), gradient (4, N), raises (N,))``: ``raises`` is True
-    exactly where the scalar loss raises a BoxlabError, and elsewhere value and
-    gradient equal the scalar ones (a zero component may differ in sign).
-    Raises ``_LaneFallback`` where the scalar loss raises anything else.
+    exactly where the scalar loss raises, and elsewhere value and gradient
+    equal the scalar ones (a zero component may differ in sign).
     """
     n = len(codes)
     value = np.empty(n)

@@ -140,19 +140,25 @@ def generate_anchors(
         if height <= 0 or width <= 0:
             raise ValidationError(f"feature size of level {level} must be positive, got {height}x{width}")
         halves = cfg._half_extents(stride)
+        # The last column's and last row's far extents are the largest; when they are finite,
+        # every extent of the level is finite and each anchor's min <= max.
+        far_x = (width - 0.5) * stride + max(hw for hw, _ in halves)
+        far_y = (height - 0.5) * stride + max(hh for _, hh in halves)
+        if not (far_x < inf and far_y < inf):
+            raise ValidationError(
+                f"stride {stride} with feature size {height}x{width} (level {level}) puts anchor extents "
+                f"past the float range: the far corner is {(far_x, far_y)}"
+            )
         n = width * len(halves)
         # (min, max) extents per ratio, computed once per column and once per row.
         centers = [(c + 0.5) * stride for c in range(width)]
         x0s = [cx - hw for cx in centers for hw, _ in halves]
         x1s = [cx + hw for cx in centers for hw, _ in halves]
-        x_ok = all(-inf < lo <= hi < inf for lo, hi in zip(x0s, x1s))
         for row in range(height):
             cy = (row + 0.5) * stride
             y0s = [cy - hh for _, hh in halves]
             y1s = [cy + hh for _, hh in halves]
             columns = (x0s, y0s * width, x1s, y1s * width)
-            if not (x_ok and all(-inf < lo <= hi < inf for lo, hi in zip(y0s, y1s))):
-                deque(map(Box, *columns), 0)  # Box raises, naming the row's first bad anchor
             cells = [cell for col in range(width) for cell in repeat((row, col), len(halves))]
             anchors += _build(Anchor, (_build(Box, columns, n), repeat(level, n), cells), n)
     return anchors

@@ -7,11 +7,12 @@ of the code paths they check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from boxlab.geometry import Box
-from boxlab.losses import LossKind
+from boxlab.losses import LossKind, loss, loss_diou
 
 Tup4 = tuple[float, float, float, float]
 
@@ -186,6 +187,54 @@ def naive_max_recall(
                 taken.add(best_j)
                 matched += 1
     return matched / n_gt
+
+
+# --- CIoU's aspect term and central differences ------------------------------
+
+
+def ciou_aspect(gt: Tup4, pred: Tup4) -> tuple[float, float]:
+    """CIoU's ``(alpha, V)`` from the definition: ``V = (4/pi^2)(atan(wg/hg) - atan(wp/hp))^2``
+    and ``alpha = V/((1 - IoU) + V)`` at IoU >= 0.5, else 0."""
+    t = math.atan((gt[2] - gt[0]) / (gt[3] - gt[1])) - math.atan((pred[2] - pred[0]) / (pred[3] - pred[1]))
+    v = 4.0 / math.pi**2 * t * t
+    overlap = tuple_iou(gt, pred)
+    if overlap < 0.5 or (1.0 - overlap) + v <= 0.0:
+        return 0.0, v
+    return v / ((1.0 - overlap) + v), v
+
+
+def finite_diff_gradient(kind: LossKind, gt: Box, pred: Box, h: float = 1e-5) -> tuple[float, ...]:
+    """Central-difference gradient, a numerical check on the analytic one.
+
+    The predicted box must sit at least ``2h`` away from any non-differentiable
+    configuration (coordinate ties for L1, the overlap boundary and min/max
+    argument ties for the IoU family, the IoU = 0.5 gate for CIoU).
+
+    For CIoU this differences the function the reported gradient actually
+    differentiates, DIoU plus ``alpha*V`` with ``alpha`` frozen at the center
+    point, since ``alpha`` is held constant by convention; differencing the
+    raw value would pick up the ``V*dalpha`` term that convention drops.
+    """
+    if kind is LossKind.CIOU:
+        frozen_alpha, _ = ciou_aspect(gt.as_tuple(), pred.as_tuple())
+
+        def f(q: Box) -> float:
+            return loss_diou(gt, q).value + frozen_alpha * ciou_aspect(gt.as_tuple(), q.as_tuple())[1]
+
+    else:
+
+        def f(q: Box) -> float:
+            return loss(kind, gt, q).value
+
+    base = pred.as_tuple()
+    grad = []
+    for i in range(4):
+        hi = list(base)
+        lo = list(base)
+        hi[i] += h
+        lo[i] -= h
+        grad.append((f(Box(*hi)) - f(Box(*lo))) / (2.0 * h))
+    return tuple(grad)
 
 
 # --- samplers ----------------------------------------------------------------

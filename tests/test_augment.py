@@ -12,11 +12,10 @@ from boxlab.augment import (
     flip_box_h,
     plan_from_lines,
     plan_to_lines,
-    read_plan,
     sample_plan,
     shift_scale_rotate_box,
-    write_plan,
 )
+from boxlab.cli import main
 from boxlab.errors import ParseError, ValidationError
 from boxlab.geometry import Box, area
 
@@ -206,10 +205,11 @@ class TestPlanSerialization:
         assert plan_from_lines(plan_to_lines(plan)) == plan
 
     def test_round_trip_file(self, tmp_path):
-        plan = sample_plan(PARAMS, 20, seed=10)
+        # A plan file is what `boxlab augment-plan --output` writes.
         path = tmp_path / "plan.csv"
-        write_plan(plan, str(path))
-        assert read_plan(str(path)) == plan
+        assert main(["augment-plan", "--images", "20", "--seed", "10", "--image-size", "100x80",
+                     "--output", str(path)]) == 0
+        assert plan_from_lines(path.read_text().splitlines()) == sample_plan(PARAMS, 20, seed=10)
 
     def test_one_line_per_image(self):
         plan = sample_plan(PARAMS, 7, seed=1)
@@ -226,10 +226,6 @@ class TestPlanSerialization:
         lines[2] = "0,1,1,oops"
         with pytest.raises(ParseError):
             plan_from_lines(lines)
-
-    def test_missing_file(self):
-        with pytest.raises(ParseError):
-            read_plan("/nonexistent/plan.csv")
 
 
 class TestParamsValidation:
@@ -248,6 +244,29 @@ class TestParamsValidation:
         base.update(kwargs)
         with pytest.raises(ValidationError):
             AugmentParams(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # Each sampled a NaN or infinite magnitude before, or raised OverflowError.
+            ({"max_shift_frac": 1e306},
+             "max_shift_frac 1e+306 at image size 100.0 gives a shift range past the float range"),
+            ({"image_width": 1e308, "max_shift_frac": 1.0},
+             "max_shift_frac 1.0 at image size 1e+308 gives a shift range past the float range"),
+            ({"max_scale_delta": 9e307}, "max_scale_delta 9e+307 gives a scale range past the float range"),
+            ({"image_height": 10**400}, f"image_height must be finite, got {10**400}"),
+        ],
+        ids=["shift-range", "shift-range-at-image-size", "scale-range", "int-past-float-range"],
+    )
+    def test_rejects_unsampleable_ranges(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            AugmentParams(**{"image_width": 100.0, "image_height": 80.0, **kwargs})
+        assert str(exc.value) == message
+
+    def test_largest_sampleable_ranges(self):
+        params = AugmentParams(100.0, 80.0, max_shift_frac=8e305, max_scale_delta=8e307)
+        plan = sample_plan(params, 50, seed=3)
+        assert all(math.isfinite(v) for d in plan.decisions for v in (d.dx, d.dy, d.scale))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

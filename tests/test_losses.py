@@ -1,14 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from boxlab.errors import DegenerateAspectError
+from boxlab.errors import DegenerateAspectError, UndefinedOverlapError
 from boxlab.geometry import Box, iou
 from boxlab.losses import (
+    _LANE_KINDS,
     LossKind,
-    ciou_internals,
-    finite_diff_gradient,
+    _lane_loss,
     loss,
     loss_ciou,
     loss_diou,
@@ -16,7 +17,7 @@ from boxlab.losses import (
     loss_iou,
     loss_l1,
 )
-from helpers import sample_box, sample_clean_pair, sample_disjoint_pair
+from helpers import ciou_aspect, finite_diff_gradient, sample_box, sample_clean_pair, sample_disjoint_pair
 
 # The 15 frozen loss fixtures. Expected values were derived independently by
 # scalar recomputation (simple area/center arithmetic; the CIoU value was
@@ -72,11 +73,21 @@ class TestLossValues:
             loss_ciou(Box(0, 0, 0, 4), Box(0, 0, 4, 4))
 
 
+def aspect_term(gt, pred):
+    """CIoU's ``alpha*V``, as the loss adds it to DIoU."""
+    return loss_ciou(gt, pred).value - loss_diou(gt, pred).value
+
+
 class TestCiouInternals:
+    """``loss_ciou - loss_diou`` is ``alpha*V``, with alpha and V from the definition
+    (``helpers.ciou_aspect``)."""
+
     def test_known_pair(self):
-        internals = ciou_internals(Box(0, 0, 4, 4), Box(0, 0, 4, 2))
-        assert internals.v == pytest.approx(0.041956461494290574, abs=1e-12)
-        assert internals.alpha == pytest.approx(0.07741666439146713, abs=1e-12)
+        gt, pred = Box(0, 0, 4, 4), Box(0, 0, 4, 2)
+        alpha, v = ciou_aspect(gt.as_tuple(), pred.as_tuple())
+        assert v == pytest.approx(0.041956461494290574, abs=1e-12)
+        assert alpha == pytest.approx(0.07741666439146713, abs=1e-12)
+        assert aspect_term(gt, pred) == pytest.approx(alpha * v, abs=1e-15)
 
     def test_alpha_zero_below_half_iou(self):
         rng = random.Random(21)
@@ -84,17 +95,20 @@ class TestCiouInternals:
         for _ in range(2000):
             gt = sample_box(rng)
             pred = sample_box(rng)
-            internals = ciou_internals(gt, pred)
-            assert internals.v >= 0.0
-            assert internals.alpha >= 0.0
+            alpha, v = ciou_aspect(gt.as_tuple(), pred.as_tuple())
+            assert v >= 0.0
+            assert alpha >= 0.0
+            assert aspect_term(gt, pred) == pytest.approx(alpha * v, abs=1e-12)
             if iou(gt, pred) < 0.5:
                 seen_low += 1
-                assert internals.alpha == 0.0
+                assert alpha == 0.0
+                assert aspect_term(gt, pred) == 0.0
         assert seen_low > 100
 
     def test_identical_boxes_have_zero_alpha_and_loss(self):
         b = Box(1, 2, 5, 9)
-        assert ciou_internals(b, b) .alpha == 0.0
+        assert ciou_aspect(b.as_tuple(), b.as_tuple()) == (0.0, 0.0)
+        assert aspect_term(b, b) == 0.0
         assert loss_ciou(b, b).value == 0.0
 
 
@@ -110,7 +124,7 @@ class TestFiniteDiff:
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_analytic_matches_numeric(self, kind):
-        rng = random.Random(hash(kind.value) % 2**32)
+        rng = random.Random(list(LossKind).index(kind))
         for _ in range(200):
             gt, pred = sample_clean_pair(rng, kind)
             analytic = loss(kind, gt, pred).gradient
@@ -200,3 +214,30 @@ class TestDisjointBehaviour:
             if (gcx, gcy) != (pcx, pcy):
                 grad = loss_giou(gt, pred).gradient
                 assert math.sqrt(sum(g * g for g in grad)) > 0.0
+
+
+# Tiny positive boxes where a squared denominator underflows to 0 (it used to raise
+# ZeroDivisionError). DIoU's c2sq never underflows alone: c2 = ew^2 + eh^2 >= 2*ew*eh
+# >= 2*union, so wherever c2sq is 0, usq is 0 too, and the first pair stops there.
+UNDERFLOW_PAIRS = [
+    # union 2e-200: usq is 0 for every IoU-family loss
+    pytest.param(Box(0, 0, 1e-100, 1e-100), Box(0, 0, 1e-100, 2e-100), list(LossKind)[1:], "squared union", id="usq"),
+    # the union rounds one ulp above the hull area, just across the point where its square underflows
+    pytest.param(Box(0, 0, 6.510309647824497e-163, 1), Box(0, 0, 1.5717277847026285e-162, 1), [LossKind.GIOU],
+                 "squared enclosing-box area", id="csq"),
+    # pw*pw + ph*ph is 0 while the union is 1
+    pytest.param(Box(0, 0, 1, 1), Box(0, 0, 1e-170, 1e-170), [LossKind.CIOU], "squared diagonal", id="aspect"),
+]
+
+
+@pytest.mark.parametrize("gt, pred, kinds, what", UNDERFLOW_PAIRS)
+def test_underflowing_denominator_raises(gt, pred, kinds, what):
+    for kind in kinds:
+        with pytest.raises(UndefinedOverlapError, match=what) as exc:
+            loss(kind, gt, pred)
+        assert str(gt.as_tuple()) in str(exc.value) and str(pred.as_tuple()) in str(exc.value)
+        _, _, raises = _lane_loss(np.array([_LANE_KINDS.index(kind)]), np.array([gt.as_tuple()]).T,
+                                  np.array([pred.as_tuple()]).T)
+        assert raises.tolist() == [True]
+    for kind in set(LossKind) - {LossKind.L1, *kinds}:  # the other losses never reach this denominator
+        loss(kind, gt, pred)
