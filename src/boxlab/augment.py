@@ -62,19 +62,20 @@ class AugmentParams:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {p}")
-        if self.max_shift_frac < 0 or self.max_scale_delta < 0:
-            raise ValidationError("shift/scale bounds must be non-negative")
+        if self.max_shift_frac < 0:
+            raise ValidationError(f"max_shift_frac must be non-negative, got {self.max_shift_frac}")
+        # sample_plan draws scales from [1 - delta, 1 + delta]: at 1 or more some are 0 or below.
+        if not 0.0 <= self.max_scale_delta < 1.0:
+            raise ValidationError(f"max_scale_delta must be in [0, 1), got {self.max_scale_delta}")
         if not 0.0 <= self.max_rotate_deg < 180.0:
             raise ValidationError(f"max_rotate_deg must be in [0, 180), got {self.max_rotate_deg}")
-        # sample_plan draws from [-frac*size, frac*size] and [1 - delta, 1 + delta] with random.uniform,
-        # which adds the interval's width to its low end: each width must be finite.
+        # sample_plan draws shifts from [-frac*size, frac*size] with random.uniform, which adds the
+        # interval's width to its low end: the width must be finite.
         size = max(self.image_width, self.image_height)
         if not 2.0 * self.max_shift_frac * size < math.inf:
             raise ValidationError(
                 f"max_shift_frac {self.max_shift_frac} at image size {size} gives a shift range past the float range"
             )
-        if not 2.0 * self.max_scale_delta < math.inf:
-            raise ValidationError(f"max_scale_delta {self.max_scale_delta} gives a scale range past the float range")
 
 
 @dataclass(frozen=True)

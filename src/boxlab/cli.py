@@ -70,23 +70,27 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text + "\n")
 
 
+# Most thresholds one --iou-thresholds range may hold; COCO uses 10.
+_MAX_THRESHOLDS = 1_000
+
+
 def _parse_thresholds(spec: str) -> tuple[float, ...]:
     """Parse '0.5,0.75' or '0.50:0.95:0.05' into a threshold tuple."""
     try:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("start, stop and step must be finite")
             if step <= 0:
                 raise ValueError("step must be positive")
             values = []
-            k = 0
-            while True:
+            for k in range(_MAX_THRESHOLDS + 1):
                 v = round(start + k * step, 10)
                 if v > stop + 1e-9:
-                    break
+                    return tuple(values)
                 values.append(v)
-                k += 1
-            return tuple(values)
+            raise ValueError(f"the range holds more than {_MAX_THRESHOLDS:,} thresholds")
         return tuple(float(tok) for tok in spec.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad --iou-thresholds {spec!r}: {exc}") from exc

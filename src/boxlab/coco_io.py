@@ -294,15 +294,14 @@ class DatasetSplit:
 def split_ids(ids: Sequence[int], spec: SplitSpec) -> DatasetSplit:
     """Deterministic seeded shuffle, then partition.
 
-    Val and test take ``round(n * frac)`` ids each; train absorbs the
-    rounding remainder. Partitions are disjoint and exhaustive.
+    Val and test take ``round(n * frac)`` ids each, val first and test at
+    most what val leaves; train absorbs the rounding remainder. Partitions
+    are disjoint and exhaustive.
     """
     n = len(ids)
-    n_val = round(n * spec.val_frac)
-    n_test = round(n * spec.test_frac)
+    n_val = min(round(n * spec.val_frac), n)
+    n_test = min(round(n * spec.test_frac), n - n_val)
     n_train = n - n_val - n_test
-    if n_train < 0:
-        raise ValidationError("rounded val/test sizes exceed the dataset size")
     shuffled = list(ids)
     random.Random(spec.seed).shuffle(shuffled)
     return DatasetSplit(

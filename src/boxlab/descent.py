@@ -266,7 +266,8 @@ def _lane_steps(pred: np.ndarray, gradient: np.ndarray, sizes, parameterization:
 
 def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: DescentConfig):
     """``run_descent`` on every lane at once: lane ``i`` starts at ``inits[:, i]``
-    toward ``targets[:, i]`` ((4, N) corner rows) with loss kind ``codes[i]``.
+    toward ``targets[:, i]`` ((4, N) corner rows) with loss kind ``codes[i]``
+    (sorted, as ``_lane_loss`` needs).
 
     Returns each lane's ``converged_at`` (-1 for None), its final box (4, N), and
     ``failed`` (N,): True where ``run_descent`` raises on the lane. A failed lane
@@ -290,20 +291,24 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
         converged_at[lane[hit]] = steps
         # grad_norm == 0.0 exactly where every g*g is 0 (a NaN component is not).
         stop = failed[lane] | hit | (gradient * gradient == 0.0).all(0) | (steps >= cfg.max_iters)
-        if cfg.backtracking and not stop.all():
-            # Every step size of every moving lane in one kernel call; a lane takes
-            # its first accepted candidate, and stops if it has none.
+        if not stop.all():
+            # Every step size of every moving lane in one kernel call (one size without
+            # backtracking); a lane takes its first accepted candidate, and stops if it has none.
             k = len(sizes)
             candidates = _lane_steps(pred[:, ~stop], gradient[:, ~stop], sizes, cfg.parameterization)
             cand_value, cand_gradient, cand_raises = _lane_loss(
                 np.repeat(codes[~stop], k), np.repeat(targets[:, ~stop], k, axis=1), candidates.reshape(4, -1)
             )
             finite = np.isfinite(candidates).all(0)
-            accepted = finite & ~cand_raises.reshape(-1, k) & (cand_value.reshape(-1, k) <= value[~stop, None])
+            accepted = finite & ~cand_raises.reshape(-1, k)
+            if cfg.backtracking:
+                accepted &= cand_value.reshape(-1, k) <= value[~stop, None]
             first = (accepted | ~finite).argmax(1)
             rows = np.arange(len(first))
-            failed[lane[~stop][~finite[rows, first]]] = True  # _step raises on a box built before any accepted one
             moved = accepted[rows, first]
+            # _step raises on a box built before any accepted one; without backtracking a
+            # raising loss raises too, so there a lane with no accepted candidate fails.
+            failed[lane[~stop][~finite[rows, first] if cfg.backtracking else ~moved]] = True
             pick = rows[moved], first[moved]
             stop[~stop] = ~moved
         final[:, lane[stop]] = pred[:, stop]
@@ -311,15 +316,10 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
         if not keep.any():
             return converged_at, final, failed
         lane, targets, codes = lane[keep], targets[:, keep], codes[keep]
-        if cfg.backtracking:
-            pred = candidates[:, pick[0], pick[1]]
-            value = cand_value.reshape(-1, k)[pick]
-            gradient = cand_gradient.reshape(4, -1, k)[:, pick[0], pick[1]]
-            del candidates, cand_value, cand_gradient  # before the next block is built
-        else:
-            pred = _lane_steps(pred[:, keep], gradient[:, keep], sizes, cfg.parameterization)[:, :, 0]
-            value, gradient, raises = _lane_loss(codes, targets, pred)
-            failed[lane[raises | ~np.isfinite(pred).all(0)]] = True  # they stop at the next round's test
+        pred = candidates[:, pick[0], pick[1]]
+        value = cand_value.reshape(-1, k)[pick]
+        gradient = cand_gradient.reshape(4, -1, k)[:, pick[0], pick[1]]
+        del candidates, cand_value, cand_gradient  # before the next block is built
         steps += 1
 
 
@@ -343,7 +343,7 @@ def convergence_study(
     """
     if trials < 30:
         raise ValidationError(f"need at least 30 trials for a meaningful study, got {trials}")
-    kinds = sorted(set(loss_kinds), key=lambda k: k.value)
+    kinds = sorted(set(loss_kinds), key=_LANE_KINDS.index)
     if not kinds:
         raise ValidationError("loss_kinds must not be empty")
 

@@ -254,6 +254,8 @@ def loss_ciou(gt: Box, pred: Box) -> LossResult:
     diou_value, (g1, g2, g3, g4), iou = _diou_terms(gt, pred)
     v, (dv1, dv2, dv3, dv4) = _aspect_terms(gt, pred)
     alpha = _ciou_alpha(iou, v)
+    if alpha == 0.0:  # DIoU exactly: 0 times an overflowed dV (a tiny predicted diagonal) is NaN
+        return LossResult(diou_value, (g1, g2, g3, g4))
     value = diou_value + alpha * v
     return LossResult(value, (g1 + alpha * dv1, g2 + alpha * dv2, g3 + alpha * dv3, g4 + alpha * dv4))
 
@@ -279,8 +281,12 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
 # zero. Python's ``d ** 2`` is ``np.float_power(d, 2.0)`` (numpy's ``** 2`` is
 # ``d*d``, which rounds differently from libm ``pow``), and CIoU's ``atan``
 # stays ``math.atan``, called only where the aspect term counts (IoU >= 0.5).
-
-_LANE_KINDS = tuple(LossKind)  # a lane's code is its kind's index here
+#
+# A lane's code is its kind's index in ``_LANE_KINDS``. In this order the lanes
+# that need a term are a prefix of code-sorted lanes: the IoU terms the first
+# four kinds, the enclosing box the first three, the center distance the first
+# two and the aspect term CIoU alone; L1 is the suffix.
+_LANE_KINDS = (LossKind.CIOU, LossKind.DIOU, LossKind.GIOU, LossKind.IOU, LossKind.L1)
 _D_EXTENT = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # d(width or height)/d(each corner)
 _D_V_SIGN = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 _HWHW = np.array([1, 0, 1, 0])  # (w, h).take(_HWHW, 0) is (h, w, h, w), one per corner
@@ -315,96 +321,71 @@ def _hull_lanes(g, p):
     return ewh, np.where(outside, _D_EXTENT, 0.0)
 
 
-def _l1_lanes(g, p):
-    a = np.abs(g - p)
-    value = (a[0] + a[1] + a[2] + a[3]) / 4.0
-    gradient = np.where(p > g, 0.25, np.where(p < g, -0.25, 0.0))
-    return value, gradient, np.zeros(len(value), bool)
-
-
-def _iou_loss_lanes(g, p):
-    iou, _, d_iou, _, raised = _iou_lanes(g, p)
-    return 1.0 - iou, -d_iou, raised
-
-
-def _giou_lanes(g, p):
-    iou, union, d_iou, d_union, raised = _iou_lanes(g, p)
-    ewh, d_hull = _hull_lanes(g, p)
-    c_area = ewh[0] * ewh[1]
-    d_c = ewh.take(_HWHW, 0) * d_hull
-    csq = c_area * c_area
-    raised |= csq == 0.0
-    value = 1.0 - iou + (c_area - union) / c_area
-    return value, -d_iou - (d_union * c_area - union * d_c) / csq, raised
-
-
-def _diou_lanes(g, p):
-    """``_diou_terms`` over (4, N) lanes, plus where it raises."""
-    iou, _, d_iou, _, raised = _iou_lanes(g, p)
-    ewh, d_hull = _hull_lanes(g, p)
-    dr = (p[:2] + p[2:]) / 2.0 - (g[:2] + g[2:]) / 2.0  # (drx, dry)
-    dr_sq = np.float_power(dr, 2.0)
-    raised |= (np.isinf(dr_sq) & np.isfinite(dr)).any(0)  # where Python's ** raises OverflowError
-    rho2 = dr_sq[0] + dr_sq[1]
-    c2 = ewh[0] * ewh[0] + ewh[1] * ewh[1]
-    d_c2 = (2.0 * ewh).take(_WHWH, 0) * d_hull
-    c2sq = c2 * c2
-    raised |= c2sq == 0.0
-    value = 1.0 - iou + rho2 / c2
-    return value, -d_iou + (dr.take(_WHWH, 0) * c2 - rho2 * d_c2) / c2sq, raised, iou
-
-
-def _diou_loss_lanes(g, p):
-    return _diou_lanes(g, p)[:3]
-
-
-def _ciou_lanes(g, p):
-    value, gradient, raised, iou = _diou_lanes(g, p)
-    gwh = g[2:] - g[:2]
-    pwh = p[2:] - p[:2]
-    pw, ph = pwh
-    diag_sq = pw * pw + ph * ph
-    raised |= (gwh <= 0.0).any(0) | (pwh <= 0.0).any(0) | (diag_sq == 0.0)
-    # Below IoU 0.5 alpha is 0 and the value and gradient are DIoU's, so t (with
-    # its two atan calls) is computed only at or above the gate, and is 0 elsewhere.
-    gate = ~raised & (iou >= 0.5)
-    t = np.zeros(len(gate))
-    for i, a, b, c, d in zip(np.flatnonzero(gate).tolist(), *(x[gate].tolist() for x in (*gwh, *pwh))):
-        t[i] = math.atan(a / b) - math.atan(c / d)
-    v = _FOUR_OVER_PI_SQ * t * t
-    common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
-    d_v = common * pwh.take(_HWHW, 0) * _D_V_SIGN  # (common*ph, -common*pw, -common*ph, common*pw)
-    denom = (1.0 - iou) + v
-    alpha = np.where(gate & (denom > 0.0), v / denom, 0.0)
-    return value + alpha * v, gradient + alpha * d_v, raised
-
-
-_LANE_TERMS = {
-    LossKind.L1: _l1_lanes,
-    LossKind.IOU: _iou_loss_lanes,
-    LossKind.GIOU: _giou_lanes,
-    LossKind.DIOU: _diou_loss_lanes,
-    LossKind.CIOU: _ciou_lanes,
-}
 
 
 def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
     """The loss of every lane at once: lane ``i`` is kind ``_LANE_KINDS[codes[i]]``
     of ``gt[:, i]`` against ``pred[:, i]``, where ``gt`` and ``pred`` are (4, N)
-    float64 rows of x_min, y_min, x_max and y_max. Each run of equal codes is one
-    block, so lanes grouped by kind cost one block per kind.
+    float64 rows of x_min, y_min, x_max and y_max. ``codes`` must be sorted:
+    each term is then computed once, on the prefix of lanes that needs it, and
+    added in place to the kinds that include it.
 
     Returns ``(value (N,), gradient (4, N), raises (N,))``: ``raises`` is True
     exactly where the scalar loss raises, and elsewhere value and gradient
     equal the scalar ones (a zero component may differ in sign).
     """
     n = len(codes)
+    c, d, g, i = np.searchsorted(codes, [1, 2, 3, 4]).tolist()  # the ends of the CIoU ... IoU runs
     value = np.empty(n)
     gradient = np.empty((4, n))
-    raises = np.empty(n, bool)
-    cuts = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), n]
+    raises = np.zeros(n, bool)
+    # A block with no lanes is skipped: numpy calls on empty slices still cost.
     with np.errstate(all="ignore"):  # the raising lanes' values are never read
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            terms = _LANE_TERMS[_LANE_KINDS[codes[a]]]
-            value[a:b], gradient[:, a:b], raises[a:b] = terms(gt[:, a:b], pred[:, a:b])
+        if i:  # 1 - IoU
+            iou, union, d_iou, d_union, raises[:i] = _iou_lanes(gt[:, :i], pred[:, :i])
+            value[:i] = 1.0 - iou
+            gradient[:, :i] = -d_iou
+        if g:
+            ewh, d_hull = _hull_lanes(gt[:, :g], pred[:, :g])
+        if g > d:  # GIoU: + (C - U)/C
+            c_area = ewh[0, d:] * ewh[1, d:]
+            d_c = ewh[:, d:].take(_HWHW, 0) * d_hull[:, d:]
+            csq = c_area * c_area
+            raises[d:g] |= csq == 0.0
+            value[d:g] += (c_area - union[d:g]) / c_area
+            gradient[:, d:g] -= (d_union[:, d:g] * c_area - union[d:g] * d_c) / csq
+        if d:  # DIoU and CIoU: + rho^2/c^2
+            dr = (pred[:2, :d] + pred[2:, :d]) / 2.0 - (gt[:2, :d] + gt[2:, :d]) / 2.0  # (drx, dry)
+            dr_sq = np.float_power(dr, 2.0)
+            raises[:d] |= (np.isinf(dr_sq) & np.isfinite(dr)).any(0)  # where Python's ** raises OverflowError
+            rho2 = dr_sq[0] + dr_sq[1]
+            c2 = ewh[0, :d] * ewh[0, :d] + ewh[1, :d] * ewh[1, :d]
+            d_c2 = (2.0 * ewh[:, :d]).take(_WHWH, 0) * d_hull[:, :d]
+            c2sq = c2 * c2
+            raises[:d] |= c2sq == 0.0
+            value[:d] += rho2 / c2
+            gradient[:, :d] += (dr.take(_WHWH, 0) * c2 - rho2 * d_c2) / c2sq
+        if c:  # CIoU: + alpha*V
+            gwh = gt[2:, :c] - gt[:2, :c]
+            pwh = pred[2:, :c] - pred[:2, :c]
+            pw, ph = pwh
+            diag_sq = pw * pw + ph * ph
+            raises[:c] |= (gwh <= 0.0).any(0) | (pwh <= 0.0).any(0) | (diag_sq == 0.0)
+            # Below IoU 0.5 alpha is 0 and the value and gradient are DIoU's, so t (with
+            # its two atan calls) is computed only at or above the gate, and is 0 elsewhere.
+            gate = ~raises[:c] & (iou[:c] >= 0.5)
+            t = np.zeros(c)
+            for j, a, b, w, h in zip(np.flatnonzero(gate).tolist(), *(x[gate].tolist() for x in (*gwh, *pwh))):
+                t[j] = math.atan(a / b) - math.atan(w / h)
+            v = _FOUR_OVER_PI_SQ * t * t
+            common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
+            d_v = common * pwh.take(_HWHW, 0) * _D_V_SIGN  # (common*ph, -common*pw, -common*ph, common*pw)
+            denom = (1.0 - iou[:c]) + v
+            alpha = np.where(gate & (denom > 0.0), v / denom, 0.0)
+            value[:c] += alpha * v
+            gradient[:, :c] += alpha * d_v
+        if i < n:  # L1
+            a = np.abs(gt[:, i:] - pred[:, i:])
+            value[i:] = (a[0] + a[1] + a[2] + a[3]) / 4.0
+            gradient[:, i:] = np.where(pred[:, i:] > gt[:, i:], 0.25, np.where(pred[:, i:] < gt[:, i:], -0.25, 0.0))
     return value, gradient, raises

@@ -7,6 +7,7 @@ of the code paths they check.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -294,3 +295,8 @@ def sample_clean_pair(
         pred = sample_box(rng)
         if _clean_for_fd(gt, pred, kind, margin):
             return gt, pred
+
+
+def rows_digest(rows: list[list[str]]) -> str:
+    """sha256 of string rows, one comma-joined line per row: pins a study's CSV bit for bit."""
+    return hashlib.sha256("\n".join(map(",".join, rows)).encode()).hexdigest()

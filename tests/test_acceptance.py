@@ -13,7 +13,7 @@ import time
 import pytest
 
 from boxlab.coco_io import SplitSpec, split_ids
-from boxlab.descent import DescentConfig, PairSampler, convergence_study, run_descent
+from boxlab.descent import DescentConfig, PairSampler, convergence_study, run_descent, trial_csv_rows
 from boxlab.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     Detection,
@@ -38,6 +38,7 @@ from helpers import (
     sample_box,
     sample_clean_pair,
     sample_disjoint_pair,
+    rows_digest,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -130,6 +131,8 @@ def test_criterion_4_convergence_ordering():
     median_giou = study.summary[LossKind.GIOU].median_iterations
     assert math.isfinite(median_diou) and math.isfinite(median_giou)
     assert median_diou < median_giou
+    # Every record bit for bit: the sha256 of the CSV rows `boxlab convergence` writes.
+    assert rows_digest(trial_csv_rows(study)) == "494f0e0d8404c5b6eb83bab1cf4e7e35ab91220eab29aca54bad04c8b2c2ebbc"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(

@@ -253,7 +253,8 @@ class TestParamsValidation:
              "max_shift_frac 1e+306 at image size 100.0 gives a shift range past the float range"),
             ({"image_width": 1e308, "max_shift_frac": 1.0},
              "max_shift_frac 1.0 at image size 1e+308 gives a shift range past the float range"),
-            ({"max_scale_delta": 9e307}, "max_scale_delta 9e+307 gives a scale range past the float range"),
+            # A scale range reaching 0 or below: 5 of 20 sampled scales were <= 0 at a delta of 5.
+            ({"max_scale_delta": 1.0}, "max_scale_delta must be in [0, 1), got 1.0"),
             ({"image_height": 10**400}, f"image_height must be finite, got {10**400}"),
         ],
         ids=["shift-range", "shift-range-at-image-size", "scale-range", "int-past-float-range"],
@@ -264,9 +265,10 @@ class TestParamsValidation:
         assert str(exc.value) == message
 
     def test_largest_sampleable_ranges(self):
-        params = AugmentParams(100.0, 80.0, max_shift_frac=8e305, max_scale_delta=8e307)
+        params = AugmentParams(100.0, 80.0, max_shift_frac=8e305, max_scale_delta=math.nextafter(1.0, 0.0))
         plan = sample_plan(params, 50, seed=3)
         assert all(math.isfinite(v) for d in plan.decisions for v in (d.dx, d.dy, d.scale))
+        assert all(d.scale > 0.0 for d in plan.decisions)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

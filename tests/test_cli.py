@@ -102,6 +102,22 @@ class TestEvaluateCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["iou_thresholds"] == [0.5, 0.75]
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("0.5:0.95:1e-300", "more than 1,000 thresholds"),
+        ("0.5:0.95:1e-12", "more than 1,000 thresholds"),
+        ("0.5:inf:0.1", "must be finite"),
+        ("nan:0.9:0.1", "must be finite"),
+    ])
+    def test_endless_threshold_range_exit_1(self, dataset, capsys, spec, reason):
+        gt, pred = dataset
+        assert main(["evaluate", gt, pred, "--iou-thresholds", spec]) == 1
+        err = capsys.readouterr().err
+        assert f"bad --iou-thresholds {spec!r}" in err and reason in err
+
+    def test_threshold_range_up_to_the_bound(self):
+        assert cli._parse_thresholds("0.50:0.95:0.05") == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+        assert cli._parse_thresholds("0:0.999:0.001") == tuple(round(k * 0.001, 10) for k in range(1000))
+
     def test_map_50_absent_without_half_threshold(self, dataset, capsys):
         gt, pred = dataset
         args = ["evaluate", gt, pred, "--iou-thresholds", "0.9"]
@@ -239,6 +255,15 @@ class TestSplitCommand:
         assert main([
             "split", gt, "--train-frac", "0.9", "--val-frac", "0.9", "--test-frac", "0",
         ]) == 1
+
+    def test_halves_of_three_images(self, tmp_path, capsys):
+        # Both halves of 3 round to 2; val takes 2 and test the 1 left (this used to exit 1).
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"images": [{"id": i, "width": 8, "height": 8} for i in (1, 2, 3)],
+                                  "categories": [], "annotations": []}))
+        assert main(["split", str(gt), "--train-frac", "0", "--val-frac", "0.5", "--test-frac", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (len(doc["train"]), len(doc["val"]), len(doc["test"])) == (0, 2, 1)
 
     @pytest.mark.parametrize("flag", ["--train-frac", "--val-frac", "--test-frac"])
     def test_nan_fraction_exit_1(self, dataset, capsys, flag):
@@ -393,6 +418,14 @@ class TestAugmentPlanCommand:
         assert main(["augment-plan", "--images", "2", f"--image-size=1x{10**400}"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: image_height must be finite, got {10**400}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("delta", ["1", "5"])
+    def test_scale_delta_of_one_or_more_exits_1(self, delta, capsys):
+        # A delta of 5 used to write 5 of 20 scales at or below 0.
+        assert main(["augment-plan", "--images", "20", "--image-size", "8x8", "--max-scale-delta", delta]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: max_scale_delta must be in [0, 1), got {float(delta)}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -640,6 +673,14 @@ _fraction = _mostly(st.sampled_from(["0", "0.25", "0.5", "1"]), st.floats().map(
 _seed = _mostly(st.integers(0, 2**32), st.one_of(st.integers(), st.sampled_from([-1, 2**64, 10**400])), odds=4)
 _bound = _mostly(st.sampled_from(["0", "0.1", "0.5", "1", "45"]),
                  st.one_of(st.sampled_from(["-1", "2", "180", "9e307", "1e308"]), st.floats().map(repr)), odds=8)
+# `--iou-thresholds`: lists and ranges, and ranges that never end (a non-finite bound, a tiny step).
+_thresholds = _mostly(
+    st.sampled_from(["0.5", "0.5,0.75", "0.50:0.95:0.05"]),
+    st.one_of(st.sampled_from(["0.5:0.95:1e-300", "0.5:0.95:1e-12", "0.5:inf:0.1", "nan:0.9:0.1", "0.5:0.5:1e-300",
+                               "0.9:0.5:0.1", "0.5:0.95:0", "0.5:0.95", "a:b:c"]),
+              st.tuples(st.floats(), st.floats(), st.floats()).map(lambda t: ":".join(map(repr, t)))),
+    odds=4,
+)
 _image_size = _mostly(st.builds("{}x{}".format, st.integers(1, 4096), st.integers(1, 4096)),
                       st.sampled_from(["0x5", "8x", "ax3", "-2x4", "3x4x5", "", f"1x{10**400}", f"{2**64}x1"]), odds=4)
 
@@ -653,9 +694,9 @@ def _exit_code(argv, docs):
 
 class TestFuzzedInputExitCodes:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(gt=_gt_docs, pred=_pred_docs)
-    def test_evaluate(self, gt, pred):
-        argv = ["evaluate", "{dir}/gt.json", "{dir}/pred.json", "--iou-thresholds", "0.5", "--format", "json"]
+    @given(gt=_gt_docs, pred=_pred_docs, thresholds=_thresholds)
+    def test_evaluate(self, gt, pred, thresholds):
+        argv = ["evaluate", "{dir}/gt.json", "{dir}/pred.json", f"--iou-thresholds={thresholds}", "--format", "json"]
         assert _exit_code(argv, {"gt.json": gt, "pred.json": pred}) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -711,7 +752,8 @@ class TestFuzzedInputExitCodes:
             plan = pathlib.Path(tmp) / "plan.csv"
             code = main(["augment-plan", f"--images={images}", f"--seed={seed}", f"--image-size={image_size}",
                          *(f"{flag}={value}" for flag, value in zip(flags, bounds)), "--output", str(plan)])
-            if code == 0:  # and never a plan of non-finite magnitudes
+            if code == 0:  # and never a plan of non-finite magnitudes or of scales that are not positive
                 decisions = plan_from_lines(plan.read_text().splitlines()).decisions
                 assert all(math.isfinite(v) for d in decisions for v in (d.dx, d.dy, d.scale, d.angle_deg))
+                assert all(d.scale > 0.0 for d in decisions)
         assert code in (0, 1, 2)

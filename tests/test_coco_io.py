@@ -232,6 +232,20 @@ class TestSplit:
         assert len(split.train) == 10
         assert split.val == () and split.test == ()
 
+    def test_test_takes_at_most_what_val_leaves(self):
+        # round(1.5) is 2, so val and test of (0, 0.5, 0.5) over 3 ids both round to 2: val
+        # takes 2 and test the 1 left. Wherever the two rounded sizes fit, they are the sizes.
+        split = split_ids(range(3), SplitSpec(0.0, 0.5, 0.5, seed=0))
+        assert (len(split.train), len(split.val), len(split.test)) == (0, 2, 1)
+        for n in range(40):
+            for v in range(11):
+                for t in range(11 - v):
+                    spec = SplitSpec((10 - v - t) / 10, v / 10, t / 10)
+                    split = split_ids(range(n), spec)
+                    n_val, n_test = round(n * spec.val_frac), round(n * spec.test_frac)
+                    assert (len(split.val), len(split.test)) == (n_val, min(n_test, n - n_val))
+                    assert sorted(split.train + split.val + split.test) == list(range(n))
+
     def test_fraction_validation(self):
         with pytest.raises(ValidationError):
             SplitSpec(0.5, 0.5, 0.5)

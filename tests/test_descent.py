@@ -19,7 +19,7 @@ from boxlab.descent import (
 from boxlab.errors import BoxlabError, DegenerateAspectError, ValidationError
 from boxlab.geometry import Box, iou
 from boxlab.losses import LossKind, loss
-from helpers import sample_disjoint_pair
+from helpers import rows_digest, sample_disjoint_pair
 
 # Concentric and contained in the prediction, so CIoU's gradient is symmetric:
 # at this learning rate the first corner step collapses the width to zero
@@ -28,6 +28,9 @@ RAISING_CIOU = (Box(-1.0, -1.0, 5.0, 3.0), Box(0.0, 0.0, 4.0, 2.0), 54.0)
 # The union of these tiny boxes is 2e-200, whose square underflows to 0: every
 # IoU-family loss raises on the start box.
 UNDERFLOWING_PAIR = (Box(0.0, 0.0, 1e-100, 2e-100), Box(0.0, 0.0, 1e-100, 1e-100))
+# A predicted box whose squared diagonal is subnormal: CIoU's dV overflows, but below
+# the IoU 0.5 gate alpha is 0 and CIoU is DIoU exactly.
+TINY_PREDICTION = (Box(-1e-160, -1e-160, -5e-161, 0.0), Box(-0.001, -0.001, -0.0005, -0.0005))
 # Boxes about 1e-81 wide: with backtracking, candidates that shrink the union below
 # about 1.6e-162 make its square underflow, and each is rejected, for every IoU-family loss.
 UNDERFLOWING_CANDIDATE = (Box(-2.5e-82, 3.3e-82, 1.4e-81, 1e-81), Box(0.0, 0.0, 1.2e-81, 1.1e-81), 5e-162)
@@ -423,6 +426,36 @@ class TestLockstepStudy:
         want = scalar_records(pairs, kinds, cfg)
         assert sum(raised for _, raised in loss_calls) > 4 * 30  # every kind rejects many candidates
         assert repr(study.records) == repr(want)
+
+    @pytest.mark.parametrize("backtracking", [False, True])
+    def test_tiny_prediction_below_ciou_gate(self, backtracking, scalar_calls):
+        # 0 times CIoU's overflowed dV made run_descent's gradient NaN where the lanes' was DIoU's.
+        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=1e-4, max_iters=30, backtracking=backtracking)
+        pairs = [TINY_PREDICTION] + SAMPLED_PAIRS[:29]
+        study = convergence_study(30, [LossKind.CIOU, LossKind.DIOU], FixedPairs(pairs), cfg)
+        assert scalar_calls == []
+        assert repr(study.records) == repr(scalar_records(pairs, [LossKind.CIOU, LossKind.DIOU], cfg))
+
+    # sha256 of the CSV rows of the bench's descent study (30 trials, lr 3.0, 100 steps, with
+    # backtracking) at seeds 700001-700010. CIoU is left out: its atan bits depend on the libm.
+    BENCH_CSV_DIGESTS = {
+        700001: "1336310a6a73b023e8b36bbc49e29d6da2f3d6e6d6709255c68e538ed7853ddf",
+        700002: "5d8f85addc074f3f478680dfa8758c093db2b1551a449c00a372935aa0806ef6",
+        700003: "b4f4a6c144b45e71296a3968b91d7b2c85910d1294aaa06382e706c2def8fa58",
+        700004: "e1897b8aee22f22b437fb9841a26b80940fde6389566e93b9f115136c7c8cf41",
+        700005: "1aab52b3b7426be0f3d304ddb89ad71d527cda5576e50c14a9bbfa31c77e7e66",
+        700006: "7f3b3ac5b294393fe66cd6eabd9bcbc984c09743c938e94513db417d04ed390e",
+        700007: "cc5c4aa7af51b49eae00c7d3e39ad8e486575557a4804132268bcf74ffa40019",
+        700008: "881aca8f4d913ab8e878088b05ea6003123a03a3b66c6c346471ceb328505cf4",
+        700009: "4f29b58428c20b18b296ac2560eb58256e5831666b28c8153148b3d6c942b24a",
+        700010: "ef9e340d7db79207ec87a62fef9f19968522c6c8fcef19a8b2fde47638ce86f3",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BENCH_CSV_DIGESTS))
+    def test_bench_study_csv_pinned(self, seed):
+        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=3.0, max_iters=100, backtracking=True)
+        study = convergence_study(30, [LossKind.IOU, LossKind.GIOU, LossKind.DIOU], PairSampler(seed=seed), cfg)
+        assert rows_digest(trial_csv_rows(study)) == self.BENCH_CSV_DIGESTS[seed]
 
     def test_summary_from_lane_records(self):
         cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=3.0, max_iters=100, backtracking=True)

@@ -12,7 +12,8 @@ which may differ by an ulp between libms: where this libm reproduces the two
 stored ``atan`` values of a case, CIoU must match exactly; elsewhere each
 component may differ by at most 2 ulp. The lane kernel that descent's
 convergence study runs is held to the same values, to gradients equal up to
-the sign of a zero, and to raising exactly where the scalar loss raises.
+the sign of a zero, and to raising exactly where the scalar loss raises, here
+and on sampled lanes of every kind with tiny, huge and flat boxes.
 Regenerate only for an intended change of the loss arithmetic:
 
     PYTHONPATH=src python tests/test_loss_golden.py
@@ -27,6 +28,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.errors import BoxlabError
 from boxlab.geometry import Box
@@ -126,9 +129,10 @@ def test_ciou_match():
             assert ulps_apart(float.fromhex(mine), float.fromhex(theirs)) <= 2, (gt, pred)
 
 
-def lane_outputs(codes: list[int]) -> list[tuple]:
-    """The lane kernel over every golden case, case ``i`` as a lane of kind code ``codes[i]``."""
-    cases = golden_cases()
+def lane_outputs(codes: list[int], cases: list[tuple] | None = None) -> list[tuple]:
+    """The lane kernel over the golden cases (all of them by default), case ``i`` as a
+    lane of kind code ``codes[i]``."""
+    cases = golden_cases() if cases is None else cases
     value, gradient, raises = _lane_loss(
         np.array(codes), np.array([gt for _, gt, _ in cases]).T, np.array([pred for _, _, pred in cases]).T
     )
@@ -156,10 +160,53 @@ def test_lane_kernel(kind):
 
 
 def test_lane_kernel_mixed_kinds():
-    # Neighbouring lanes of different kinds: one block per run of equal codes.
-    codes = [(i // 3) % len(_LANE_KINDS) for i in range(len(golden_cases()))]
-    for (rec, gt, pred), code, lane in zip(golden_cases(), codes, lane_outputs(codes)):
+    # Sorted runs of all five kinds in one call, so every term is computed on a prefix
+    # of the lanes and added to a slice of it. Case i is a lane of kind (i // 3) % 5.
+    lanes = sorted(
+        (((i // 3) % len(_LANE_KINDS), case) for i, case in enumerate(golden_cases())), key=lambda lane: lane[0]
+    )
+    codes = [code for code, _ in lanes]
+    assert sorted(set(codes)) == list(range(len(_LANE_KINDS)))
+    for (code, (rec, gt, pred)), lane in zip(lanes, lane_outputs(codes, [case for _, case in lanes])):
         assert_lane_matches(_LANE_KINDS[code], rec, gt, pred, lane)
+
+
+# Tiny scales underflow the squared terms, huge ones overflow them (NaN gradients past
+# 1e150); a zero extent makes a box flat, and the listed coordinates make ties.
+SCALES = st.sampled_from([1e-160, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e154, 1e160])
+COORDS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), st.floats(-8.0, 8.0))
+EXTENTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 8.0))
+
+
+@st.composite
+def lane_cases(draw) -> tuple[int, Box, Box]:
+    """A kind code and a (gt, pred) pair; pred shares gt's scale unless a second one is drawn."""
+    scale = draw(SCALES)
+    boxes = []
+    for s in (scale, draw(st.one_of(st.just(scale), SCALES))):
+        x, y, w, h = draw(COORDS), draw(COORDS), draw(EXTENTS), draw(EXTENTS)
+        boxes.append(Box(x * s, y * s, (x + w) * s, (y + h) * s))
+    return (draw(st.integers(0, len(_LANE_KINDS) - 1)), *boxes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(lane_cases(), min_size=1, max_size=40))
+def test_lane_kernel_matches_scalar_loss(lanes):
+    lanes.sort(key=lambda lane: lane[0])
+    value, gradient, raises = _lane_loss(
+        np.array([code for code, _, _ in lanes]),
+        np.array([gt.as_tuple() for _, gt, _ in lanes]).T,
+        np.array([pred.as_tuple() for _, _, pred in lanes]).T,
+    )
+    for (code, gt, pred), v, grad, r in zip(lanes, value.tolist(), gradient.T.tolist(), raises.tolist()):
+        try:
+            want = loss(_LANE_KINDS[code], gt, pred)
+        except BoxlabError:
+            assert r, (code, gt, pred)
+            continue
+        assert not r, (code, gt, pred)
+        assert v.hex() == want.value.hex(), (code, gt, pred)
+        assert np.array_equal(grad, want.gradient, equal_nan=True), (code, gt, pred)
 
 
 if __name__ == "__main__":

@@ -176,6 +176,13 @@ class TestRangesAndIdentities:
                 assert loss_ciou(gt, pred).value == loss_diou(gt, pred).value
         assert checked > 500
 
+    def test_ciou_is_diou_below_half_iou_for_tiny_prediction(self):
+        # The predicted box's squared diagonal is subnormal, so dV overflows; alpha is 0, and
+        # 0 times that dV used to make every gradient component NaN.
+        gt, pred = Box(-0.001, -0.001, -0.0005, -0.0005), Box(-1e-160, -1e-160, -5e-161, 0.0)
+        assert iou(gt, pred) < 0.5
+        assert loss_ciou(gt, pred) == loss_diou(gt, pred)
+
     def test_translation_invariance(self):
         rng = random.Random(25)
         for _ in range(300):
