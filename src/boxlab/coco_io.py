@@ -5,14 +5,17 @@ Ground truth is the usual ``{"images": [...], "categories": [...],
 ``{"image_id", "category_id", "bbox", "score"}`` records. Boxes are stored
 as ``(x, y, width, height)`` and converted to corner form on load.
 
-Annotations and predictions load column-backed (``evaluation.BoxColumns``) in
-one typed pass that pulls ids and numbers into arrays. Only if that pass fails
-does a strict per-record walk run, to stop the load with ``ParseError`` at the
-first malformed record or non-finite number (``json.load`` accepts NaN,
-Infinity and integers no float holds). Every other check is one array mask,
-which also names the bad records: dangling image or category ids, box
-extents, image bounds and a positive, finite corner-form area for ground
-truth, score range and finite corners for predictions. Each bad record is
+Every section loads in one typed pass that pulls ids, numbers and strings into
+columns: ``DatasetManifest.images`` is an ``ImageColumns`` (an id tuple, an
+(N, 2) size array, file names), and annotations and predictions are
+``evaluation.BoxColumns`` whose image id table is that same tuple. Only if the
+pass fails does a strict per-record walk run, to stop the load with
+``ParseError`` at the first malformed record or non-finite number
+(``json.load`` accepts NaN, Infinity and integers no float holds). Every other
+check is one array mask, which also names the bad records: a positive size
+for images, checked before any annotation; dangling image or category ids,
+box extents, image bounds and a positive, finite corner-form area for ground
+truth; score range and finite corners for predictions. Each bad record is
 named by its first failing check, and the load raises ``DanglingIdError``,
 else ``InvalidBoxError``, else ``ValidationError``, naming every record of
 that class. A key repeated in a JSON object and a repeated image or category
@@ -31,10 +34,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import DanglingIdError, InvalidBoxError, ParseError, ValidationError, reject_duplicates
-from .evaluation import BoxColumns, Detection, GroundTruthAnnotation
+from .evaluation import BoxColumns, Columns, Detection, GroundTruthAnnotation
 
 __all__ = [
     "ImageInfo",
+    "ImageColumns",
     "Category",
     "DatasetManifest",
     "SplitSpec",
@@ -62,9 +66,22 @@ class Category:
     name: str
 
 
+class ImageColumns(Columns):
+    """``ImageInfo`` values as columns: ``ids`` a tuple, ``sizes`` (N, 2) float64 (width, height), ``file_names``."""
+
+    def __init__(self, ids, sizes: np.ndarray, file_names: list) -> None:
+        self.ids, self.sizes, self.file_names = tuple(ids), sizes, file_names
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _row(self, i) -> ImageInfo:
+        return ImageInfo(self.ids[i], *self.sizes[i].tolist(), self.file_names[i])
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
-    images: tuple[ImageInfo, ...]
+    images: Sequence[ImageInfo]
     categories: tuple[Category, ...]
     annotations: Sequence[GroundTruthAnnotation]
 
@@ -129,69 +146,89 @@ def _bbox(record: Any, context: str) -> tuple[float, float, float, float]:
     return tuple(_finite(item, f"{context}.bbox[{i}]") for i, item in enumerate(value))  # type: ignore[return-value]
 
 
-def _columns(path: str, context: str, records: list, image_ids: list | None, class_ids: list | None, scored: bool):
-    """One pass over ``records`` with the strict type checks (ids are ints, numbers
-    ints or floats, never bools): ids coded by their index in ``image_ids`` and
-    ``class_ids`` (None: every id, first seen first), corners ``x + w``, ``y + h``.
-    Returns (columns, (N, 2) bbox extents).
+def _string(value: Any, context: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{context}: expected a string, got {value!r}")
+    return value
 
-    Only when that pass fails does the strict walk run, to raise ``ParseError`` at the
-    first malformed record or non-finite number. An unknown id raises ``DanglingIdError``.
+
+def _typed(context: str, records: list, pull, walk) -> tuple[list, np.ndarray, list]:
+    """One pass over whole columns: ``pull(records)`` gives (id columns, numbers, string
+    columns); every id must be an int, every number an int or float (never a bool) that
+    is finite as float64, every string a str. Returns them, the numbers as float64.
+
+    Only when that pass fails does ``walk(record, context)`` run on each record, to raise
+    ``ParseError`` at the first malformed record or non-finite number.
     """
-    values = None
     try:
-        ids = [r["image_id"] for r in records], [r["category_id"] for r in records]
-        bboxes = [r["bbox"] for r in records]
-        numbers = [v for b in bboxes for v in b] + ([r["score"] for r in records] if scored else [])
-        typed = set(map(type, ids[0] + ids[1])) <= {int} and set(map(type, numbers)) <= {int, float}
-        if typed and set(map(len, bboxes)) <= {4}:
-            values = np.array(numbers, dtype=np.float64)
+        ids, numbers, strings = pull(records)
+        if all(set(map(type, col)) <= {int} for col in ids) and all(set(map(type, col)) <= {str} for col in strings):
+            if set(map(type, numbers)) <= {int, float} and np.isfinite(values := np.array(numbers, np.float64)).all():
+                return ids, values, strings
     except (TypeError, KeyError, OverflowError):
         pass
-    if values is None or not np.isfinite(values).all():
-        for i, rec in enumerate(records):
-            ctx = f"{context}[{i}]"
-            _int_id(rec, "image_id", ctx), _int_id(rec, "category_id", ctx), _bbox(rec, ctx)
-            if scored:
-                _number(rec, "score", ctx)
-    tables = [list(dict.fromkeys(col) if t is None else t) for col, t in zip(ids, (image_ids, class_ids))]
+    for i, rec in enumerate(records):
+        walk(rec, f"{context}[{i}]")
+
+
+def _columns(path: str, context: str, records: list, image_ids: tuple | None, class_ids: tuple | None, scored: bool):
+    """Box columns from one ``_typed`` pass: ids coded by their index in ``image_ids`` and ``class_ids``
+    (None: every id, first seen first), corners ``x + w``, ``y + h``. Returns (columns, (N, 2) bbox
+    extents). An unknown id raises ``DanglingIdError``.
+    """
+
+    def pull(recs: list):
+        bboxes = [r["bbox"] for r in recs]
+        numbers = [v for b in bboxes for v in b] if set(map(len, bboxes)) <= {4} else [None]  # None fails the check
+        ids = [r["image_id"] for r in recs], [r["category_id"] for r in recs]
+        return ids, numbers + ([r["score"] for r in recs] if scored else []), ()
+
+    ids, values, _ = _typed(context, records, pull, lambda rec, ctx: (
+        _int_id(rec, "image_id", ctx), _int_id(rec, "category_id", ctx), _bbox(rec, ctx),
+        scored and _number(rec, "score", ctx),
+    ))
+    tables = [tuple(dict.fromkeys(col)) if t is None else t for col, t in zip(ids, (image_ids, class_ids))]
     codes = [
         np.fromiter(map({v: k for k, v in enumerate(table)}.get, col, repeat(-1)), np.intp, len(col))
         for col, table in zip(ids, tables)
     ]
-    _reject(path, context, records, [
-        (DanglingIdError, codes[0] < 0, lambda rec: f"unknown image_id {rec['image_id']}"),
-        (DanglingIdError, codes[1] < 0, lambda rec: f"unknown category_id {rec['category_id']}"),
+    _reject(path, context, [
+        (DanglingIdError, codes[0] < 0, lambda i: f"unknown image_id {records[i]['image_id']}"),
+        (DanglingIdError, codes[1] < 0, lambda i: f"unknown category_id {records[i]['category_id']}"),
     ])
-    boxes = values[: 4 * len(bboxes)].reshape(-1, 4)
+    boxes = values[: 4 * len(records)].reshape(-1, 4)
     extents = boxes[:, 2:].copy()
     with np.errstate(over="ignore"):  # an overflowing corner is named by the caller's checks
         boxes[:, 2:] += boxes[:, :2]
-    return BoxColumns(*tables, *codes, boxes, values[4 * len(bboxes) :] if scored else None), extents
+    return BoxColumns(*tables, *codes, boxes, values[4 * len(records) :] if scored else None), extents
 
 
 def _xywh(rec: dict) -> tuple[float, ...]:
     return tuple(map(float, rec["bbox"]))
 
 
-def _reject(path: str, context: str, records: list, checks: list) -> None:
+def _reject(path: str, context: str, checks: list) -> None:
     """Raise for the records that ``checks``, a list of (error class, bad-record mask,
-    message builder), mark bad. Each record is named by its first failing check; the
-    first of ``DanglingIdError``, ``InvalidBoxError`` and ``ValidationError`` that
-    names any record is raised, naming all of them in record order.
+    message builder of the record index), mark bad. Each record is named by its first
+    failing check; the first of ``DanglingIdError``, ``InvalidBoxError`` and
+    ``ValidationError`` that names any record is raised, naming all of them in record order.
     """
-    unnamed = np.ones(len(records), dtype=bool)
+    unnamed = np.ones(len(checks[0][1]), dtype=bool)
     named: dict[type, list] = {DanglingIdError: [], InvalidBoxError: [], ValidationError: []}
     for error, bad, message in checks:
-        named[error] += [(i, message(records[i])) for i in np.flatnonzero(bad & unnamed)]
+        named[error] += [(i, message(i)) for i in np.flatnonzero(bad & unnamed)]
         unnamed &= ~bad
     for error, found in named.items():
         if found:
             raise error(f"{path}: " + "; ".join(f"{context}[{i}]: {text}" for i, text in sorted(found)))
 
 
+def _image_ids(images: Sequence[ImageInfo]) -> tuple:
+    return images.ids if isinstance(images, ImageColumns) else tuple(im.id for im in images)
+
+
 def load_manifest(path: str) -> DatasetManifest:
-    """Load and fully validate a COCO-layout ground-truth file; the annotations are column-backed."""
+    """Load and fully validate a COCO-layout ground-truth file; the images and annotations are column-backed."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
@@ -202,44 +239,41 @@ def load_manifest(path: str) -> DatasetManifest:
         if not isinstance(sections[name], list):
             raise ParseError(f"{path}: {name}: expected a list, got {type(raw[name]).__name__}")
 
-    images = []
-    for i, rec in enumerate(sections["images"]):
-        ctx = f"images[{i}]"
-        images.append(
-            ImageInfo(
-                id=_int_id(rec, "id", ctx),
-                width=_number(rec, "width", ctx),
-                height=_number(rec, "height", ctx),
-                file_name=str(rec.get("file_name", "")),
-            )
-        )
-    categories = []
-    for i, rec in enumerate(sections["categories"]):
-        ctx = f"categories[{i}]"
-        categories.append(Category(id=_int_id(rec, "id", ctx), name=str(_field(rec, "name", ctx))))
-
-    ids = {"images": [im.id for im in images], "categories": [c.id for c in categories]}
-    reject_duplicates(f"{path}: ", "id", ids)
-    image_dims = {im.id: (im.width, im.height) for im in images}
+    (image_ids,), sizes, (file_names,) = _typed("images", sections["images"], lambda recs: (
+        [[r["id"] for r in recs]], [v for r in recs for v in (r["width"], r["height"])],
+        [[r.get("file_name", "") for r in recs]],  # each record is an object: its id was read
+    ), lambda rec, ctx: (_int_id(rec, "id", ctx), _number(rec, "width", ctx), _number(rec, "height", ctx),
+                         _string(rec.get("file_name", ""), f"{ctx}.file_name")))
+    (class_ids,), _, (names,) = _typed("categories", sections["categories"], lambda recs: (
+        [[r["id"] for r in recs]], [], [[r["name"] for r in recs]],
+    ), lambda rec, ctx: (_int_id(rec, "id", ctx), _string(_field(rec, "name", ctx), f"{ctx}.name")))
+    image_ids, class_ids, sizes = tuple(image_ids), tuple(class_ids), sizes.reshape(-1, 2)
+    reject_duplicates(f"{path}: ", "id", {"images": image_ids, "categories": class_ids})
+    empty = (sizes <= 0.0).any(axis=1)
+    _reject(path, "images", [(ValidationError, empty, lambda i: "size {}x{} is not positive".format(*sizes[i]))])
     records = sections["annotations"]
     del raw, sections  # the image and category records are no longer needed
 
-    annotations, extents = _columns(path, "annotations", records, ids["images"], ids["categories"], scored=False)
+    annotations, extents = _columns(path, "annotations", records, image_ids, class_ids, scored=False)
     boxes = annotations.boxes
-    bounds = np.array(list(image_dims.values()), dtype=np.float64).reshape(-1, 2) + _BOUNDS_TOL
+    bounds = (sizes + _BOUNDS_TOL)[annotations.image]
     with np.errstate(over="ignore", invalid="ignore"):  # inf past 1e308, NaN beside an overflowed corner
         areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    _reject(path, "annotations", records, [
-        (InvalidBoxError, (extents <= 0.0).any(axis=1), lambda rec: f"non-positive bbox extents {_xywh(rec)}"),
+    _reject(path, "annotations", [
+        (InvalidBoxError, (extents <= 0.0).any(axis=1), lambda i: f"non-positive bbox extents {_xywh(records[i])}"),
         (
             InvalidBoxError,
-            (boxes[:, :2] < -_BOUNDS_TOL).any(axis=1) | (boxes[:, 2:] > bounds[annotations.image]).any(axis=1),
-            lambda rec: "bbox {} outside image bounds {}x{}".format(_xywh(rec), *image_dims[rec["image_id"]]),
+            (boxes[:, :2] < -_BOUNDS_TOL).any(axis=1) | (boxes[:, 2:] > bounds).any(axis=1),
+            lambda i: "bbox {} outside image bounds {}x{}".format(
+                _xywh(records[i]), *sizes[annotations.image[i]].tolist()
+            ),
         ),
-        (InvalidBoxError, areas <= 0.0, lambda rec: f"bbox {_xywh(rec)} has zero area as corners"),
-        (InvalidBoxError, np.isinf(areas), lambda rec: f"bbox {_xywh(rec)} has an area as corners that is not finite"),
+        (InvalidBoxError, areas <= 0.0, lambda i: f"bbox {_xywh(records[i])} has zero area as corners"),
+        (InvalidBoxError, np.isinf(areas),
+         lambda i: f"bbox {_xywh(records[i])} has an area as corners that is not finite"),
     ])
-    return DatasetManifest(images=tuple(images), categories=tuple(categories), annotations=annotations)
+    categories = tuple(map(Category, class_ids, names))
+    return DatasetManifest(ImageColumns(image_ids, sizes, file_names), categories, annotations)
 
 
 def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequence[Detection]:
@@ -248,17 +282,16 @@ def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequ
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON list of predictions")
 
-    image_ids = [im.id for im in manifest.images] if manifest is not None else None
-    category_ids = [c.id for c in manifest.categories] if manifest is not None else None
-    detections, extents = _columns(path, "predictions", raw, image_ids, category_ids, scored=True)
+    tables = (_image_ids(manifest.images), tuple(c.id for c in manifest.categories)) if manifest else (None, None)
+    detections, extents = _columns(path, "predictions", raw, *tables, scored=True)
     scores = detections.scores
-    _reject(path, "predictions", raw, [
-        (InvalidBoxError, (extents < 0.0).any(axis=1), lambda rec: f"negative bbox extents {_xywh(rec)}"),
-        (ValidationError, (scores < 0.0) | (scores > 1.0), lambda rec: f"score {float(rec['score'])} outside [0, 1]"),
+    _reject(path, "predictions", [
+        (InvalidBoxError, (extents < 0.0).any(axis=1), lambda i: f"negative bbox extents {_xywh(raw[i])}"),
+        (ValidationError, (scores < 0.0) | (scores > 1.0), lambda i: f"score {float(raw[i]['score'])} outside [0, 1]"),
         (
             InvalidBoxError,
             ~np.isfinite(detections.boxes).all(axis=1),
-            lambda rec: f"bbox {_xywh(rec)} has a corner that is not finite",
+            lambda i: f"bbox {_xywh(raw[i])} has a corner that is not finite",
         ),
     ])
     return detections
@@ -312,4 +345,4 @@ def split_ids(ids: Sequence[int], spec: SplitSpec) -> DatasetSplit:
 
 
 def split_dataset(manifest: DatasetManifest, spec: SplitSpec) -> DatasetSplit:
-    return split_ids([im.id for im in manifest.images], spec)
+    return split_ids(_image_ids(manifest.images), spec)

@@ -51,6 +51,8 @@ def reject_duplicates(prefix: str, label: str, sections: dict[str, list]) -> Non
     """Raise ``DuplicateIdError`` naming every repeated key of every section and its first index."""
     messages = []
     for section, keys in sections.items():
+        if len(set(keys)) == len(keys):
+            continue
         first_at: dict = {}
         messages += [
             f"{section}[{i}]: duplicate {label} {key!r} (first at {section}[{first}])"

@@ -33,6 +33,7 @@ aggregation unless ``EvalConfig.include_gt_free_classes`` is set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -148,11 +149,24 @@ def f1(precision_like: float, recall_like: float) -> float:
     return 2.0 * precision_like * recall_like / (precision_like + recall_like)
 
 
-class BoxColumns(Sequence):
+class Columns(Sequence):
+    """A sequence stored as columns: a subclass builds item ``i`` in ``_row(i)``. A slice
+    gives a tuple of items, and it equals a list or tuple of them (or other columns)."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return self._row(i)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (Columns, list, tuple)) else NotImplemented
+
+
+class BoxColumns(Columns):
     """Detections (or ground truths, when ``scores`` is None) as arrays: ``image``
     and ``cls`` code into the ``image_ids`` and ``class_ids`` tables, ``boxes`` is
-    (N, 4) corner-form float64, ``scores`` (N,). Indexing and iteration build
-    ``Detection`` (``GroundTruthAnnotation``) values; it equals a list or tuple of them.
+    (N, 4) corner-form float64, ``scores`` (N,). Items are ``Detection``
+    (``GroundTruthAnnotation``) values.
     """
 
     def __init__(self, image_ids, class_ids, image, cls, boxes, scores=None) -> None:
@@ -162,36 +176,33 @@ class BoxColumns(Sequence):
     def __len__(self) -> int:
         return len(self.image)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(len(self))))
+    def _row(self, i):
         ids = (self.image_ids[self.image[i]], self.class_ids[self.cls[i]], Box(*self.boxes[i].tolist()))
         return GroundTruthAnnotation(*ids) if self.scores is None else Detection(*ids, float(self.scores[i]))
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, (BoxColumns, list, tuple)) else NotImplemented
 
 
 def _coded(dets: Sequence, gts: Sequence):
     """The detections as (image codes, class codes, (N, 4) boxes, scores), the
     ground truths as (image codes, class codes, boxes), and the class id of
     each class code. Ids are coded alike on both sides: ``BoxColumns`` are
-    re-coded through their id tables, and other sequences converted once.
+    re-coded through their id tables, each distinct table once (the COCO loaders
+    share theirs), and other sequences converted once.
     """
-    image_code: dict = {}
-    class_code: dict = {}
+    codes: tuple[dict, dict] = ({}, {})  # image id -> code, class id -> code
+    recode = functools.cache(  # the codes of id table ``table`` in ``codes[k]``, once per distinct table
+        lambda table, k: np.array([codes[k].setdefault(v, len(codes[k])) for v in table], np.intp)
+    )
     coded = []
     for items, scored in ((gts, False), (dets, True)):
         if isinstance(items, BoxColumns):
-            image = np.array([image_code.setdefault(v, len(image_code)) for v in items.image_ids], np.intp)[items.image]
-            cls = np.array([class_code.setdefault(v, len(class_code)) for v in items.class_ids], np.intp)[items.cls]
+            image, cls = recode(items.image_ids, 0)[items.image], recode(items.class_ids, 1)[items.cls]
             coded.append((image, cls, items.boxes, items.scores))
             continue
-        image = np.array([image_code.setdefault(x.image_id, len(image_code)) for x in items], np.intp)
-        cls = np.array([class_code.setdefault(x.class_id, len(class_code)) for x in items], np.intp)
+        image = np.array([codes[0].setdefault(x.image_id, len(codes[0])) for x in items], np.intp)
+        cls = np.array([codes[1].setdefault(x.class_id, len(codes[1])) for x in items], np.intp)
         boxes = np.array([x.box.as_tuple() for x in items], np.float64).reshape(-1, 4)
         coded.append((image, cls, boxes, np.array([x.score for x in items], np.float64) if scored else None))
-    return coded[1], coded[0][:3], tuple(class_code)
+    return coded[1], coded[0][:3], tuple(codes[1])
 
 
 def _match(dets, gts, thresholds, cap: int):

@@ -7,6 +7,7 @@ of the code paths they check.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 import random
@@ -300,3 +301,56 @@ def sample_clean_pair(
 def rows_digest(rows: list[list[str]]) -> str:
     """sha256 of string rows, one comma-joined line per row: pins a study's CSV bit for bit."""
     return hashlib.sha256("\n".join(map(",".join, rows)).encode()).hexdigest()
+
+
+# --- anchor tiling and box augmentation oracles (plain tuples, no package calls) ---------
+
+
+def anchor_tiling(
+    scale: int, ratios: tuple[float, ...], strides: tuple[int, ...], feature_sizes: list[tuple[int, int]]
+) -> list[tuple[int, tuple[int, int], Tup4]]:
+    """Pyramid anchors as (level, (row, col), corners), in (level, row, col, ratio) order.
+
+    From the recipe alone: the anchor of ratio r at cell (row, col) of the level with
+    stride s is centered at ((col + 1/2) s, (row + 1/2) s), and its width w and height h
+    solve w * h = (s * scale)^2 and w / h = r.
+    """
+    anchors = []
+    for level, (stride, (rows, cols)) in enumerate(zip(strides, feature_sizes)):
+        area = float(stride * scale) ** 2
+        for row in range(rows):
+            for col in range(cols):
+                cx, cy = (col + 0.5) * stride, (row + 0.5) * stride
+                for r in ratios:
+                    w, h = math.sqrt(area * r), math.sqrt(area / r)
+                    anchors.append((level, (row, col), (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)))
+    return anchors
+
+
+def augment_oracle(
+    flip: bool, ssr: tuple[float, float, float, float] | None, width: float, height: float, boxes: list[Tup4]
+) -> tuple[list[Tup4], list[int]]:
+    """(kept boxes, dropped indices) of one image's augmentation, on complex numbers.
+
+    A flip reflects x across width / 2. Then, if ``ssr`` = (dx, dy, scale, angle in
+    degrees) is given, each corner z moves to c + scale * e^(i angle) * (z - c) + dx + i dy
+    about the image center c; the box becomes the hull of its four corners, clipped to
+    the image, and is dropped if the clipped area is below one square pixel.
+    """
+    kept, dropped = [], []
+    center = complex(width / 2, height / 2)
+    for i, (x1, y1, x2, y2) in enumerate(boxes):
+        if flip:
+            x1, x2 = width - x2, width - x1
+        if ssr is not None:
+            dx, dy, scale, angle = ssr
+            turn = scale * cmath.exp(1j * math.radians(angle))
+            corners = [center + turn * (complex(x, y) - center) + complex(dx, dy) for x in (x1, x2) for y in (y1, y2)]
+            xs = [min(max(z.real, 0.0), width) for z in corners]
+            ys = [min(max(z.imag, 0.0), height) for z in corners]
+            x1, y1, x2, y2 = min(xs), min(ys), max(xs), max(ys)
+            if (x2 - x1) * (y2 - y1) < 1.0:
+                dropped.append(i)
+                continue
+        kept.append((x1, y1, x2, y2))
+    return kept, dropped

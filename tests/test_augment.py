@@ -18,6 +18,7 @@ from boxlab.augment import (
 from boxlab.cli import main
 from boxlab.errors import ParseError, ValidationError
 from boxlab.geometry import Box, area
+from helpers import augment_oracle
 
 
 PARAMS = AugmentParams(image_width=100.0, image_height=80.0)
@@ -158,6 +159,28 @@ class TestApplyImageAugment:
         boxes = [Box(2, 3, 4, 5)]
         kept, dropped = apply_image_augment(decision, PARAMS, boxes)
         assert kept == boxes and dropped == []
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_transform_oracle(self, seed):
+        rng = random.Random(seed)
+        width, height = rng.choice((1.0, 8.0, 100.0, 640.0)), rng.choice((1.0, 6.0, 80.0, 360.0))
+        params = AugmentParams(image_width=width, image_height=height)
+        decision = ImageAugment(
+            flip=rng.random() < 0.5, apply_ssr=rng.random() < 0.8,
+            dx=rng.uniform(-0.2, 0.2) * width, dy=rng.uniform(-0.2, 0.2) * height,
+            scale=rng.uniform(0.5, 1.5), angle_deg=rng.choice((0.0, 90.0, -180.0, rng.uniform(-180.0, 180.0))),
+        )
+        boxes = []
+        for _ in range(rng.randrange(0, 12)):
+            x, y = rng.uniform(-0.1, 1.0) * width, rng.uniform(-0.1, 1.0) * height
+            boxes.append((x, y, x + rng.uniform(0.0, 0.6) * width, y + rng.uniform(0.0, 0.6) * height))
+        ssr = (decision.dx, decision.dy, decision.scale, decision.angle_deg) if decision.apply_ssr else None
+        want_kept, want_dropped = augment_oracle(decision.flip, ssr, width, height, boxes)
+        kept, dropped = apply_image_augment(decision, params, [Box(*b) for b in boxes])
+        assert dropped == want_dropped
+        tol = 1e-9 * max(width, height)
+        for got, want in zip(kept, want_kept, strict=True):
+            assert got.as_tuple() == pytest.approx(want, abs=tol)
 
 
 class TestSamplePlan:

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import re
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from boxlab.coco_io import (
     Category,
     DatasetManifest,
+    ImageColumns,
     ImageInfo,
     SplitSpec,
     load_manifest,
@@ -413,6 +416,28 @@ INVALID_INPUTS = {
         ValidationError,
         "{dir}/pred.json: predictions[1]: score 7.0 outside [0, 1]",
     ),
+    "category_name_null": (lambda gt, pred: gt["categories"][0].update(name=None), ParseError,
+                           "categories[0].name: expected a string, got None"),
+    "category_name_number": (lambda gt, pred: gt["categories"][1].update(name=7), ParseError,
+                             "categories[1].name: expected a string, got 7"),
+    "image_file_name_number": (lambda gt, pred: gt["images"][1].update(file_name=5), ParseError,
+                               "images[1].file_name: expected a string, got 5"),
+    "image_file_name_null_after_bad_width": (
+        _both(lambda gt, pred: gt["images"][0].update(file_name=None), lambda gt, pred: gt["images"][1].update(width="9")),
+        ParseError,
+        "images[0].file_name: expected a string, got None",
+    ),
+    "image_sizes_not_positive": (
+        _both(lambda gt, pred: gt["images"][1].update(width=-1, height=0),
+              lambda gt, pred: gt["images"][0].update(height=0.0)),
+        ValidationError,
+        "{dir}/gt.json: images[0]: size 100.0x0.0 is not positive; images[1]: size -1.0x0.0 is not positive",
+    ),
+    "image_size_beats_dangling_annotation": (
+        _both(lambda gt, pred: gt["images"][0].update(width=0), _ann(2, image_id=9)),
+        ValidationError,
+        "{dir}/gt.json: images[0]: size 0.0x80.0 is not positive",
+    ),
 }
 
 
@@ -478,6 +503,162 @@ class TestColumnBacked:
         dets = load_predictions(_write(tmp_path, "pred.json", preds))
         assert dets.image_ids == (9, 4) and dets.class_ids == (3, 1)
         assert [(d.image_id, d.class_id) for d in dets] == [(9, 3), (4, 3), (9, 1)]
+
+
+class TestImageColumns:
+    IMAGES = (ImageInfo(1, 100.0, 80.0, "a.jpg"), ImageInfo(2, 64.0, 64.0, "b.jpg"), ImageInfo(7, 3.0, 5.5, ""))
+
+    def _loaded(self, tmp_path):
+        doc = _manifest_doc()
+        doc["images"].append({"id": 7, "width": 3, "height": 5.5})
+        return load_manifest(_write(tmp_path, "gt.json", doc))
+
+    def test_sequence_of_image_info(self, tmp_path):
+        images = self._loaded(tmp_path).images
+        assert isinstance(images, ImageColumns)
+        assert len(images) == 3
+        assert images[0] == self.IMAGES[0] and images[2] == self.IMAGES[2]
+        assert images[-1] == images[2] and images[-3] == images[0]
+        assert images[1:] == self.IMAGES[1:] and images[::-2] == (self.IMAGES[2], self.IMAGES[0])
+        assert images[5:] == ()
+        assert list(images) == list(self.IMAGES)
+        assert images == self.IMAGES and self.IMAGES == images
+        assert images == list(self.IMAGES) and list(self.IMAGES) == images
+        assert images != self.IMAGES[:2] and self.IMAGES[:2] != images
+        assert type(images[2].width) is float and type(images[2].height) is float
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                images[i]
+
+    def test_id_tables_shared(self, tmp_path):
+        gt, pred = _pair()
+        manifest = load_manifest(_write(tmp_path, "gt.json", gt))
+        dets = load_predictions(_write(tmp_path, "pred.json", pred), manifest)
+        assert manifest.images.ids == (1, 2)
+        assert dets.image_ids is manifest.images.ids and manifest.annotations.image_ids is manifest.images.ids
+        assert dets.class_ids == manifest.annotations.class_ids == (1, 2)
+
+    def test_hand_built_manifest_of_plain_tuples(self, tmp_path):
+        manifest = DatasetManifest(
+            images=self.IMAGES,
+            categories=(Category(1, "alpha"), Category(2, "beta")),
+            annotations=(GroundTruthAnnotation(7, 2, Box(0.0, 0.0, 2.0, 2.0)),),
+        )
+        preds = [{"image_id": 7, "category_id": 2, "bbox": [0, 0, 2, 2], "score": 0.5}]
+        dets = load_predictions(_write(tmp_path, "pred.json", preds), manifest)
+        assert dets.image_ids == (1, 2, 7) and dets.class_ids == (1, 2)
+        assert list(dets) == [Detection(7, 2, Box(0.0, 0.0, 2.0, 2.0), 0.5)]
+        assert evaluate(dets, manifest.annotations).map_all == 1.0
+        preds[0]["image_id"] = 3
+        with pytest.raises(DanglingIdError, match=r"predictions\[0\]: unknown image_id 3"):
+            load_predictions(_write(tmp_path, "pred.json", preds), manifest)
+        split = split_dataset(manifest, SplitSpec(0.0, 1.0, 0.0, seed=3))
+        assert split == split_ids([1, 2, 7], SplitSpec(0.0, 1.0, 0.0, seed=3)) and sorted(split.val) == [1, 2, 7]
+
+    def test_tables_coded_alike_with_or_without_manifest(self, tmp_path):
+        """Detections loaded without a manifest code ids in first-seen order: evaluate must agree."""
+        gt, pred = _pair()
+        manifest = load_manifest(_write(tmp_path, "gt.json", gt))
+        path = _write(tmp_path, "pred.json", pred[::-1])
+        alone, against = load_predictions(path), load_predictions(path, manifest)
+        assert alone.image_ids == (2, 1) and alone.class_ids == (1, 2)
+        assert evaluate(alone, manifest.annotations) == evaluate(against, manifest.annotations)
+        assert evaluate(alone, manifest.annotations) == evaluate(list(against), list(manifest.annotations))
+
+
+# --- the typed pass over images against the per-image walk it replaced --------------
+
+
+def _ref_field(record, key, context):
+    if not isinstance(record, dict) or key not in record:
+        raise ParseError(f"{context}: missing field {key!r}")
+    return record[key]
+
+
+def _ref_number(record, key, context):
+    value = _ref_field(record, key, context)
+    context = f"{context}.{key}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{context}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ParseError(f"{context}: expected a finite number, got an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise ParseError(f"{context}: expected a finite number, got {value!r}")
+    return number
+
+
+def _ref_int_id(record, key, context):
+    value = _ref_field(record, key, context)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{context}.{key}: expected an integer id, got {value!r}")
+    return value
+
+
+def reference_images(section) -> list[ImageInfo]:
+    """``load_manifest``'s per-image walk before the typed pass, as it was."""
+    images = []
+    for i, rec in enumerate([] if section is None else section):
+        ctx = f"images[{i}]"
+        images.append(
+            ImageInfo(
+                id=_ref_int_id(rec, "id", ctx),
+                width=_ref_number(rec, "width", ctx),
+                height=_ref_number(rec, "height", ctx),
+                file_name=str(rec.get("file_name", "")),
+            )
+        )
+    return images
+
+
+_BAD_IDS = (True, False, "3", 1.0, 2.5, None, [1], {"id": 1}, float("nan"), float("inf"))
+_BAD_NUMBERS = (True, False, "64", None, [64], {}, float("nan"), float("inf"), float("-inf"), 10**400, -(10**309))
+_NOT_RECORDS = (None, [1, 64, 64], "image", 5, 2.5, True, [])
+
+
+def malformed_images(rng: random.Random):
+    """A seeded ``images`` section, valid but for zero to three edits drawn from the bad values above."""
+    if rng.random() < 0.03:
+        return None
+    section = []
+    for k in range(rng.randrange(0, 6)):
+        rec = {"id": rng.choice((k, -k, 2**70 + k)), "width": rng.choice((64, 0.5, 1e300)), "height": rng.choice((1, 7.25))}
+        if rng.random() < 0.5:
+            rec["file_name"] = f"{k}.jpg"
+        section.append(dict(sorted(rec.items(), key=lambda kv: rng.random())))
+    for _ in range(rng.randrange(0, 4) if section else 0):
+        i, edit = rng.randrange(len(section)), rng.randrange(4)
+        if edit == 0:
+            section[i] = rng.choice(_NOT_RECORDS)
+        elif isinstance(section[i], dict) and edit == 1:
+            section[i].pop(rng.choice(("id", "width", "height")), None)
+        elif isinstance(section[i], dict) and edit == 2:
+            section[i]["id"] = rng.choice(_BAD_IDS)
+        elif isinstance(section[i], dict):
+            section[i][rng.choice(("width", "height"))] = rng.choice(_BAD_NUMBERS)
+    return section
+
+
+def test_typed_image_pass_reports_errors_like_the_walk(tmp_path):
+    outcomes = set()
+    for seed in range(3000):
+        section = malformed_images(random.Random(seed))
+        try:
+            want = ("ok", reference_images(section))
+        except ParseError as exc:
+            want = ("ParseError", str(exc))
+        path = _write(tmp_path, "gt.json", {"images": section})
+        try:
+            got = ("ok", load_manifest(path).images)
+        except Exception as exc:  # noqa: BLE001 - the class is part of what is compared
+            got = (type(exc).__name__, str(exc))
+        assert got == want, (seed, section)
+        outcomes.add(want[0] if want[0] == "ok" else want[1].split(": ", 1)[1].split(",")[0])
+    assert outcomes >= {
+        "ok", "missing field 'id'", "missing field 'width'", "missing field 'height'", "expected an integer id",
+        "expected a number", "expected a finite number",
+    }
 
 
 # --- input boundary: each fails on the per-record loaders this replaced -------------

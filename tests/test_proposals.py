@@ -19,7 +19,7 @@ from boxlab.proposals import (
     generate_anchors,
     nms,
 )
-from helpers import brute_force_nms, sample_box, tuple_iou
+from helpers import anchor_tiling, brute_force_nms, sample_box, tuple_iou
 
 
 class TestAnchorConfig:
@@ -97,6 +97,20 @@ class TestGenerateAnchors:
     def test_nonpositive_feature_size(self, size):
         with pytest.raises(ValidationError, match=f"level 1 must be positive, got {size[0]}x{size[1]}"):
             generate_anchors(AnchorConfig(strides=(8, 16)), [(2, 2), size])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_tiling_oracle(self, seed):
+        rng = random.Random(seed)
+        ratios = tuple(rng.choice((0.25, 1 / 3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.3)) for _ in range(rng.randrange(1, 5)))
+        strides = tuple(sorted(rng.sample(range(1, 65), rng.randrange(1, 5))))
+        scale = rng.randrange(1, 17)
+        sizes = [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in strides]
+        anchors = generate_anchors(AnchorConfig(scale, ratios, strides), sizes)
+        want = anchor_tiling(scale, ratios, strides, sizes)
+        assert [(a.level, a.cell) for a in anchors] == [(level, cell) for level, cell, _ in want]
+        tol = 1e-12 * max(strides) * scale * 4
+        for anchor, (_, _, corners) in zip(anchors, want):
+            assert anchor.box.as_tuple() == pytest.approx(corners, rel=1e-12, abs=tol)
 
 
 def _reference_anchors(cfg, feature_sizes):
