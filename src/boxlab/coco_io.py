@@ -71,6 +71,7 @@ class ImageColumns(Columns):
 
     def __init__(self, ids, sizes: np.ndarray, file_names: list) -> None:
         self.ids, self.sizes, self.file_names = tuple(ids), sizes, file_names
+        self._coding = _id_coding(self.ids)  # both loaders code image ids by this one dict
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -171,10 +172,15 @@ def _typed(context: str, records: list, pull, walk) -> tuple[list, np.ndarray, l
         walk(rec, f"{context}[{i}]")
 
 
-def _columns(path: str, context: str, records: list, image_ids: tuple | None, class_ids: tuple | None, scored: bool):
-    """Box columns from one ``_typed`` pass: ids coded by their index in ``image_ids`` and ``class_ids``
-    (None: every id, first seen first), corners ``x + w``, ``y + h``. Returns (columns, (N, 2) bbox
-    extents). An unknown id raises ``DanglingIdError``.
+def _id_coding(ids: tuple) -> tuple[tuple, dict]:
+    """An id table and its {id: code} dict."""
+    return ids, {v: k for k, v in enumerate(ids)}
+
+
+def _columns(path: str, context: str, records: list, codings: tuple, scored: bool):
+    """Box columns from one ``_typed`` pass: image and category ids coded by the two ``_id_coding``
+    pairs of ``codings`` (None: every id, first seen first), corners ``x + w``, ``y + h``. Returns
+    (columns, (N, 2) bbox extents). An unknown id raises ``DanglingIdError``.
     """
 
     def pull(recs: list):
@@ -187,11 +193,8 @@ def _columns(path: str, context: str, records: list, image_ids: tuple | None, cl
         _int_id(rec, "image_id", ctx), _int_id(rec, "category_id", ctx), _bbox(rec, ctx),
         scored and _number(rec, "score", ctx),
     ))
-    tables = [tuple(dict.fromkeys(col)) if t is None else t for col, t in zip(ids, (image_ids, class_ids))]
-    codes = [
-        np.fromiter(map({v: k for k, v in enumerate(table)}.get, col, repeat(-1)), np.intp, len(col))
-        for col, table in zip(ids, tables)
-    ]
+    tables, indexes = zip(*(_id_coding(tuple(dict.fromkeys(col))) if c is None else c for col, c in zip(ids, codings)))
+    codes = [np.fromiter(map(index.get, col, repeat(-1)), np.intp, len(col)) for col, index in zip(ids, indexes)]
     _reject(path, context, [
         (DanglingIdError, codes[0] < 0, lambda i: f"unknown image_id {records[i]['image_id']}"),
         (DanglingIdError, codes[1] < 0, lambda i: f"unknown category_id {records[i]['category_id']}"),
@@ -223,8 +226,8 @@ def _reject(path: str, context: str, checks: list) -> None:
             raise error(f"{path}: " + "; ".join(f"{context}[{i}]: {text}" for i, text in sorted(found)))
 
 
-def _image_ids(images: Sequence[ImageInfo]) -> tuple:
-    return images.ids if isinstance(images, ImageColumns) else tuple(im.id for im in images)
+def _image_coding(images: Sequence[ImageInfo]) -> tuple[tuple, dict]:
+    return images._coding if isinstance(images, ImageColumns) else _id_coding(tuple(im.id for im in images))
 
 
 def load_manifest(path: str) -> DatasetManifest:
@@ -254,7 +257,8 @@ def load_manifest(path: str) -> DatasetManifest:
     records = sections["annotations"]
     del raw, sections  # the image and category records are no longer needed
 
-    annotations, extents = _columns(path, "annotations", records, image_ids, class_ids, scored=False)
+    images = ImageColumns(image_ids, sizes, file_names)
+    annotations, extents = _columns(path, "annotations", records, (images._coding, _id_coding(class_ids)), scored=False)
     boxes = annotations.boxes
     bounds = (sizes + _BOUNDS_TOL)[annotations.image]
     with np.errstate(over="ignore", invalid="ignore"):  # inf past 1e308, NaN beside an overflowed corner
@@ -273,7 +277,7 @@ def load_manifest(path: str) -> DatasetManifest:
          lambda i: f"bbox {_xywh(records[i])} has an area as corners that is not finite"),
     ])
     categories = tuple(map(Category, class_ids, names))
-    return DatasetManifest(ImageColumns(image_ids, sizes, file_names), categories, annotations)
+    return DatasetManifest(images, categories, annotations)
 
 
 def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequence[Detection]:
@@ -282,8 +286,10 @@ def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequ
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON list of predictions")
 
-    tables = (_image_ids(manifest.images), tuple(c.id for c in manifest.categories)) if manifest else (None, None)
-    detections, extents = _columns(path, "predictions", raw, *tables, scored=True)
+    codings = (None, None)
+    if manifest:
+        codings = (_image_coding(manifest.images), _id_coding(tuple(c.id for c in manifest.categories)))
+    detections, extents = _columns(path, "predictions", raw, codings, scored=True)
     scores = detections.scores
     _reject(path, "predictions", [
         (InvalidBoxError, (extents < 0.0).any(axis=1), lambda i: f"negative bbox extents {_xywh(raw[i])}"),
@@ -345,4 +351,4 @@ def split_ids(ids: Sequence[int], spec: SplitSpec) -> DatasetSplit:
 
 
 def split_dataset(manifest: DatasetManifest, spec: SplitSpec) -> DatasetSplit:
-    return split_ids(_image_ids(manifest.images), spec)
+    return split_ids(_image_coding(manifest.images)[0], spec)

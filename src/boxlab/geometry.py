@@ -93,10 +93,15 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     NaN (areas past 1e308) gets 0 instead of raising: NMS, proposal assignment
     and matching treat it as no overlap.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an area past 1e308 is inf, its union may be NaN
+    # An area past 1e308 is inf and its union may be NaN; an empty or NaN union divides to 0 or NaN.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
         ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+        # ``+ 0.0`` turns a -0.0 overlap into 0.0 (``np.maximum`` may return either zero). An overlap
+        # of 0 * inf (one extent overflowed) is NaN, and so is its union, which zeroes it below.
+        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0) + 0.0
         area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
         union = area_a + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter
-        return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+        out = np.asarray(inter / union)
+        out[~(union > 0.0)] = 0.0
+        return out

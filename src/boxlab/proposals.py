@@ -9,11 +9,11 @@ Anchors are not clipped to image bounds; clipping policy belongs to callers.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import inf
-from typing import Sequence
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .geometry import Box, iou_array
 __all__ = [
     "AnchorConfig",
     "Anchor",
+    "AnchorSet",
     "BoxDelta",
     "ScoredBox",
     "ProposalAssignment",
@@ -84,7 +85,7 @@ class Anchor:
     cell: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxDelta:
     """Center offsets normalized by anchor size plus log width/height ratios."""
 
@@ -94,17 +95,20 @@ class BoxDelta:
     th: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredBox:
     box: Box
     score: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"score must be in [0, 1], got {self.score}")
+    def __init__(self, box: Box, score: float) -> None:
+        # Sets the slots directly: the frozen dataclass ``__init__`` costs twice as much, once per NMS candidate.
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(f"score must be in [0, 1], got {score}")
+        _set_scored_box(self, box)
+        _set_score(self, score)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProposalAssignment:
     """Label for one proposal: positive iff its best ground-truth IoU exceeds the threshold."""
 
@@ -114,9 +118,41 @@ class ProposalAssignment:
     iou: float
 
 
-def generate_anchors(
-    cfg: AnchorConfig, feature_sizes: Sequence[tuple[int, int]]
-) -> list[Anchor]:
+# Anchors, decoded boxes and scored boxes are built through the slot descriptors, without ``__init__`` frames.
+_new = object.__new__
+_set_x_min, _set_y_min, _set_x_max, _set_y_max = (getattr(Box, name).__set__ for name in Box.__slots__)
+_set_box, _set_level, _set_cell = (getattr(Anchor, name).__set__ for name in Anchor.__slots__)
+_set_scored_box, _set_score = (getattr(ScoredBox, name).__set__ for name in ScoredBox.__slots__)
+
+
+class AnchorSet(Sequence[Anchor]):
+    """Anchors as six flat columns, one item per anchor: ``x_min``, ``y_min``, ``x_max``, ``y_max``,
+    ``level`` and ``cell``. Each index builds a new ``Anchor(Box)``, equal at every call, whose floats
+    and cell tuple are the columns' objects; a slice is an ``AnchorSet``."""
+
+    __slots__ = ("x_min", "y_min", "x_max", "y_max", "level", "cell")
+
+    def __init__(self, x_min: list, y_min: list, x_max: list, y_max: list, level: list, cell: list) -> None:
+        self.x_min, self.y_min, self.x_max, self.y_max, self.level, self.cell = x_min, y_min, x_max, y_max, level, cell
+
+    def __len__(self) -> int:
+        return len(self.level)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return AnchorSet(*(getattr(self, name)[i] for name in AnchorSet.__slots__))
+        box, anchor = _new(Box), _new(Anchor)
+        _set_x_min(box, self.x_min[i])
+        _set_y_min(box, self.y_min[i])
+        _set_x_max(box, self.x_max[i])
+        _set_y_max(box, self.y_max[i])
+        _set_box(anchor, box)
+        _set_level(anchor, self.level[i])
+        _set_cell(anchor, self.cell[i])
+        return anchor
+
+
+def generate_anchors(cfg: AnchorConfig, feature_sizes: Sequence[tuple[int, int]]) -> AnchorSet:
     """Tile anchors over each pyramid level.
 
     Args:
@@ -135,7 +171,7 @@ def generate_anchors(
             f"expected {len(cfg.strides)} feature sizes (one per stride), "
             f"got {len(feature_sizes)}"
         )
-    anchors: list[Anchor] = []
+    anchors = AnchorSet([], [], [], [], [], [])
     for level, (stride, (height, width)) in enumerate(zip(cfg.strides, feature_sizes)):
         if height <= 0 or width <= 0:
             raise ValidationError(f"feature size of level {level} must be positive, got {height}x{width}")
@@ -149,65 +185,74 @@ def generate_anchors(
                 f"stride {stride} with feature size {height}x{width} (level {level}) puts anchor extents "
                 f"past the float range: the far corner is {(far_x, far_y)}"
             )
-        n = width * len(halves)
         # (min, max) extents per ratio, computed once per column and once per row.
         centers = [(c + 0.5) * stride for c in range(width)]
-        x0s = [cx - hw for cx in centers for hw, _ in halves]
-        x1s = [cx + hw for cx in centers for hw, _ in halves]
+        anchors.x_min += [cx - hw for cx in centers for hw, _ in halves] * height
+        anchors.x_max += [cx + hw for cx in centers for hw, _ in halves] * height
+        anchors.level += [level] * (height * width * len(halves))
         for row in range(height):
             cy = (row + 0.5) * stride
-            y0s = [cy - hh for _, hh in halves]
-            y1s = [cy + hh for _, hh in halves]
-            columns = (x0s, y0s * width, x1s, y1s * width)
-            cells = [cell for col in range(width) for cell in repeat((row, col), len(halves))]
-            anchors += _build(Anchor, (_build(Box, columns, n), repeat(level, n), cells), n)
+            anchors.y_min += [cy - hh for _, hh in halves] * width
+            anchors.y_max += [cy + hh for _, hh in halves] * width
+            anchors.cell += [cell for col in range(width) for cell in repeat((row, col), len(halves))]
     return anchors
 
 
-def _build(cls, columns, n: int) -> list:
-    """``n`` instances of the frozen slotted dataclass ``cls``, slot j of instance i set to
-    ``columns[j][i]`` through the slot descriptor: neither ``__init__`` nor ``__post_init__`` runs."""
-    objs = list(map(object.__new__, repeat(cls, n)))
-    for name, column in zip(cls.__slots__, columns):
-        deque(map(getattr(cls, name).__set__, objs, column), 0)
-    return objs
-
-
 def encode_delta(anchor: Box, target: Box) -> BoxDelta:
-    """Encode ``target`` relative to ``anchor``: normalized center shift + log size ratio."""
+    """Encode ``target`` relative to ``anchor``: normalized center shift + log size ratio.
+
+    Raises ``InvalidBoxError`` on a non-positive extent, and naming both boxes when a component
+    would not be finite (a size ratio past the float range, or one whose log is -inf).
+    """
     (acx, acy), aw, ah = anchor.center(), anchor.width, anchor.height
     if aw <= 0.0 or ah <= 0.0:
         raise InvalidBoxError(f"anchor must have positive extents, got {anchor.as_tuple()}")
     (tcx, tcy), tw, th = target.center(), target.width, target.height
     if tw <= 0.0 or th <= 0.0:
         raise InvalidBoxError(f"target must have positive extents, got {target.as_tuple()}")
-    return BoxDelta(
-        tx=(tcx - acx) / aw,
-        ty=(tcy - acy) / ah,
-        tw=math.log(tw / aw),
-        th=math.log(th / ah),
-    )
+    tx, ty, rw, rh = (tcx - acx) / aw, (tcy - acy) / ah, tw / aw, th / ah
+    if not (-inf < tx < inf and -inf < ty < inf and 0.0 < rw < inf and 0.0 < rh < inf):
+        raise InvalidBoxError(f"target {target.as_tuple()} on anchor {anchor.as_tuple()} encodes to a non-finite delta")
+    return BoxDelta(tx, ty, math.log(rw), math.log(rh))
 
 
 def decode_delta(anchor: Box, delta: BoxDelta) -> Box:
-    """Invert :func:`encode_delta`."""
+    """Invert :func:`encode_delta`.
+
+    A delta that decodes to no valid box (``tw`` or ``th`` above about 709.78, say) raises
+    ``InvalidBoxError`` naming the delta, the anchor and the box's own error.
+    """
     x0, y0, x1, y1 = anchor.x_min, anchor.y_min, anchor.x_max, anchor.y_max
     aw, ah = x1 - x0, y1 - y0
     if aw <= 0.0 or ah <= 0.0:
         raise InvalidBoxError(f"anchor must have positive extents, got {anchor.as_tuple()}")
     cx = (x0 + x1) / 2.0 + delta.tx * aw
     cy = (y0 + y1) / 2.0 + delta.ty * ah
-    w = aw * math.exp(delta.tw)
-    h = ah * math.exp(delta.th)
-    return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    try:
+        hw = aw * math.exp(delta.tw) / 2
+        hh = ah * math.exp(delta.th) / 2
+        x0, y0, x1, y1 = cx - hw, cy - hh, cx + hw, cy + hh
+        if -inf < x0 <= x1 < inf and -inf < y0 <= y1 < inf:  # Box.__post_init__'s check
+            box = _new(Box)
+            _set_x_min(box, x0)
+            _set_y_min(box, y0)
+            _set_x_max(box, x1)
+            _set_y_max(box, y1)
+            return box
+        return Box(x0, y0, x1, y1)  # raises the box's own error
+    except (OverflowError, InvalidBoxError) as err:  # math.exp raises OverflowError past the float range
+        raise InvalidBoxError(f"{delta} on anchor {anchor.as_tuple()} decodes to no box: {err}") from None
 
 
-def _boxes_array(boxes: Sequence[Box]) -> np.ndarray:
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
 
 
-# Sorted rows per block in nms. A block meets the k boxes kept so far in one (64, k)
-# IoU matrix and its own survivors in one (64, 64) matrix: 0.5 MB of float64 at k = 1,000.
+def _boxes_array(boxes: Iterable[Box]) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(map(_corners, boxes)), np.float64).reshape(-1, 4)
+
+
+# Sorted rows per block in nms. A block meets the k boxes kept so far and itself in one
+# (64, k + 64) IoU matrix: 0.5 MB of float64 at k = 1,000.
 _NMS_BLOCK = 64
 
 
@@ -228,28 +273,31 @@ def nms(
     if max_keep <= 0:
         raise ValidationError(f"max_keep must be positive, got {max_keep}")
     n = len(candidates)
-    scores = np.array([c.score for c in candidates], dtype=np.float64)
+    scores = np.fromiter(map(attrgetter("score"), candidates), np.float64, n)
     order = np.lexsort((np.arange(n), -scores))
-    boxes = _boxes_array([c.box for c in candidates])[order]
+    boxes = _boxes_array(map(attrgetter("box"), candidates))[order]
+    order = order.tolist()
 
     keep: list[int] = []
     kept = np.empty((0, 4))  # boxes of ``keep``, in visit order
     for start in range(0, n, _NMS_BLOCK):
-        block = boxes[start : start + _NMS_BLOCK]
-        # Only a box kept earlier can suppress a row, so rows any of them overlaps are dropped first.
-        suppressed = (iou_array(block[:, None], kept[None]) > iou_threshold).any(axis=1)
-        rows = start + np.flatnonzero(~suppressed)
-        survivors = boxes[rows]
-        overlaps = iou_array(survivors[:, None], survivors[None]) > iou_threshold
-        alive = np.ones(len(rows), dtype=bool)
-        for j, i in enumerate(rows.tolist()):
-            if not alive[j]:
+        block, k = boxes[start : start + _NMS_BLOCK], len(kept)
+        over = iou_array(block[:, None], np.concatenate((kept, block))[None]) > iou_threshold
+        # Only a box kept earlier can suppress a row, so rows any of them overlaps are dropped first;
+        # the rest are settled among themselves on their square of the same matrix, each row of it
+        # an int whose bit m is set when that row overlaps free row m.
+        free = np.flatnonzero(~over[:, :k].any(axis=1))
+        square = np.packbits(over[free[:, None], k + free], axis=1, bitorder="little")
+        suppressed, kept_rows = 0, []
+        for j, (i, row) in enumerate(zip(free.tolist(), map(int.from_bytes, square, repeat("little")))):
+            if suppressed >> j & 1:
                 continue
-            keep.append(int(order[i]))
+            keep.append(order[start + i])
             if len(keep) >= max_keep:
                 return keep
-            alive[j + 1 :] &= ~overlaps[j, j + 1 :]
-        kept = np.concatenate((kept, survivors[alive]))
+            kept_rows.append(i)
+            suppressed |= row
+        kept = np.concatenate((kept, block[kept_rows]))
     return keep
 
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from boxlab import coco_io
 from boxlab.coco_io import (
     Category,
     DatasetManifest,
@@ -537,6 +538,23 @@ class TestImageColumns:
         assert manifest.images.ids == (1, 2)
         assert dets.image_ids is manifest.images.ids and manifest.annotations.image_ids is manifest.images.ids
         assert dets.class_ids == manifest.annotations.class_ids == (1, 2)
+
+    def test_image_id_dict_built_once(self, tmp_path, monkeypatch):
+        # evaluate loads both sides: the {image id: index} dict of the manifest's id tuple is built
+        # by load_manifest and handed on to load_predictions, not built again there.
+        tables = []
+
+        def recording(ids):
+            tables.append(ids)
+            return id_coding(ids)
+
+        id_coding = coco_io._id_coding
+        monkeypatch.setattr(coco_io, "_id_coding", recording)
+        gt, pred = _pair()
+        manifest = load_manifest(_write(tmp_path, "gt.json", gt))
+        dets = load_predictions(_write(tmp_path, "pred.json", pred), manifest)
+        assert dets.image_ids is manifest.images.ids
+        assert sum(t is manifest.images.ids for t in tables) == 1
 
     def test_hand_built_manifest_of_plain_tuples(self, tmp_path):
         manifest = DatasetManifest(

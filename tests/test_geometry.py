@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.errors import InvalidBoxError, UndefinedOverlapError
 from boxlab.geometry import Box, area, intersection_area, iou, iou_array
@@ -177,6 +179,61 @@ class TestIouArray:
         huge = np.array([0.0, 0.0, 1e300, 1e300])
         with np.errstate(all="raise"):
             assert iou_array(huge, huge) == 0.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bits_equal_the_where_formula(self, data):
+        a, b = data.draw(_box_pairs)
+        x, y = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+        for p, q in ((x[:, None], y[None]), (x, y), (x[0], y[0])):  # broadcast, 1-D, 0-d
+            got, want = iou_array(p, q), _iou_array_where(p, q)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _iou_array_where(a, b):
+    """``iou_array`` as it was written with ``np.where``, frozen: the reference for its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        union = area_a + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter
+        return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+
+
+# Signed zeros, subnormals, and magnitudes where a product (1e154), a difference (1e300, 1.7e308)
+# or an area overflows, mixed with ordinary values.
+_edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-154, 1.0, 2.5, 1e154, -1e154, 1e300, -1e300,
+                         1.7e308, -1.7e308])
+_coord = st.one_of(_edge, st.floats(-1e6, 1e6), st.floats(-1.7e308, 1.7e308))
+
+
+@st.composite
+def _box(draw):
+    x0, x1 = sorted((draw(_coord), draw(_coord)))
+    y0, y1 = sorted((draw(_coord), draw(_coord)))
+    return (x0, y0, x1, y1)
+
+
+@st.composite
+def _related(draw, a):
+    """A box identical to ``a``, touching it on an edge, nested in it, or drawn freely."""
+    x0, y0, x1, y1 = a
+    kind = draw(st.sampled_from(["identical", "touching", "nested", "free"]))
+    if kind == "identical":
+        return a
+    if kind == "touching":
+        return (x1, y0, max(x1, draw(_coord)), y1)
+    if kind == "nested":
+        mx, my = x0 / 2 + x1 / 2, y0 / 2 + y1 / 2
+        return (min(max(x0, mx), x1), y0, x1, min(max(y0, my), y1))
+    return draw(_box())
+
+
+_box_pairs = st.lists(_box(), min_size=1, max_size=6).flatmap(
+    lambda a: st.tuples(st.just(a), st.tuples(*(_related(box) for box in a)).map(list))
+)
 
 
 class TestProperties:

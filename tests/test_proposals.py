@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import math
 import random
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from boxlab.geometry import Box, iou_array
 from boxlab.proposals import (
     Anchor,
     AnchorConfig,
+    AnchorSet,
     BoxDelta,
     ScoredBox,
     assign_proposals,
@@ -55,7 +59,7 @@ class TestGenerateAnchors:
     def test_base_anchor_geometry(self):
         cfg = AnchorConfig(scale=8, aspect_ratios=(1.0,), strides=(16,))
         anchors = generate_anchors(cfg, [(1, 1)])
-        assert anchors == [Anchor(box=Box(-56.0, -56.0, 72.0, 72.0), level=0, cell=(0, 0))]
+        assert list(anchors) == [Anchor(box=Box(-56.0, -56.0, 72.0, 72.0), level=0, cell=(0, 0))]
         box = anchors[0].box
         assert box.center() == (8.0, 8.0)
         assert box.width == box.height == 128.0  # stride * scale
@@ -202,6 +206,61 @@ class TestBulkAnchors:
         assert "inf" in str(got.value)
 
 
+class TestAnchorSet:
+    """generate_anchors returns columns; each index builds a new Anchor equal to the reference loop's."""
+
+    def test_sequence_semantics(self):
+        cfg, sizes = _PYRAMIDS["odd_strides_4_ratios"]
+        anchors, want = generate_anchors(cfg, sizes), _reference_anchors(cfg, sizes)
+        assert isinstance(anchors, AnchorSet) and isinstance(anchors, Sequence)
+        n = len(anchors)
+        assert n == len(want) == sum(h * w for h, w in sizes) * 4
+        for i in (0, 1, n - 1, -1, -2, -n):
+            got = anchors[i]
+            assert type(got) is Anchor and type(got.box) is Box
+            assert got == want[i]
+        for i in (n, -n - 1, 10**9):
+            with pytest.raises(IndexError):
+                anchors[i]
+        for sl in (slice(2, 9), slice(None, None, -3), slice(5, 2), slice(-4, None), slice(None)):
+            part = anchors[sl]
+            assert type(part) is AnchorSet
+            assert list(part) == want[sl]
+        assert anchors[7:30][3] == want[10]
+        assert list(reversed(anchors)) == want[::-1]
+        assert anchors.index(want[5]) == 5 and want[5] in anchors
+
+    def test_each_index_builds_a_new_equal_anchor(self):
+        anchors = generate_anchors(*_PYRAMIDS["default_640x360"])
+        first, again = anchors[1234], anchors[1234]
+        assert first is not again and first.box is not again.box
+        assert first == again and hash(first) == hash(again)
+        assert all(x is y for x, y in zip(first.box.as_tuple(), again.box.as_tuple()))
+        assert first.cell is again.cell
+
+    @pytest.mark.parametrize("name", sorted(_PYRAMIDS))
+    def test_random_access_matches_reference_loop(self, name):
+        cfg, sizes = _PYRAMIDS[name]
+        anchors, want = generate_anchors(cfg, sizes), _reference_anchors(cfg, sizes)
+        order = list(range(len(want)))
+        random.Random(len(want)).shuffle(order)
+        got = [anchors[i] for i in order]
+        want = [want[i] for i in order]
+        assert _fields(got) == _fields(want)
+        assert _sharing(got) == _sharing(want)
+
+    def test_default_pyramid_adds_few_tracked_objects(self):
+        # The eager list added 115,017 GC-tracked objects here (an Anchor and a Box per anchor, and
+        # the list); the columns add their lists. Cell tuples hold only ints, so a collection untracks them.
+        cfg, sizes = _PYRAMIDS["default_640x360"]
+        gc.collect()
+        before = len(gc.get_objects())
+        anchors = generate_anchors(cfg, sizes)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1_000
+        assert len(anchors) == 57_480
+
+
 _corner_and_extents = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
 
 
@@ -233,6 +292,65 @@ class TestBoxDelta:
     def test_nonpositive_target_extent(self):
         with pytest.raises(InvalidBoxError):
             encode_delta(Box(0, 0, 2, 2), Box(0, 0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            BoxDelta(0.0, 0.0, 710.0, 0.0),  # math.exp raised OverflowError
+            BoxDelta(0.0, 0.0, 0.0, 1e10),
+            BoxDelta(0.0, 0.0, math.inf, 0.0),
+            BoxDelta(0.0, 0.0, 0.0, math.inf),
+            BoxDelta(0.0, 0.0, 709.5, 0.0),  # e**709.5 is finite, the width is not
+            BoxDelta(math.nan, 0.0, 0.0, 0.0),
+            BoxDelta(1e308, 0.0, 0.0, 0.0),
+        ],
+    )
+    def test_decode_past_the_float_range_names_anchor_and_delta(self, delta):
+        anchor = Box(10.0, 20.0, 14.0, 28.0)
+        with pytest.raises(InvalidBoxError) as got:
+            decode_delta(anchor, delta)
+        assert type(got.value) is InvalidBoxError
+        assert str(anchor.as_tuple()) in str(got.value) and repr(delta) in str(got.value)
+
+    def test_decode_near_the_float_range_gives_a_box(self):
+        box = decode_delta(Box(0.0, 0.0, 1e-300, 1e-300), BoxDelta(0.0, 0.0, 709.5, 700.0))
+        assert type(box) is Box and box == Box(*box.as_tuple())
+        assert box.x_max < math.inf and box.y_max < math.inf
+
+    @pytest.mark.parametrize(
+        "anchor, target",
+        [
+            (Box(0, 0, 1e-300, 1e-300), Box(0, 0, 1e300, 1e300)),  # returned BoxDelta(inf, inf, inf, inf)
+            (Box(0, 0, 1e300, 1e300), Box(0, 0, 1e-300, 1e-300)),  # log(0): raised ValueError
+            (Box(0, 0, 1e-300, 1), Box(1e300, 0, 1e300 + 1e284, 1)),  # only tx is inf
+            (Box(0, 0, 1e-300, 1e-300), Box(0, 0, 1e-300, 1e300)),  # only th is inf
+        ],
+    )
+    def test_encode_to_a_non_finite_delta_names_both_boxes(self, anchor, target):
+        with pytest.raises(InvalidBoxError) as got:
+            encode_delta(anchor, target)
+        assert str(anchor.as_tuple()) in str(got.value) and str(target.as_tuple()) in str(got.value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        anchor=_corner_and_extents,
+        delta=st.tuples(*[st.floats(-1e3, 1e3)] * 2, *[st.floats(-700.0, 700.0)] * 2),
+    )
+    def test_decode_matches_box_constructor(self, anchor, delta):
+        # The box decode_delta builds through the slots equals the Box(...) of the former formula, bit for bit.
+        anchor = Box(anchor[0], anchor[1], anchor[0] + anchor[2], anchor[1] + anchor[3])
+        x0, y0, x1, y1 = anchor.as_tuple()
+        aw, ah = x1 - x0, y1 - y0
+        cx, cy = (x0 + x1) / 2.0 + delta[0] * aw, (y0 + y1) / 2.0 + delta[1] * ah
+        w, h = aw * math.exp(delta[2]), ah * math.exp(delta[3])
+        corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        if not all(math.isfinite(c) for c in corners):
+            with pytest.raises(InvalidBoxError):
+                decode_delta(anchor, BoxDelta(*delta))
+            return
+        got = decode_delta(anchor, BoxDelta(*delta))
+        assert type(got) is Box and got == Box(*corners)
+        assert list(map(float.hex, got.as_tuple())) == list(map(float.hex, corners))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(anchor=_corner_and_extents, target=_corner_and_extents)
@@ -334,6 +452,19 @@ class TestNms:
     def test_score_validation(self):
         with pytest.raises(ValidationError):
             ScoredBox(Box(0, 0, 1, 1), 1.5)
+
+    def test_scored_box_is_a_frozen_dataclass(self):
+        box = Box(0, 0, 1, 1)
+        made = ScoredBox(box, 0.25)
+        assert made == ScoredBox(box=box, score=0.25) and hash(made) == hash(ScoredBox(box, 0.25))
+        assert repr(made) == f"ScoredBox(box={box!r}, score=0.25)"
+        assert dataclasses.replace(made, score=0.5) == ScoredBox(box, 0.5)
+        assert not hasattr(made, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.score = 0.5
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="score must be in"):
+                ScoredBox(box, bad)
 
 
 def _boundary_instance(n, rng):
