@@ -55,7 +55,6 @@ from .augment import (
     ImageAugment,
     apply_image_augment,
     flip_box_h,
-    plan_from_lines,
     plan_to_lines,
     sample_plan,
     shift_scale_rotate_box,

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .geometry import Box
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "apply_image_augment",
     "sample_plan",
     "plan_to_lines",
-    "plan_from_lines",
 ]
 
 MIN_KEPT_BOX_AREA = 1.0  # square pixels; clipped boxes below this are dropped
@@ -236,37 +235,3 @@ def plan_to_lines(plan: AugmentPlan) -> list[str]:
         )
     return lines
 
-
-def plan_from_lines(lines: Sequence[str]) -> AugmentPlan:
-    """Inverse of :func:`plan_to_lines`."""
-    if len(lines) < 2 or not lines[0].startswith("# seed="):
-        raise ParseError("augment plan must start with a '# seed=...' header line")
-    try:
-        tokens = lines[0][2:].split()
-        seed = int(tokens[0].split("=", 1)[1])
-        raw = dict(token.split("=", 1) for token in tokens[1:])
-        params = AugmentParams(**{name: float(raw[name]) for name in _PARAM_FIELDS})
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ParseError(f"bad augment plan header: {lines[0]!r}") from exc
-
-    decisions = []
-    for line in lines[2:]:
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ParseError(f"bad augment plan line (want 7 fields): {line!r}")
-        try:
-            decisions.append(
-                ImageAugment(
-                    flip=bool(int(fields[1])),
-                    apply_ssr=bool(int(fields[2])),
-                    dx=float(fields[3]),
-                    dy=float(fields[4]),
-                    scale=float(fields[5]),
-                    angle_deg=float(fields[6]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad augment plan line: {line!r}") from exc
-    return AugmentPlan(seed=seed, params=params, decisions=tuple(decisions))

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .augment import AugmentParams, plan_to_lines, sample_plan
-from .coco_io import SplitSpec, _field, _number, _read_json, load_manifest, load_predictions, split_dataset
+from .coco_io import SplitSpec, _field, _number, _read_json, _string, load_manifest, load_predictions, split_dataset
 from .descent import DescentConfig, PairSampler, convergence_study, trial_csv_rows
 from .errors import BoxlabError, ParseError, ValidationError
-from .evaluation import EvalConfig, evaluate
+from .evaluation import RECALL_SAMPLES, EvalConfig, evaluate
 from .losses import LossKind
 from .proposals import AnchorConfig, generate_anchors
 from .reports import (
@@ -150,7 +150,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Output:
             "config": {
                 "iou_thresholds": list(cfg.iou_thresholds),
                 "max_detections_per_image": cfg.max_detections_per_image,
-                "recall_samples": cfg.recall_samples,
+                "recall_samples": RECALL_SAMPLES,
                 "include_gt_free_classes": cfg.include_gt_free_classes,
             },
             "per_class": [
@@ -370,7 +370,7 @@ def _load_metrics_doc(path: str) -> tuple[list[ModelReportRow], dict]:
         ctx = f"models[{i}]"
         values = (_number(rec, key, ctx) for key in ("map_all", "map_50", "average_recall", "latency_ms"))
         try:
-            rows.append(ModelReportRow(str(_field(rec, "model", ctx)), *values))
+            rows.append(ModelReportRow(_string(_field(rec, "model", ctx), f"{ctx}.model"), *values))
         except ValidationError as exc:  # the row's own check names only the field
             raise ValidationError(f"{ctx}.{exc}") from None
     per_class: dict[str, dict] = {}
@@ -446,7 +446,11 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "table")
     p.add_argument("--output", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # One parser for every call: a parser is a reference cycle that only the
+    # cyclic garbage collector frees, so one per call piles up in a process
+    # that calls main() many times.
     parser = argparse.ArgumentParser(
         prog="boxlab",
         description="Bounding-box losses, proposal geometry, and detection metrics.",
@@ -518,16 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # One parser for every call: a parser is a reference cycle that only the
-    # cyclic garbage collector frees, so one per call piles up in a process
-    # that calls main() many times.
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
         _emit(out if isinstance(out, str) else _render(out, args.format), args.output)

@@ -44,6 +44,8 @@ __all__ = [
     "trial_csv_rows",
 ]
 
+_MAX_HALVINGS = 20  # with backtracking, a step tries the learning rate and up to 20 halvings of it
+
 
 @dataclass(frozen=True)
 class DescentConfig:
@@ -53,7 +55,6 @@ class DescentConfig:
     success_iou: float = 0.9
     parameterization: str = "corner"  # "corner" or "center"
     backtracking: bool = False
-    max_halvings: int = 20
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate < math.inf:  # NaN fails this too
@@ -62,8 +63,6 @@ class DescentConfig:
             raise ValidationError(f"success_iou must be in (0, 1], got {self.success_iou}")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be non-negative")
-        if self.max_halvings < 0:
-            raise ValidationError(f"max_halvings must be non-negative, got {self.max_halvings}")
         if self.parameterization not in ("corner", "center"):
             raise ValidationError(
                 f"parameterization must be 'corner' or 'center', got {self.parameterization!r}"
@@ -127,7 +126,7 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
     Non-convergence is a result, not an error. The trajectory records every
     iterate including the initial box. Descent also stops early when the
     gradient is exactly zero (no future iterate can move) or, with
-    backtracking enabled, when no step up to ``max_halvings`` halvings is
+    backtracking enabled, when no step up to ``_MAX_HALVINGS`` halvings is
     non-increasing; a candidate whose loss raises is rejected like one whose
     loss increases. Each visited box's loss (value and gradient) is computed
     once: an accepted candidate's result becomes the next iterate's.
@@ -152,7 +151,7 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
 
         if cfg.backtracking:
             step_size = cfg.learning_rate
-            for _ in range(cfg.max_halvings + 1):
+            for _ in range(_MAX_HALVINGS + 1):
                 candidate = _step(pred, result.gradient, step_size, cfg.parameterization)
                 try:
                     candidate_result = loss(cfg.loss_kind, target, candidate)
@@ -178,44 +177,29 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
 
 @dataclass(frozen=True)
 class PairSampler:
-    """Seeded sampler of (init, target) box pairs within a coordinate range."""
+    """Seeded sampler of disjoint (init, target) box pairs in [0, 10]^2, each side in
+    [0.5, 3]; an init that meets its target is drawn again."""
 
     seed: int = 0
-    coord_range: tuple[float, float] = (0.0, 10.0)
-    size_range: tuple[float, float] = (0.5, 3.0)
-    disjoint: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.size_range[0] <= self.size_range[1]:
-            raise ValidationError(f"size_range must be positive and ordered, got {self.size_range}")
-        if self.coord_range[1] - self.coord_range[0] <= self.size_range[1]:
-            raise ValidationError("coord_range must be wider than the largest box size")
 
     def sample_pairs(self, n: int) -> list[tuple[Box, Box]]:
         rng = random.Random(self.seed)
         pairs = []
         for _ in range(n):
-            target = self._sample_box(rng)
-            init = self._sample_box(rng)
-            if self.disjoint:
-                attempts = 0
-                while intersection_area(init, target) > 0.0:
-                    init = self._sample_box(rng)
-                    attempts += 1
-                    if attempts > 10_000:
-                        raise ValidationError(
-                            "could not sample a disjoint pair; enlarge coord_range"
-                        )
+            target = _sample_box(rng)
+            init = _sample_box(rng)
+            while intersection_area(init, target) > 0.0:
+                init = _sample_box(rng)
             pairs.append((init, target))
         return pairs
 
-    def _sample_box(self, rng: random.Random) -> Box:
-        lo, hi = self.coord_range
-        w = rng.uniform(*self.size_range)
-        h = rng.uniform(*self.size_range)
-        cx = rng.uniform(lo + w / 2.0, hi - w / 2.0)
-        cy = rng.uniform(lo + h / 2.0, hi - h / 2.0)
-        return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+def _sample_box(rng: random.Random) -> Box:
+    w = rng.uniform(0.5, 3.0)
+    h = rng.uniform(0.5, 3.0)
+    cx = rng.uniform(w / 2.0, 10.0 - w / 2.0)
+    cy = rng.uniform(h / 2.0, 10.0 - h / 2.0)
+    return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
 
 @dataclass(frozen=True)
@@ -277,7 +261,7 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
     """
     sizes = [cfg.learning_rate]
     # Past the first zero step size every candidate is the same box, so the scan stops there.
-    while cfg.backtracking and len(sizes) <= cfg.max_halvings and sizes[-1] > 0.0:
+    while cfg.backtracking and len(sizes) <= _MAX_HALVINGS and sizes[-1] > 0.0:
         sizes.append(sizes[-1] / 2.0)
 
     value, gradient, failed = _lane_loss(codes, targets, inits)

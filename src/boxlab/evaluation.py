@@ -14,8 +14,8 @@ Each class is evaluated with the structure of COCOeval (Lin et al.,
    lower index;
 3. the TP flags in rank order give both the cumulative precision/recall
    curve and the maximum achieved recall. AP is the mean of interpolated
-   precision (max precision at recall >= r) at ``recall_samples`` evenly
-   spaced recall points in [0, 1].
+   precision (max precision at recall >= r) at ``RECALL_SAMPLES`` (101)
+   evenly spaced recall points in [0, 1], COCOeval's fixed grid.
 
 ``BoxColumns`` inputs (what the COCO loaders return) are used as they are;
 any other sequence is converted to columns once. ``match_detections``,
@@ -45,6 +45,7 @@ from .geometry import Box, area, iou, iou_array  # noqa: F401  (iou: bench/traci
 
 __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
+    "RECALL_SAMPLES",
     "Detection",
     "GroundTruthAnnotation",
     "BoxColumns",
@@ -62,6 +63,7 @@ __all__ = [
 # 0.50 to 0.95 in 0.05 increments; built from integer hundredths so each
 # threshold is the exact float literal (0.6, not 0.6000000000000001).
 DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
+RECALL_SAMPLES = 101  # recall points 0, 0.01, ..., 1 of the interpolated AP
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class GroundTruthAnnotation:
 class EvalConfig:
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     max_detections_per_image: int = 100
-    recall_samples: int = 101
     include_gt_free_classes: bool = False
 
     def __post_init__(self) -> None:
@@ -110,8 +111,6 @@ class EvalConfig:
             )
         if self.max_detections_per_image <= 0:
             raise ValidationError("max_detections_per_image must be positive")
-        if self.recall_samples < 2:
-            raise ValidationError("recall_samples must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -246,18 +245,18 @@ def _match(dets, gts, thresholds, cap: int):
     return kept, flags
 
 
-def _interpolated_ap(tp: np.ndarray, n_gt: int, recall_samples: int) -> float:
+def _interpolated_ap(tp: np.ndarray, n_gt: int) -> float:
     """AP from TP flags in score-rank order; 0.0 when there are no detections."""
     if not len(tp):
         return 0.0
     hits = np.cumsum(tp)
     # Interpolated precision: max precision over ranks with recall >= r.
     max_prec_from = np.maximum.accumulate((hits / np.arange(1, len(tp) + 1))[::-1])[::-1]
-    at = np.searchsorted(hits / n_gt, np.arange(recall_samples) / (recall_samples - 1))
+    at = np.searchsorted(hits / n_gt, np.arange(RECALL_SAMPLES) / (RECALL_SAMPLES - 1))
     total = 0.0
     for p in max_prec_from[at[at < len(tp)]].tolist():  # in order: np.sum's pairwise order changes the bits
         total += p
-    return total / recall_samples
+    return total / RECALL_SAMPLES
 
 
 def _class_metrics(dets, gts, thresholds, cfg: EvalConfig):
@@ -271,7 +270,7 @@ def _class_metrics(dets, gts, thresholds, cfg: EvalConfig):
         zeros = (0.0,) * len(thresholds)
         return zeros, zeros
     _, flags = _match(dets, gts, thresholds, cfg.max_detections_per_image)
-    aps = tuple(_interpolated_ap(tp, n_gt, cfg.recall_samples) for tp, _ in flags)
+    aps = tuple(_interpolated_ap(tp, n_gt) for tp, _ in flags)
     recalls = tuple(int(tp.sum()) / n_gt for tp, _ in flags)
     return aps, recalls
 

@@ -354,3 +354,33 @@ def augment_oracle(
                 continue
         kept.append((x1, y1, x2, y2))
     return kept, dropped
+
+
+# --- augment plan reader (the plan file format alone, no package calls) -------
+
+
+def parse_plan_lines(lines: list[str]) -> dict:
+    """A plan as ``boxlab augment-plan`` writes it, read back as ``dataclasses.asdict`` of the plan.
+
+    The first line is ``# seed=<int>`` followed by ``<param>=<float>`` tokens, the
+    second the column names, then one ``image,flip,apply_ssr,dx,dy,scale,angle_deg``
+    row per image, numbered from 0, with flags 0 or 1.
+    """
+    header, columns, *rows = lines
+    assert header.startswith("# seed="), header
+    assert columns == "image,flip,apply_ssr,dx,dy,scale,angle_deg", columns
+    seed, *params = header[2:].split()
+    decisions = []
+    for i, row in enumerate(rows):
+        image, flip, apply_ssr, *magnitudes = row.split(",")
+        assert int(image) == i and flip in ("0", "1") and apply_ssr in ("0", "1") and len(magnitudes) == 4, row
+        decisions.append({
+            "flip": flip == "1",
+            "apply_ssr": apply_ssr == "1",
+            **dict(zip(("dx", "dy", "scale", "angle_deg"), map(float, magnitudes))),
+        })
+    return {
+        "seed": int(seed.removeprefix("seed=")),
+        "params": {name: float(value) for name, value in (token.split("=", 1) for token in params)},
+        "decisions": tuple(decisions),
+    }

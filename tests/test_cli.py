@@ -4,14 +4,16 @@ import json
 import math
 import pathlib
 import tempfile
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab import cli
-from boxlab.augment import plan_from_lines, sample_plan, AugmentParams
+from boxlab.augment import sample_plan, AugmentParams
 from boxlab.cli import Output, _render, main
+from helpers import parse_plan_lines
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -401,9 +403,9 @@ class TestAugmentPlanCommand:
     def test_matches_library_plan(self, capsys):
         assert main(["augment-plan", "--images", "4", "--seed", "9", "--image-size", "360x640"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        parsed = plan_from_lines(lines)
+        parsed = parse_plan_lines(lines)
         expected = sample_plan(AugmentParams(image_width=360, image_height=640), 4, seed=9)
-        assert parsed == expected
+        assert parsed == asdict(expected)
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "plan.csv"
@@ -584,6 +586,12 @@ class TestReportCommand:
             (lambda doc: doc.update(per_class=[{"AK47": {"mL1": 0.9}}]), "per_class: expected an object, got list"),
             (lambda doc: doc["per_class"].update(map_all=[1, 2]), "per_class.map_all: expected an object, got list"),
             (lambda doc: doc["per_class"]["map_all"].update(KD=0.5), "per_class.map_all.KD: expected an object, got float"),
+            # A model name went through str() before: ["a"] printed as the model "['a']" with exit 0,
+            # null became a model named None, and 7 beside "7" was reported as a duplicate model '7'.
+            (lambda doc: doc["models"][0].update(model=["a"]), "models[0].model: expected a string, got ['a']"),
+            (lambda doc: doc["models"][2].update(model=None), "models[2].model: expected a string, got None"),
+            (lambda doc: doc["models"][0].update(model="7") or doc["models"][1].update(model=7),
+             "models[1].model: expected a string, got 7"),
         ],
     )
     def test_bad_metric_values_exit_2(self, edit, message, tmp_path, capsys):
@@ -642,7 +650,7 @@ _rate = _mostly(st.sampled_from([0.0, 1.0, -1.0]), _value, odds=4)  # mAP -1 bes
 _metrics_docs = _mostly(
     st.fixed_dictionaries({
         "models": _records({
-            "model": st.sampled_from(["m0", "m1", "m2", "m3"]),
+            "model": _mostly(st.sampled_from(["m0", "m1", "m2", "m3"]), st.sampled_from([["m0"], None, 0, 1.5, True])),
             **{key: _rate for key in ("map_all", "map_50", "average_recall")},
             "latency_ms": _mostly(st.sampled_from([10, 0.5]), _value, odds=4),
         }),
@@ -753,7 +761,7 @@ class TestFuzzedInputExitCodes:
             code = main(["augment-plan", f"--images={images}", f"--seed={seed}", f"--image-size={image_size}",
                          *(f"{flag}={value}" for flag, value in zip(flags, bounds)), "--output", str(plan)])
             if code == 0:  # and never a plan of non-finite magnitudes or of scales that are not positive
-                decisions = plan_from_lines(plan.read_text().splitlines()).decisions
-                assert all(math.isfinite(v) for d in decisions for v in (d.dx, d.dy, d.scale, d.angle_deg))
-                assert all(d.scale > 0.0 for d in decisions)
+                decisions = parse_plan_lines(plan.read_text().splitlines())["decisions"]
+                assert all(math.isfinite(d[k]) for d in decisions for k in ("dx", "dy", "scale", "angle_deg"))
+                assert all(d["scale"] > 0.0 for d in decisions)
         assert code in (0, 1, 2)

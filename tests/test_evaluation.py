@@ -487,5 +487,3 @@ class TestValidation:
             EvalConfig(iou_thresholds=(0.0, 0.5))
         with pytest.raises(ValidationError):
             EvalConfig(max_detections_per_image=0)
-        with pytest.raises(ValidationError):
-            EvalConfig(recall_samples=1)
