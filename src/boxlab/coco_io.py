@@ -20,13 +20,19 @@ named by its first failing check, and the load raises ``DanglingIdError``,
 else ``InvalidBoxError``, else ``ValidationError``, naming every record of
 that class. A key repeated in a JSON object and a repeated image or category
 id are rejected too.
+
+Both loaders run with the cyclic garbage collector paused (and its state restored
+on return or error): ``json`` builds only acyclic trees, which refcounting frees,
+so a collection over the parsed records could free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Sequence
@@ -107,6 +113,8 @@ def _read_json(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from None
     except ValueError as exc:  # a duplicate key, undecodable bytes, an integer past Python's digit limit
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -230,6 +238,19 @@ def _image_coding(images: Sequence[ImageInfo]) -> tuple[tuple, dict]:
     return images._coding if isinstance(images, ImageColumns) else _id_coding(tuple(im.id for im in images))
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector, then re-enable it only if it was enabled."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def load_manifest(path: str) -> DatasetManifest:
     """Load and fully validate a COCO-layout ground-truth file; the images and annotations are column-backed."""
     raw = _read_json(path)
@@ -280,6 +301,7 @@ def load_manifest(path: str) -> DatasetManifest:
     return DatasetManifest(images, categories, annotations)
 
 
+@_gc_paused()
 def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequence[Detection]:
     """Load a flat JSON list of detections, column-backed; validate ids against a manifest if given."""
     raw = _read_json(path)

@@ -187,6 +187,16 @@ class TestEvaluateCommand:
         assert captured.err == "error: " + message.replace("{pred}", str(pred)) + "\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("which", ["gt", "pred"])
+    def test_deep_nesting_exit_2(self, dataset, tmp_path, capsys, which):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        gt, pred = dataset
+        assert main(["evaluate", *([str(deep), pred] if which == "gt" else [gt, str(deep)])]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {deep}: JSON nested too deeply to parse\n"
+        assert captured.out == ""
+
     def test_overflowing_ground_truth_area_exit_1(self, tmp_path, capsys):
         # A perfect prediction of this box used to score mAP 0.0000 with exit 0.
         gt = tmp_path / "gt.json"
@@ -563,6 +573,14 @@ class TestReportCommand:
         assert main(["report", str(bad), "--baseline", "mBaseline"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {bad}: duplicate key 'mL1' in a JSON object\n"
+        assert captured.out == ""
+
+    def test_deep_nesting_exit_2(self, tmp_path, capsys):
+        deep = tmp_path / "metrics.json"
+        deep.write_text('{"models": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert main(["report", str(deep), "--baseline", "mBaseline"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {deep}: JSON nested too deeply to parse\n"
         assert captured.out == ""
 
     def test_malformed_metrics_exit_2(self, tmp_path):

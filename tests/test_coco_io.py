@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -682,6 +683,9 @@ def test_typed_image_pass_reports_errors_like_the_walk(tmp_path):
 # --- input boundary: each fails on the per-record loaders this replaced -------------
 
 
+DEEP = "[" * 200_000 + "]" * 200_000  # nested past any recursion limit
+
+
 class TestInputBoundary:
     HUGE = int("1" + "0" * 400)  # 1e400 as an integer literal: no float holds it
 
@@ -778,8 +782,86 @@ class TestInputBoundary:
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: Exceeds the limit \(4300 digits\)"):
             load_predictions(str(path))
 
+    @pytest.mark.parametrize("text", [DEEP, '{"a": ' * 100_000 + "1" + "}" * 100_000], ids=["lists", "objects"])
+    @pytest.mark.parametrize("loader", [load_manifest, load_predictions], ids=["manifest", "predictions"])
+    def test_nesting_past_the_recursion_limit(self, tmp_path, text, loader):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            loader(str(path))
+        assert str(err.value) == f"{path}: JSON nested too deeply to parse"
+
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "pred.json"
         path.write_bytes(b'[{"image_id": 1, "name": "\xe9"}]')
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9"):
             load_predictions(str(path))
+
+
+@pytest.fixture()
+def gc_state():
+    """Put the collector back as the test found it, whatever the test left."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+_GT = {"image_id": 1, "category_id": 1, "bbox": [1, 1, 8, 8]}
+_PAUSE_CASES = {  # (loader, case) -> (file text, error raised or None)
+    ("manifest", "ok"): (json.dumps(_manifest_doc([_GT])), None),
+    ("manifest", "duplicate_key"): ('{"images": [], "images": []}', ParseError),
+    ("manifest", "dangling_id"): (json.dumps(_manifest_doc([dict(_GT, image_id=9)])), DanglingIdError),
+    ("manifest", "nesting"): (DEEP, ParseError),
+    ("predictions", "ok"): (json.dumps([dict(_GT, score=0.5)]), None),
+    ("predictions", "duplicate_key"): ('[{"image_id": 1, "image_id": 2}]', ParseError),
+    ("predictions", "dangling_id"): (json.dumps([dict(_GT, image_id=9, score=0.5)]), DanglingIdError),
+    ("predictions", "nesting"): (DEEP, ParseError),
+}
+
+
+class TestCollectorPaused:
+    """Both loaders run with the cyclic collector paused and hand its state back unchanged."""
+
+    N = 3_000  # records per section: loading them with the collector running triggers collections
+
+    @staticmethod
+    def _collections(load, *args):
+        """``load(*args)``, and the generation of each collection that ran inside it."""
+        generations = []
+
+        def probe(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.callbacks.append(probe)
+        try:
+            return load(*args), generations
+        finally:
+            gc.callbacks.remove(probe)
+
+    def test_no_collection_inside_either_loader(self, tmp_path, gc_state):
+        images = [{"id": i, "width": 64, "height": 64} for i in range(self.N)]
+        anns = [dict(_GT, image_id=i) for i in range(self.N)]
+        gt = _write(tmp_path, "gt.json", {"images": images, "categories": [{"id": 1, "name": "a"}], "annotations": anns})
+        pred = _write(tmp_path, "pred.json", [dict(a, score=0.5) for a in anns])
+        gc.enable()
+        manifest, in_manifest = self._collections(load_manifest, gt)
+        detections, in_predictions = self._collections(load_predictions, pred, manifest)
+        assert (in_manifest, in_predictions) == ([], [])
+        assert len(detections) == self.N
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("loader, case", list(_PAUSE_CASES), ids=[f"{l}-{c}" for l, c in _PAUSE_CASES])
+    def test_state_restored(self, tmp_path, gc_state, enabled, loader, case):
+        text, error = _PAUSE_CASES[loader, case]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        manifest = load_manifest(_write(tmp_path, "gt.json", _manifest_doc()))
+        load = load_manifest if loader == "manifest" else lambda p: load_predictions(p, manifest)
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            load(str(path))
+        else:
+            with pytest.raises(error):
+                load(str(path))
+        assert gc.isenabled() is enabled
