@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import ValidationError
@@ -158,12 +158,11 @@ def apply_image_augment(
     decision: ImageAugment,
     params: AugmentParams,
     boxes: Sequence[Box],
-    clip: bool = True,
 ) -> tuple[list[Box], list[int]]:
     """Apply one image's decisions (flip first, then shift/scale/rotate) to its boxes.
 
-    Returns the surviving boxes in input order plus the indices of boxes
-    dropped by clipping.
+    Shift/scale/rotate always clips to the image. Returns the surviving boxes
+    in input order plus the indices of boxes dropped by clipping.
     """
     kept: list[Box] = []
     dropped: list[int] = []
@@ -180,7 +179,6 @@ def apply_image_augment(
                 decision.angle_deg,
                 params.image_width,
                 params.image_height,
-                clip=clip,
             )
         if out is None:
             dropped.append(i)
@@ -211,15 +209,7 @@ def sample_plan(params: AugmentParams, n_images: int, seed: int) -> AugmentPlan:
     return AugmentPlan(seed=seed, params=params, decisions=tuple(decisions))
 
 
-_PARAM_FIELDS = (
-    "image_width",
-    "image_height",
-    "flip_prob",
-    "max_shift_frac",
-    "max_scale_delta",
-    "max_rotate_deg",
-    "shift_scale_rotate_prob",
-)
+_PARAM_FIELDS = tuple(f.name for f in fields(AugmentParams))
 
 
 def plan_to_lines(plan: AugmentPlan) -> list[str]:

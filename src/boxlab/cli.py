@@ -292,6 +292,8 @@ _MAX_ANCHORS = 4_000_000
 
 
 def cmd_anchors(args: argparse.Namespace) -> Output:
+    if args.image_size is not None and args.feature_sizes is not None:
+        raise ValidationError("give one of --image-size or --feature-sizes, not both")
     cfg = AnchorConfig(
         scale=args.scale,
         aspect_ratios=_parse_list(args.ratios, "--ratios", float),

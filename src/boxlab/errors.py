@@ -5,6 +5,19 @@ Two broad families matter to callers (and to the CLI exit codes):
 ``ParseError`` for inputs that could not be read at all.
 """
 
+__all__ = [
+    "BoxlabError",
+    "ValidationError",
+    "ParseError",
+    "InvalidBoxError",
+    "UndefinedOverlapError",
+    "DegenerateAspectError",
+    "DanglingIdError",
+    "DuplicateIdError",
+    "EmptyEvaluationError",
+    "UnknownBaselineError",
+]
+
 
 class BoxlabError(Exception):
     """Base class for all boxlab errors."""

@@ -385,6 +385,10 @@ class TestAnchorsCommand:
             # Box rejected the first anchor before, naming no field.
             (["--feature-sizes", "1x1", "--strides", "1", "--scale", str(10**200), "--ratios", "1e300"],
              f"aspect_ratios: ratio 1e+300 at stride 1 and scale {10**200} gives a non-finite anchor half-extent (inf, 5e+49)"),
+            # Exited 0 before, tiling the feature sizes and ignoring --image-size. Checked before either flag is
+            # parsed, so unparsable values get the same message.
+            (["--image-size", "4x4", "--feature-sizes", "1x1,1x1,1x1,1x1"], "give one of --image-size or --feature-sizes, not both"),
+            (["--image-size", "8x0", "--feature-sizes", "junk"], "give one of --image-size or --feature-sizes, not both"),
         ],
     )
     def test_out_of_range_values_exit_1(self, args, message, capsys):

@@ -1,0 +1,46 @@
+"""Each module's ``__all__`` is the one list of its public names, and ``boxlab`` republishes every list whole."""
+
+import importlib
+import pkgutil
+import types
+from collections import Counter
+
+import pytest
+
+import boxlab
+
+MODULES = ["errors", "geometry", "losses", "proposals", "evaluation", "augment", "descent", "coco_io", "reports"]
+NOT_REPUBLISHED = {"cli", "__main__"}
+
+
+def _module(name: str) -> types.ModuleType:
+    return importlib.import_module(f"boxlab.{name}")
+
+
+def test_every_library_module_defines_all():
+    found = {info.name for info in pkgutil.iter_modules(boxlab.__path__)}
+    assert found - NOT_REPUBLISHED == set(MODULES)
+    for name in MODULES:
+        assert isinstance(getattr(_module(name), "__all__", None), list), name
+
+
+def test_package_names_are_the_union_of_module_all_lists():
+    public = {
+        name for name, value in vars(boxlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {name for module in MODULES for name in _module(module).__all__}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_entries_resolve_to_the_package_binding(module):
+    mod = _module(module)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"boxlab.{module}.__all__ lists {name!r}, which it does not define"
+        assert getattr(boxlab, name) is getattr(mod, name), name
+
+
+def test_no_name_is_exported_twice():
+    # A wildcard import would silently shadow the earlier module's binding.
+    counts = Counter(name for module in MODULES for name in _module(module).__all__)
+    assert [name for name, n in counts.items() if n > 1] == []
