@@ -109,15 +109,14 @@ def shift_scale_rotate_box(
     angle_deg: float,
     image_width: float,
     image_height: float,
-    clip: bool = True,
 ) -> Box | None:
     """Transform a box's corners about the image center and take their hull.
 
     Corners are scaled by ``s`` and rotated by ``angle_deg`` about the image
     center (counter-clockwise in mathematical axes), then translated by
     (dx, dy). The result is the axis-aligned hull of the four transformed
-    corners; with ``clip`` it is intersected with the image and dropped
-    (returns None) if the clipped area falls below one square pixel.
+    corners, intersected with the image; it is dropped (returns None) if the
+    clipped area falls below one square pixel.
     """
     if abs(angle_deg) > 180.0:
         raise ValidationError(f"|angle_deg| must be <= 180, got {angle_deg}")
@@ -141,9 +140,6 @@ def shift_scale_rotate_box(
         ys.append(cy + dy + rx * sin_t + ry * cos_t)
 
     hull = Box(min(xs), min(ys), max(xs), max(ys))
-    if not clip:
-        return hull
-
     x_min = min(max(hull.x_min, 0.0), image_width)
     y_min = min(max(hull.y_min, 0.0), image_height)
     x_max = min(max(hull.x_max, 0.0), image_width)

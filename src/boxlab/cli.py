@@ -23,9 +23,10 @@ from typing import Any, Callable, Sequence
 
 from .augment import AugmentParams, plan_to_lines, sample_plan
 from .coco_io import SplitSpec, _field, _number, _read_json, _string, load_manifest, load_predictions, split_dataset
-from .descent import DescentConfig, PairSampler, convergence_study, trial_csv_rows
+from .descent import DescentConfig, convergence_study, trial_csv_rows
 from .errors import BoxlabError, ParseError, ValidationError
 from .evaluation import RECALL_SAMPLES, EvalConfig, evaluate
+from .geometry import _sum_in_order
 from .losses import LossKind
 from .proposals import AnchorConfig, generate_anchors
 from .reports import (
@@ -180,7 +181,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Output:
                 names.get(class_id, ""),
                 _round4(res.ap_all),
                 _round4(res.ap_50),
-                _round4(sum(res.recall_per_threshold) / len(res.recall_per_threshold)),
+                _round4(_sum_in_order(res.recall_per_threshold) / len(res.recall_per_threshold)),
             ]
             for class_id, res in report.per_class.items()
         ]
@@ -228,19 +229,13 @@ def cmd_split(args: argparse.Namespace) -> Output:
 
 def cmd_convergence(args: argparse.Namespace) -> Output:
     cfg = DescentConfig(
-        loss_kind=LossKind.L1,  # overridden per studied kind
         learning_rate=args.lr,
         max_iters=args.max_iters,
         success_iou=args.success_iou,
         parameterization=args.parameterization,
         backtracking=args.backtracking,
     )
-    study = convergence_study(
-        trials=args.trials,
-        loss_kinds=_parse_losses(args.losses),
-        sampler=PairSampler(seed=args.seed),
-        cfg=cfg,
-    )
+    study = convergence_study(trials=args.trials, loss_kinds=_parse_losses(args.losses), seed=args.seed, cfg=cfg)
 
     def doc() -> dict:
         return {

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import DanglingIdError, InvalidBoxError, ParseError, ValidationError, reject_duplicates
 from .evaluation import BoxColumns, Columns, Detection, GroundTruthAnnotation
+from .geometry import _sum_in_order
 
 __all__ = [
     "ImageInfo",
@@ -187,8 +188,8 @@ def _id_coding(ids: tuple) -> tuple[tuple, dict]:
 
 def _columns(path: str, context: str, records: list, codings: tuple, scored: bool):
     """Box columns from one ``_typed`` pass: image and category ids coded by the two ``_id_coding``
-    pairs of ``codings`` (None: every id, first seen first), corners ``x + w``, ``y + h``. Returns
-    (columns, (N, 2) bbox extents). An unknown id raises ``DanglingIdError``.
+    pairs of ``codings``, corners ``x + w``, ``y + h``. Returns (columns, (N, 2) bbox extents).
+    An unknown id raises ``DanglingIdError``.
     """
 
     def pull(recs: list):
@@ -201,7 +202,7 @@ def _columns(path: str, context: str, records: list, codings: tuple, scored: boo
         _int_id(rec, "image_id", ctx), _int_id(rec, "category_id", ctx), _bbox(rec, ctx),
         scored and _number(rec, "score", ctx),
     ))
-    tables, indexes = zip(*(_id_coding(tuple(dict.fromkeys(col))) if c is None else c for col, c in zip(ids, codings)))
+    tables, indexes = zip(*codings)
     codes = [np.fromiter(map(index.get, col, repeat(-1)), np.intp, len(col)) for col, index in zip(ids, indexes)]
     _reject(path, context, [
         (DanglingIdError, codes[0] < 0, lambda i: f"unknown image_id {records[i]['image_id']}"),
@@ -302,15 +303,13 @@ def load_manifest(path: str) -> DatasetManifest:
 
 
 @_gc_paused()
-def load_predictions(path: str, manifest: DatasetManifest | None = None) -> Sequence[Detection]:
-    """Load a flat JSON list of detections, column-backed; validate ids against a manifest if given."""
+def load_predictions(path: str, manifest: DatasetManifest) -> Sequence[Detection]:
+    """Load a flat JSON list of detections, column-backed; validate ids against the manifest."""
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON list of predictions")
 
-    codings = (None, None)
-    if manifest:
-        codings = (_image_coding(manifest.images), _id_coding(tuple(c.id for c in manifest.categories)))
+    codings = (_image_coding(manifest.images), _id_coding(tuple(c.id for c in manifest.categories)))
     detections, extents = _columns(path, "predictions", raw, codings, scored=True)
     scores = detections.scores
     _reject(path, "predictions", [
@@ -341,7 +340,7 @@ class SplitSpec:
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f < 0.0 for f in fracs):
             raise ValidationError(f"split fractions must be non-negative, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
+        if abs(_sum_in_order(fracs) - 1.0) > 1e-9:
             raise ValidationError(f"split fractions must sum to 1, got {fracs}")
 
 
@@ -357,8 +356,9 @@ def split_ids(ids: Sequence[int], spec: SplitSpec) -> DatasetSplit:
 
     Val and test take ``round(n * frac)`` ids each, val first and test at
     most what val leaves; train absorbs the rounding remainder. Partitions
-    are disjoint and exhaustive.
+    are disjoint and exhaustive: a repeated id raises ``DuplicateIdError``.
     """
+    reject_duplicates("", "id", {"ids": ids})
     n = len(ids)
     n_val = min(round(n * spec.val_frac), n)
     n_test = min(round(n * spec.test_frac), n - n_val)

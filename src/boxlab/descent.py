@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -35,11 +35,11 @@ __all__ = [
     "DescentConfig",
     "TrajectoryPoint",
     "Trajectory",
-    "PairSampler",
     "TrialRecord",
     "KindSummary",
     "ConvergenceStudy",
     "run_descent",
+    "sample_pairs",
     "convergence_study",
     "trial_csv_rows",
 ]
@@ -49,7 +49,6 @@ _MAX_HALVINGS = 20  # with backtracking, a step tries the learning rate and up t
 
 @dataclass(frozen=True)
 class DescentConfig:
-    loss_kind: LossKind
     learning_rate: float = 0.1
     max_iters: int = 10_000
     success_iou: float = 0.9
@@ -120,8 +119,8 @@ def _step(pred: Box, gradient: GradVec, step_size: float, parameterization: str)
     return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
 
-def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
-    """Descend ``pred <- pred - lr * grad`` until IoU(pred, target) >= success_iou.
+def run_descent(init: Box, target: Box, kind: LossKind, cfg: DescentConfig) -> Trajectory:
+    """Descend the ``kind`` loss, ``pred <- pred - lr * grad``, until IoU(pred, target) >= success_iou.
 
     Non-convergence is a result, not an error. The trajectory records every
     iterate including the initial box. Descent also stops early when the
@@ -135,7 +134,7 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
         raise ValidationError(f"target must have positive area, got {target.as_tuple()}")
 
     pred = init
-    result = loss(cfg.loss_kind, target, pred)
+    result = loss(kind, target, pred)
     points: list[TrajectoryPoint] = []
     converged_at: int | None = None
     steps = 0
@@ -154,7 +153,7 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
             for _ in range(_MAX_HALVINGS + 1):
                 candidate = _step(pred, result.gradient, step_size, cfg.parameterization)
                 try:
-                    candidate_result = loss(cfg.loss_kind, target, candidate)
+                    candidate_result = loss(kind, target, candidate)
                 except BoxlabError:
                     candidate_result = None  # rejected, like a loss increase
                 if candidate_result is not None and candidate_result.value <= result.value:
@@ -165,7 +164,7 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
             pred, result = candidate, candidate_result
         else:
             pred = _step(pred, result.gradient, cfg.learning_rate, cfg.parameterization)
-            result = loss(cfg.loss_kind, target, pred)
+            result = loss(kind, target, pred)
         steps += 1
 
     return Trajectory(
@@ -175,23 +174,18 @@ def run_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
     )
 
 
-@dataclass(frozen=True)
-class PairSampler:
-    """Seeded sampler of disjoint (init, target) box pairs in [0, 10]^2, each side in
-    [0.5, 3]; an init that meets its target is drawn again."""
-
-    seed: int = 0
-
-    def sample_pairs(self, n: int) -> list[tuple[Box, Box]]:
-        rng = random.Random(self.seed)
-        pairs = []
-        for _ in range(n):
-            target = _sample_box(rng)
+def sample_pairs(n: int, seed: int) -> list[tuple[Box, Box]]:
+    """``n`` seeded disjoint (init, target) box pairs in [0, 10]^2, each side in [0.5, 3];
+    an init that meets its target is drawn again."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        target = _sample_box(rng)
+        init = _sample_box(rng)
+        while intersection_area(init, target) > 0.0:
             init = _sample_box(rng)
-            while intersection_area(init, target) > 0.0:
-                init = _sample_box(rng)
-            pairs.append((init, target))
-        return pairs
+        pairs.append((init, target))
+    return pairs
 
 
 def _sample_box(rng: random.Random) -> Box:
@@ -310,13 +304,13 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
 def convergence_study(
     trials: int,
     loss_kinds: Iterable[LossKind],
-    sampler: PairSampler,
+    seed: int,
     cfg: DescentConfig,
 ) -> ConvergenceStudy:
-    """Run every loss kind over one shared randomized suite of (init, target) pairs.
+    """Run every loss kind over one shared suite, ``sample_pairs(trials, seed)``.
 
-    ``cfg.loss_kind`` is overridden per kind; everything else is shared, so
-    median iteration counts are directly comparable across kinds.
+    Every kind descends with the same ``cfg``, so median iteration counts are
+    directly comparable across kinds.
     Non-converged trials count as +inf iterations in the median.
 
     The records are those of ``run_descent`` on each (kind, trial) pair, which
@@ -331,7 +325,7 @@ def convergence_study(
     if not kinds:
         raise ValidationError("loss_kinds must not be empty")
 
-    pairs = sampler.sample_pairs(trials)
+    pairs = sample_pairs(trials, seed)
     lanes = [(kind, init, target) for kind in kinds for init, target in pairs]
     converged_at, final, failed = _lockstep(
         np.array([init.as_tuple() for _, init, _ in lanes]).T.copy(),
@@ -341,7 +335,7 @@ def convergence_study(
     )
     if failed.any():
         kind, init, target = lanes[failed.argmax()]
-        run_descent(init, target, replace(cfg, loss_kind=kind))
+        run_descent(init, target, kind, cfg)
         raise AssertionError(f"lane {failed.argmax()} failed in lockstep, but run_descent did not raise")
 
     records = tuple(

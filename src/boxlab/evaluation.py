@@ -41,7 +41,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import EmptyEvaluationError, InvalidBoxError, ValidationError
-from .geometry import Box, area, iou, iou_array  # noqa: F401  (iou: bench/tracing.py rebinds this name)
+from .geometry import Box, _sum_in_order, area, iou, iou_array  # noqa: F401  (iou: bench/tracing.py rebinds this name)
 
 __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
@@ -253,10 +253,7 @@ def _interpolated_ap(tp: np.ndarray, n_gt: int) -> float:
     # Interpolated precision: max precision over ranks with recall >= r.
     max_prec_from = np.maximum.accumulate((hits / np.arange(1, len(tp) + 1))[::-1])[::-1]
     at = np.searchsorted(hits / n_gt, np.arange(RECALL_SAMPLES) / (RECALL_SAMPLES - 1))
-    total = 0.0
-    for p in max_prec_from[at[at < len(tp)]].tolist():  # in order: np.sum's pairwise order changes the bits
-        total += p
-    return total / RECALL_SAMPLES
+    return _sum_in_order(max_prec_from[at[at < len(tp)]].tolist()) / RECALL_SAMPLES  # np.sum's order changes bits
 
 
 def _class_metrics(dets, gts, thresholds, cfg: EvalConfig):
@@ -356,7 +353,7 @@ def evaluate(
                 class_id=class_ids[c],
                 ap_per_threshold=aps,
                 recall_per_threshold=recalls,
-                ap_all=sum(aps) / len(aps),
+                ap_all=_sum_in_order(aps) / len(aps),
                 ap_50=None if ap50_index is None else aps[ap50_index],
                 num_ground_truths=int(gm.sum()),
             )
@@ -379,11 +376,11 @@ def aggregate(per_class: Sequence[PerClassResult]) -> EvalReport:
     if not per_class:
         raise EmptyEvaluationError("no class produced an evaluable result")
     n = len(per_class)
-    map_all = sum(r.ap_all for r in per_class) / n
+    map_all = _sum_in_order(r.ap_all for r in per_class) / n
     ap_50s = [r.ap_50 for r in per_class]
-    map_50 = None if None in ap_50s else sum(ap_50s) / n
+    map_50 = None if None in ap_50s else _sum_in_order(ap_50s) / n
     recall_values = [rec for r in per_class for rec in r.recall_per_threshold]
-    average_recall = sum(recall_values) / len(recall_values)
+    average_recall = _sum_in_order(recall_values) / len(recall_values)
     return EvalReport(
         per_class={r.class_id: r for r in per_class},
         map_all=map_all,

@@ -55,6 +55,15 @@ class Box:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
+def _sum_in_order(values) -> float:
+    """Float total added left to right from 0.0, on every Python version: the bits that
+    ``sum`` gave before Python 3.12 made it compensated."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def area(b: Box) -> float:
     return b.width * b.height
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAspectError, UndefinedOverlapError, ValidationError
-from .geometry import Box
+from .geometry import Box, _sum_in_order
 
 __all__ = [
     "GradVec",
@@ -143,7 +143,7 @@ def loss_l1(gt: Box, pred: Box) -> LossResult:
     """Mean absolute difference over the four corner coordinates."""
     g = gt.as_tuple()
     p = pred.as_tuple()
-    value = sum(abs(gi - pi) for gi, pi in zip(g, p)) / 4.0
+    value = _sum_in_order(abs(gi - pi) for gi, pi in zip(g, p)) / 4.0
     gradient = tuple((1.0 if pi > gi else -1.0 if pi < gi else 0.0) / 4.0 for gi, pi in zip(g, p))
     return LossResult(value, gradient)
 

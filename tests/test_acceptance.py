@@ -13,7 +13,7 @@ import time
 import pytest
 
 from boxlab.coco_io import SplitSpec, split_ids
-from boxlab.descent import DescentConfig, PairSampler, convergence_study, run_descent, trial_csv_rows
+from boxlab.descent import DescentConfig, convergence_study, run_descent, trial_csv_rows
 from boxlab.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     Detection,
@@ -113,7 +113,6 @@ def test_criterion_3_iou_vanishing_gradient():
 def test_criterion_4_convergence_ordering():
     start = time.perf_counter()
     cfg = DescentConfig(
-        loss_kind=LossKind.L1,  # overridden per kind
         learning_rate=3.0,
         max_iters=10_000,
         success_iou=0.9,
@@ -122,7 +121,7 @@ def test_criterion_4_convergence_ordering():
     study = convergence_study(
         trials=100,
         loss_kinds=[LossKind.IOU, LossKind.GIOU, LossKind.DIOU],
-        sampler=PairSampler(seed=170),
+        seed=170,
         cfg=cfg,
     )
     assert study.summary[LossKind.IOU].convergence_rate == 0.0
@@ -309,14 +308,14 @@ def test_criterion_8_roundtrips_and_determinism():
     params = AugmentParams(image_width=360, image_height=640)
     assert sample_plan(params, 200, seed=5) == sample_plan(params, 200, seed=5)
 
-    cfg = DescentConfig(loss_kind=LossKind.DIOU, learning_rate=1.0, max_iters=500)
+    cfg = DescentConfig(learning_rate=1.0, max_iters=500)
     init, target_box = Box(0, 0, 1, 1), Box(3, 3, 5, 5)
-    assert run_descent(init, target_box, cfg) == run_descent(init, target_box, cfg)
+    assert run_descent(init, target_box, LossKind.DIOU, cfg) == run_descent(init, target_box, LossKind.DIOU, cfg)
     study_args = dict(
         trials=30,
         loss_kinds=[LossKind.DIOU],
-        sampler=PairSampler(seed=88),
-        cfg=DescentConfig(loss_kind=LossKind.DIOU, learning_rate=3.0, max_iters=1000),
+        seed=88,
+        cfg=DescentConfig(learning_rate=3.0, max_iters=1000),
     )
     assert convergence_study(**study_args) == convergence_study(**study_args)
 

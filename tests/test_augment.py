@@ -22,6 +22,13 @@ from helpers import augment_oracle, parse_plan_lines
 
 
 PARAMS = AugmentParams(image_width=100.0, image_height=80.0)
+# A 100x80 scene moved to the middle of a 1000x800 image, whose center (500, 400) is its
+# center (50, 40): every transform below stays far inside the image, so clipping cannot bite.
+BIG_W, BIG_H, DX_BIG, DY_BIG = 1000, 800, 450, 360
+
+
+def _moved(b: Box) -> Box:
+    return Box(b.x_min + DX_BIG, b.y_min + DY_BIG, b.x_max + DX_BIG, b.y_max + DY_BIG)
 
 
 class TestFlip:
@@ -85,8 +92,9 @@ class TestShiftScaleRotate:
 
     def test_unit_square_rotated_45_degrees(self):
         half_diag = math.sqrt(2) / 2
-        out = shift_scale_rotate_box(Box(0, 0, 1, 1), 0, 0, 1.0, 45.0, 1, 1, clip=False)
-        expected = (0.5 - half_diag, 0.5 - half_diag, 0.5 + half_diag, 0.5 + half_diag)
+        # The unit square at the center of a 101x101 image, so its hull stays inside.
+        out = shift_scale_rotate_box(Box(50, 50, 51, 51), 0, 0, 1.0, 45.0, 101, 101)
+        expected = (50.5 - half_diag, 50.5 - half_diag, 50.5 + half_diag, 50.5 + half_diag)
         for got, want in zip(out.as_tuple(), expected):
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -95,9 +103,9 @@ class TestShiftScaleRotate:
         for _ in range(200):
             x = rng.uniform(10, 60)
             y = rng.uniform(10, 50)
-            b = Box(x, y, x + rng.uniform(1, 20), y + rng.uniform(1, 20))
+            b = _moved(Box(x, y, x + rng.uniform(1, 20), y + rng.uniform(1, 20)))
             s = rng.uniform(0.9, 1.1)
-            out = shift_scale_rotate_box(b, 0, 0, s, 0.0, 100, 80, clip=False)
+            out = shift_scale_rotate_box(b, 0, 0, s, 0.0, BIG_W, BIG_H)
             assert area(out) == pytest.approx(s * s * area(b), rel=1e-12)
 
     def test_hull_contains_every_transformed_point(self):
@@ -105,21 +113,22 @@ class TestShiftScaleRotate:
         for _ in range(100):
             x = rng.uniform(5, 60)
             y = rng.uniform(5, 50)
-            b = Box(x, y, x + rng.uniform(1, 20), y + rng.uniform(1, 15))
+            b = _moved(Box(x, y, x + rng.uniform(1, 20), y + rng.uniform(1, 15)))
             dx, dy = rng.uniform(-6, 6), rng.uniform(-5, 5)
             s = rng.uniform(0.9, 1.1)
             angle = rng.uniform(-45, 45)
-            out = shift_scale_rotate_box(b, dx, dy, s, angle, 100, 80, clip=False)
+            out = shift_scale_rotate_box(b, dx, dy, s, angle, BIG_W, BIG_H)
+            assert 0.0 < out.x_min and out.x_max < BIG_W and 0.0 < out.y_min and out.y_max < BIG_H
             theta = math.radians(angle)
             cos_t, sin_t = math.cos(theta), math.sin(theta)
             for i in range(5):
                 for j in range(5):
                     px = b.x_min + b.width * i / 4
                     py = b.y_min + b.height * j / 4
-                    rx = (px - 50.0) * s
-                    ry = (py - 40.0) * s
-                    tx = 50.0 + dx + rx * cos_t - ry * sin_t
-                    ty = 40.0 + dy + rx * sin_t + ry * cos_t
+                    rx = (px - 500.0) * s
+                    ry = (py - 400.0) * s
+                    tx = 500.0 + dx + rx * cos_t - ry * sin_t
+                    ty = 400.0 + dy + rx * sin_t + ry * cos_t
                     assert out.x_min - 1e-9 <= tx <= out.x_max + 1e-9
                     assert out.y_min - 1e-9 <= ty <= out.y_max + 1e-9
 

@@ -35,6 +35,10 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+# The ids every prediction below uses, for the tests that check the predictions alone.
+ONE_IMAGE = DatasetManifest(images=(ImageInfo(1, 100.0, 80.0),), categories=(Category(1, "alpha"),), annotations=())
+
+
 def _manifest_doc(annotations=()):
     return {
         "images": [
@@ -185,12 +189,12 @@ class TestLoadPredictions:
     def test_score_out_of_range(self, tmp_path):
         preds = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 1.5}]
         with pytest.raises(ValidationError, match="score"):
-            load_predictions(_write(tmp_path, "pred.json", preds))
+            load_predictions(_write(tmp_path, "pred.json", preds), ONE_IMAGE)
 
     def test_negative_extent(self, tmp_path):
         preds = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, -1, 1], "score": 0.5}]
         with pytest.raises(InvalidBoxError):
-            load_predictions(_write(tmp_path, "pred.json", preds))
+            load_predictions(_write(tmp_path, "pred.json", preds), ONE_IMAGE)
 
     @pytest.mark.parametrize(
         "key, value, where",
@@ -203,15 +207,15 @@ class TestLoadPredictions:
         pred = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5}
         pred[key] = value
         with pytest.raises(ParseError, match=rf"^{re.escape(where)}: expected a finite number"):
-            load_predictions(_write(tmp_path, "pred.json", [pred]))
+            load_predictions(_write(tmp_path, "pred.json", [pred]), ONE_IMAGE)
 
     def test_must_be_list(self, tmp_path):
         with pytest.raises(ParseError):
-            load_predictions(_write(tmp_path, "pred.json", {"not": "a list"}))
+            load_predictions(_write(tmp_path, "pred.json", {"not": "a list"}), ONE_IMAGE)
 
     def test_zero_area_detection_allowed(self, tmp_path):
         preds = [{"image_id": 1, "category_id": 1, "bbox": [5, 5, 0, 0], "score": 0.5}]
-        (det,) = load_predictions(_write(tmp_path, "pred.json", preds))
+        (det,) = load_predictions(_write(tmp_path, "pred.json", preds), ONE_IMAGE)
         assert det.box == Box(5, 5, 5, 5)
 
 
@@ -250,6 +254,12 @@ class TestSplit:
                     n_val, n_test = round(n * spec.val_frac), round(n * spec.test_frac)
                     assert (len(split.val), len(split.test)) == (n_val, min(n_test, n - n_val))
                     assert sorted(split.train + split.val + split.test) == list(range(n))
+
+    def test_repeated_ids_rejected(self):
+        # Shuffled and cut, a repeated id landed in two partitions: train (2, 1) and val (1,).
+        with pytest.raises(DuplicateIdError) as err:
+            split_ids([1, 1, 2, 3], SplitSpec(0.5, 0.25, 0.25))
+        assert str(err.value) == "ids[1]: duplicate id 1 (first at ids[0])"
 
     def test_fraction_validation(self):
         with pytest.raises(ValidationError):
@@ -304,10 +314,6 @@ def _both(*edits):
             edit(gt, pred)
 
     return apply
-
-
-def _no_manifest(gt, pred):
-    gt.clear()  # an empty ground-truth document: the predictions load without a manifest
 
 
 # (edit of a valid gt/pred pair, error class, exact message; {dir} is the files' directory)
@@ -413,11 +419,6 @@ INVALID_INPUTS = {
         DanglingIdError,
         "{dir}/gt.json: annotations[2]: unknown image_id 9",
     ),
-    "pred_bad_score_without_manifest": (
-        _both(_det(1, image_id=99, score=7), _no_manifest),
-        ValidationError,
-        "{dir}/pred.json: predictions[1]: score 7.0 outside [0, 1]",
-    ),
     "category_name_null": (lambda gt, pred: gt["categories"][0].update(name=None), ParseError,
                            "categories[0].name: expected a string, got None"),
     "category_name_number": (lambda gt, pred: gt["categories"][1].update(name=7), ParseError,
@@ -449,7 +450,7 @@ def test_invalid_input_message(tmp_path, name):
     gt, pred = _pair()
     edit(gt, pred)
     with pytest.raises(error) as err:
-        manifest = load_manifest(_write(tmp_path, "gt.json", gt)) if gt else None
+        manifest = load_manifest(_write(tmp_path, "gt.json", gt))
         load_predictions(_write(tmp_path, "pred.json", pred), manifest)
     assert type(err.value) is error
     assert str(err.value) == message.replace("{dir}", str(tmp_path))
@@ -496,15 +497,6 @@ class TestColumnBacked:
         report = evaluate([det], manifest.annotations)
         assert list(report.per_class) == [big + 1] and report.map_all == 1.0
 
-    def test_without_manifest_ids_in_first_seen_order(self, tmp_path):
-        preds = [
-            {"image_id": 9, "category_id": 3, "bbox": [0, 0, 1, 1], "score": 0.5},
-            {"image_id": 4, "category_id": 3, "bbox": [0, 0, 1, 1], "score": 0.5},
-            {"image_id": 9, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5},
-        ]
-        dets = load_predictions(_write(tmp_path, "pred.json", preds))
-        assert dets.image_ids == (9, 4) and dets.class_ids == (3, 1)
-        assert [(d.image_id, d.class_id) for d in dets] == [(9, 3), (4, 3), (9, 1)]
 
 
 class TestImageColumns:
@@ -573,16 +565,6 @@ class TestImageColumns:
             load_predictions(_write(tmp_path, "pred.json", preds), manifest)
         split = split_dataset(manifest, SplitSpec(0.0, 1.0, 0.0, seed=3))
         assert split == split_ids([1, 2, 7], SplitSpec(0.0, 1.0, 0.0, seed=3)) and sorted(split.val) == [1, 2, 7]
-
-    def test_tables_coded_alike_with_or_without_manifest(self, tmp_path):
-        """Detections loaded without a manifest code ids in first-seen order: evaluate must agree."""
-        gt, pred = _pair()
-        manifest = load_manifest(_write(tmp_path, "gt.json", gt))
-        path = _write(tmp_path, "pred.json", pred[::-1])
-        alone, against = load_predictions(path), load_predictions(path, manifest)
-        assert alone.image_ids == (2, 1) and alone.class_ids == (1, 2)
-        assert evaluate(alone, manifest.annotations) == evaluate(against, manifest.annotations)
-        assert evaluate(alone, manifest.annotations) == evaluate(list(against), list(manifest.annotations))
 
 
 # --- the typed pass over images against the per-image walk it replaced --------------
@@ -697,7 +679,7 @@ class TestInputBoundary:
         pred = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5}
         pred[key] = [0, 0, self.HUGE, 1] if key == "bbox" else self.HUGE
         with pytest.raises(ParseError) as err:
-            load_predictions(_write(tmp_path, "pred.json", [pred]))
+            load_predictions(_write(tmp_path, "pred.json", [pred]), ONE_IMAGE)
         assert str(err.value) == f"{where}: expected a finite number, got an integer too large for a float"
 
     @pytest.mark.parametrize("key", ["width", "height"])
@@ -714,7 +696,7 @@ class TestInputBoundary:
         ]
         path = _write(tmp_path, "pred.json", preds)
         with pytest.raises(InvalidBoxError) as err:
-            load_predictions(path)
+            load_predictions(path, ONE_IMAGE)
         assert str(err.value) == (
             f"{path}: predictions[1]: bbox (1e+308, 0.0, 1e+308, 1.0) has a corner that is not finite"
         )
@@ -771,19 +753,19 @@ class TestInputBoundary:
     def test_duplicate_keys_named(self, tmp_path, text, key):
         path = tmp_path / "doc.json"
         path.write_text(text)
-        loader = load_predictions if text.startswith("[") else load_manifest
         with pytest.raises(ParseError) as err:
-            loader(str(path))
+            load_predictions(str(path), ONE_IMAGE) if text.startswith("[") else load_manifest(str(path))
         assert str(err.value) == f"{path}: duplicate key {key!r} in a JSON object"
 
     def test_integer_past_the_digit_limit(self, tmp_path):
         path = tmp_path / "pred.json"
         path.write_text('[{"image_id": 1, "category_id": 1, "bbox": [0, 0, ' + "1" * 5000 + ', 1], "score": 0.5}]')
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: Exceeds the limit \(4300 digits\)"):
-            load_predictions(str(path))
+            load_predictions(str(path), ONE_IMAGE)
 
     @pytest.mark.parametrize("text", [DEEP, '{"a": ' * 100_000 + "1" + "}" * 100_000], ids=["lists", "objects"])
-    @pytest.mark.parametrize("loader", [load_manifest, load_predictions], ids=["manifest", "predictions"])
+    @pytest.mark.parametrize("loader", [load_manifest, lambda path: load_predictions(path, ONE_IMAGE)],
+                             ids=["manifest", "predictions"])
     def test_nesting_past_the_recursion_limit(self, tmp_path, text, loader):
         path = tmp_path / "deep.json"
         path.write_text(text)
@@ -795,7 +777,7 @@ class TestInputBoundary:
         path = tmp_path / "pred.json"
         path.write_bytes(b'[{"image_id": 1, "name": "\xe9"}]')
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9"):
-            load_predictions(str(path))
+            load_predictions(str(path), ONE_IMAGE)
 
 
 @pytest.fixture()

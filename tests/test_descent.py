@@ -1,19 +1,18 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 import boxlab.descent
 from boxlab.descent import (
     DescentConfig,
-    PairSampler,
     Trajectory,
     TrajectoryPoint,
     TrialRecord,
     _step,
     convergence_study,
     run_descent,
+    sample_pairs,
     trial_csv_rows,
 )
 from boxlab.errors import BoxlabError, DegenerateAspectError, ValidationError
@@ -36,7 +35,7 @@ TINY_PREDICTION = (Box(-1e-160, -1e-160, -5e-161, 0.0), Box(-0.001, -0.001, -0.0
 UNDERFLOWING_CANDIDATE = (Box(-2.5e-82, 3.3e-82, 1.4e-81, 1e-81), Box(0.0, 0.0, 1.2e-81, 1.1e-81), 5e-162)
 
 
-def reference_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
+def reference_descent(init: Box, target: Box, kind: LossKind, cfg: DescentConfig) -> Trajectory:
     """The descent loop as first written: the loss of every iterate is computed at
     the head of the loop, so an accepted candidate's loss is computed twice.
     It calls the loss through ``boxlab.descent`` so that ``loss_calls`` sees it."""
@@ -45,7 +44,7 @@ def reference_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
     converged_at = None
     steps = 0
     while True:
-        result = boxlab.descent.loss(cfg.loss_kind, target, pred)
+        result = boxlab.descent.loss(kind, target, pred)
         grad_norm = math.sqrt(sum(g * g for g in result.gradient))
         points.append(TrajectoryPoint(pred, result.value, grad_norm))
         if iou(target, pred) >= cfg.success_iou:
@@ -59,7 +58,7 @@ def reference_descent(init: Box, target: Box, cfg: DescentConfig) -> Trajectory:
             for _ in range(20 + 1):  # the learning rate, then 20 halvings
                 candidate = _step(pred, result.gradient, step_size, cfg.parameterization)
                 try:
-                    candidate_value = boxlab.descent.loss(cfg.loss_kind, target, candidate).value
+                    candidate_value = boxlab.descent.loss(kind, target, candidate).value
                 except BoxlabError:
                     candidate_value = math.inf
                 if candidate_value <= result.value:
@@ -102,7 +101,7 @@ def _drawn_box(rng: random.Random) -> Box:
 
 
 def overlapping_pairs(seed: int, n: int) -> list[tuple[Box, Box]]:
-    """``PairSampler``'s draws without its redraw of an init that meets its target,
+    """``sample_pairs``'s draws without its redraw of an init that meets its target,
     so about one pair in seven overlaps."""
     rng = random.Random(seed)
     pairs = []
@@ -113,7 +112,7 @@ def overlapping_pairs(seed: int, n: int) -> list[tuple[Box, Box]]:
     return pairs
 
 
-SAMPLED_PAIRS = overlapping_pairs(71, 20) + PairSampler(seed=72).sample_pairs(20)
+SAMPLED_PAIRS = overlapping_pairs(71, 20) + sample_pairs(20, 72)
 # At learning rate 2 the first L1 step mirrors x about the target: the candidate's
 # loss equals the current one, and a tie is accepted.
 TIED_L1_STEP = (Box(1.25, 1.0, 3.25, 3.0), Box(1.0, 1.0, 3.0, 3.0))
@@ -122,7 +121,7 @@ TIED_L1_STEP = (Box(1.25, 1.0, 3.25, 3.0), Box(1.0, 1.0, 3.0, 3.0))
 class TestRunDescent:
     def test_converged_at_start(self):
         b = Box(1, 1, 4, 5)
-        trajectory = run_descent(b, b, DescentConfig(loss_kind=LossKind.DIOU))
+        trajectory = run_descent(b, b, LossKind.DIOU, DescentConfig())
         assert trajectory.converged_at == 0
         assert len(trajectory.points) == 1
         assert trajectory.final_iou == 1.0
@@ -130,65 +129,58 @@ class TestRunDescent:
     def test_iou_loss_never_moves_disjoint_init(self):
         init = Box(0, 0, 1, 1)
         target = Box(5, 5, 6, 6)
-        trajectory = run_descent(init, target, DescentConfig(loss_kind=LossKind.IOU))
+        trajectory = run_descent(init, target, LossKind.IOU, DescentConfig())
         assert trajectory.converged_at is None
         assert all(p.grad_norm == 0.0 for p in trajectory.points)
         assert all(p.box == init for p in trajectory.points)
         assert trajectory.final_iou == 0.0
 
     def test_giou_escapes_disjoint_init(self):
-        cfg = DescentConfig(loss_kind=LossKind.GIOU, learning_rate=0.1, max_iters=10_000)
-        trajectory = run_descent(Box(0, 0, 1, 1), Box(4, 4, 5, 5), cfg)
+        cfg = DescentConfig(learning_rate=0.1, max_iters=10_000)
+        trajectory = run_descent(Box(0, 0, 1, 1), Box(4, 4, 5, 5), LossKind.GIOU, cfg)
         assert trajectory.final_iou > 0.0
 
     def test_diou_converges_on_overlapping_start(self):
-        cfg = DescentConfig(loss_kind=LossKind.DIOU, learning_rate=1.0, max_iters=5000)
-        trajectory = run_descent(Box(0.5, 0.5, 3, 3), Box(1, 1, 3, 3), cfg)
+        cfg = DescentConfig(learning_rate=1.0, max_iters=5000)
+        trajectory = run_descent(Box(0.5, 0.5, 3, 3), Box(1, 1, 3, 3), LossKind.DIOU, cfg)
         assert trajectory.converged_at is not None
         assert iou(trajectory.points[-1].box, Box(1, 1, 3, 3)) >= 0.9
 
     def test_converged_trajectory_meets_success_iou(self):
         rng = random.Random(61)
-        cfg = DescentConfig(loss_kind=LossKind.DIOU, learning_rate=3.0, max_iters=10_000)
+        cfg = DescentConfig(learning_rate=3.0, max_iters=10_000)
         for _ in range(20):
             init, target = sample_disjoint_pair(rng)
-            trajectory = run_descent(init, target, cfg)
+            trajectory = run_descent(init, target, LossKind.DIOU, cfg)
             if trajectory.converged_at is not None:
                 assert trajectory.final_iou >= cfg.success_iou
                 assert len(trajectory.points) == trajectory.converged_at + 1
 
     def test_monotone_descent_with_backtracking(self):
         rng = random.Random(62)
+        cfg = DescentConfig(learning_rate=2.0, max_iters=2000, backtracking=True)
         for kind in (LossKind.GIOU, LossKind.DIOU, LossKind.CIOU, LossKind.L1):
-            cfg = DescentConfig(
-                loss_kind=kind, learning_rate=2.0, max_iters=2000, backtracking=True
-            )
             for _ in range(10):
                 init, target = sample_disjoint_pair(rng)
-                trajectory = run_descent(init, target, cfg)
+                trajectory = run_descent(init, target, kind, cfg)
                 losses = [p.loss for p in trajectory.points]
                 for later, earlier in zip(losses[1:], losses[:-1]):
                     assert later <= earlier
 
     def test_center_parameterization_converges(self):
-        cfg = DescentConfig(
-            loss_kind=LossKind.DIOU,
-            learning_rate=1.0,
-            max_iters=5000,
-            parameterization="center",
-        )
-        trajectory = run_descent(Box(0, 0, 1, 1), Box(4, 4, 6, 6), cfg)
+        cfg = DescentConfig(learning_rate=1.0, max_iters=5000, parameterization="center")
+        trajectory = run_descent(Box(0, 0, 1, 1), Box(4, 4, 6, 6), LossKind.DIOU, cfg)
         assert trajectory.converged_at is not None
 
     def test_deterministic(self):
-        cfg = DescentConfig(loss_kind=LossKind.GIOU, learning_rate=0.5, max_iters=500)
-        a = run_descent(Box(0, 0, 1, 1), Box(3, 3, 5, 5), cfg)
-        b = run_descent(Box(0, 0, 1, 1), Box(3, 3, 5, 5), cfg)
+        cfg = DescentConfig(learning_rate=0.5, max_iters=500)
+        a = run_descent(Box(0, 0, 1, 1), Box(3, 3, 5, 5), LossKind.GIOU, cfg)
+        b = run_descent(Box(0, 0, 1, 1), Box(3, 3, 5, 5), LossKind.GIOU, cfg)
         assert a == b
 
     def test_zero_area_target_rejected(self):
         with pytest.raises(ValidationError):
-            run_descent(Box(0, 0, 1, 1), Box(2, 2, 2, 3), DescentConfig(loss_kind=LossKind.IOU))
+            run_descent(Box(0, 0, 1, 1), Box(2, 2, 2, 3), LossKind.IOU, DescentConfig())
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -202,13 +194,13 @@ class TestRunDescent:
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValidationError):
-            DescentConfig(loss_kind=LossKind.IOU, **kwargs)
+            DescentConfig(**kwargs)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_named(self, lr):
         # NaN passed the old `<= 0` check, and the first step then failed on a NaN box coordinate.
         with pytest.raises(ValidationError) as err:
-            DescentConfig(loss_kind=LossKind.IOU, learning_rate=lr)
+            DescentConfig(learning_rate=lr)
         assert str(err.value) == f"learning_rate must be positive and finite, got {lr}"
 
 
@@ -216,14 +208,13 @@ class TestLossEvaluations:
     @pytest.mark.parametrize("parameterization", ["corner", "center"])
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
     def test_one_call_per_visited_box_with_backtracking(self, kind, parameterization, loss_calls):
-        cfg = DescentConfig(loss_kind=kind, learning_rate=3.0, max_iters=60, backtracking=True,
-                            parameterization=parameterization)
+        cfg = DescentConfig(learning_rate=3.0, max_iters=60, backtracking=True, parameterization=parameterization)
         for init, target in SAMPLED_PAIRS:
             loss_calls.clear()
-            trajectory = run_descent(init, target, cfg)
+            trajectory = run_descent(init, target, kind, cfg)
             boxes = [box for box, _ in loss_calls]
             loss_calls.clear()
-            assert reference_descent(init, target, cfg) == trajectory
+            assert reference_descent(init, target, kind, cfg) == trajectory
             # The start, then each candidate once: the reference loop computes
             # every accepted candidate a second time.
             assert len(boxes) == len(loss_calls) - (len(trajectory.points) - 1)
@@ -234,28 +225,28 @@ class TestLossEvaluations:
     @pytest.mark.parametrize("parameterization", ["corner", "center"])
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
     def test_one_call_per_point_without_backtracking(self, kind, parameterization, loss_calls):
-        cfg = DescentConfig(loss_kind=kind, learning_rate=0.5, max_iters=60, parameterization=parameterization)
+        cfg = DescentConfig(learning_rate=0.5, max_iters=60, parameterization=parameterization)
         for init, target in SAMPLED_PAIRS:
             loss_calls.clear()
-            trajectory = run_descent(init, target, cfg)
+            trajectory = run_descent(init, target, kind, cfg)
             assert [box for box, _ in loss_calls] == [point.box for point in trajectory.points]
 
     def test_raising_candidate_is_rejected(self, loss_calls):
         init, target, lr = RAISING_CIOU
-        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30, backtracking=True)
-        trajectory = run_descent(init, target, cfg)
+        cfg = DescentConfig(learning_rate=lr, max_iters=30, backtracking=True)
+        trajectory = run_descent(init, target, LossKind.CIOU, cfg)
         assert loss_calls[1] == (Box(2.0, -1.5, 2.0, 3.5), True)
         assert trajectory.points[1].box != loss_calls[1][0]
         assert trajectory.converged_at is not None
 
     def test_raising_step_propagates_without_backtracking(self, loss_calls):
         init, target, lr = RAISING_CIOU
-        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30)
+        cfg = DescentConfig(learning_rate=lr, max_iters=30)
         with pytest.raises(DegenerateAspectError):
-            run_descent(init, target, cfg)
+            run_descent(init, target, LossKind.CIOU, cfg)
         assert loss_calls == [(init, False), (Box(2.0, -1.5, 2.0, 3.5), True)]
         with pytest.raises(DegenerateAspectError):
-            reference_descent(init, target, cfg)
+            reference_descent(init, target, LossKind.CIOU, cfg)
 
 
 class TestMatchesReferenceLoop:
@@ -263,10 +254,10 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("parameterization", ["corner", "center"])
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
     def test_sampled_pairs(self, kind, parameterization, backtracking):
-        cfg = DescentConfig(loss_kind=kind, learning_rate=2.0, max_iters=60, backtracking=backtracking,
+        cfg = DescentConfig(learning_rate=2.0, max_iters=60, backtracking=backtracking,
                             parameterization=parameterization)
         for init, target in SAMPLED_PAIRS + [TIED_L1_STEP]:
-            got, want = run_descent(init, target, cfg), reference_descent(init, target, cfg)
+            got, want = run_descent(init, target, kind, cfg), reference_descent(init, target, kind, cfg)
             # repr tells -0.0 from 0.0, which == does not.
             assert repr(got) == repr(want)
 
@@ -275,23 +266,20 @@ class TestMatchesReferenceLoop:
         init, target, lr = RAISING_CIOU
         if parameterization == "center":
             lr *= 2.0  # the center step halves the size change
-        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30, backtracking=True,
-                            parameterization=parameterization)
-        got = run_descent(init, target, cfg)
+        cfg = DescentConfig(learning_rate=lr, max_iters=30, backtracking=True, parameterization=parameterization)
+        got = run_descent(init, target, LossKind.CIOU, cfg)
         assert any(raised for _, raised in loss_calls)
-        assert repr(got) == repr(reference_descent(init, target, cfg))
+        assert repr(got) == repr(reference_descent(init, target, LossKind.CIOU, cfg))
 
 
 class TestConvergenceStudy:
-    CFG = DescentConfig(
-        loss_kind=LossKind.L1, learning_rate=3.0, max_iters=5000, backtracking=False
-    )
+    CFG = DescentConfig(learning_rate=3.0, max_iters=5000, backtracking=False)
 
     def test_ordering_on_shared_disjoint_suite(self):
         study = convergence_study(
             trials=40,
             loss_kinds=[LossKind.IOU, LossKind.GIOU, LossKind.DIOU],
-            sampler=PairSampler(seed=63),
+            seed=63,
             cfg=self.CFG,
         )
         assert study.summary[LossKind.IOU].convergence_rate == 0.0
@@ -305,7 +293,7 @@ class TestConvergenceStudy:
         kwargs = dict(
             trials=30,
             loss_kinds=[LossKind.GIOU, LossKind.DIOU],
-            sampler=PairSampler(seed=64),
+            seed=64,
             cfg=self.CFG,
         )
         assert convergence_study(**kwargs) == convergence_study(**kwargs)
@@ -314,13 +302,13 @@ class TestConvergenceStudy:
         a = convergence_study(
             trials=30,
             loss_kinds=[LossKind.DIOU, LossKind.GIOU],
-            sampler=PairSampler(seed=65),
+            seed=65,
             cfg=self.CFG,
         )
         b = convergence_study(
             trials=30,
             loss_kinds=[LossKind.GIOU, LossKind.DIOU],
-            sampler=PairSampler(seed=65),
+            seed=65,
             cfg=self.CFG,
         )
         assert a == b
@@ -329,7 +317,7 @@ class TestConvergenceStudy:
         study = convergence_study(
             trials=30,
             loss_kinds=[LossKind.IOU],
-            sampler=PairSampler(seed=66),
+            seed=66,
             cfg=self.CFG,
         )
         rows = trial_csv_rows(study)
@@ -340,12 +328,12 @@ class TestConvergenceStudy:
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValidationError):
-            convergence_study(10, [LossKind.IOU], PairSampler(seed=1), self.CFG)
+            convergence_study(10, [LossKind.IOU], 1, self.CFG)
 
     def test_sampler_produces_disjoint_pairs(self):
         from boxlab.geometry import intersection_area
 
-        pairs = PairSampler(seed=67).sample_pairs(200)
+        pairs = sample_pairs(200, 67)
         assert all(intersection_area(a, b) == 0.0 for a, b in pairs)
         # The fixed ranges: every box inside [0, 10]^2, each side in [0.5, 3].
         boxes = [box for pair in pairs for box in pair]
@@ -353,15 +341,19 @@ class TestConvergenceStudy:
         assert all(0.5 - 1e-12 <= side <= 3.0 + 1e-12 for b in boxes for side in (b.width, b.height))
 
 
-class FixedPairs:
-    """Stands in for a PairSampler: ``convergence_study`` only asks it for ``trials`` pairs."""
+@pytest.fixture
+def fixed_pairs(monkeypatch):
+    """``fixed_pairs(pairs)`` makes ``convergence_study`` run on ``pairs``: it asks
+    ``sample_pairs`` only for its ``trials`` pairs, whatever the seed."""
 
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
+    def use(pairs):
+        def sampled(n, seed):
+            assert n == len(pairs)
+            return list(pairs)
 
-    def sample_pairs(self, n):
-        assert n == len(self.pairs)
-        return list(self.pairs)
+        monkeypatch.setattr(boxlab.descent, "sample_pairs", sampled)
+
+    return use
 
 
 LANE_PAIRS = SAMPLED_PAIRS + [TIED_L1_STEP, RAISING_CIOU[:2]]
@@ -380,7 +372,7 @@ def scalar_records(pairs, kinds, cfg):
     records = []
     for kind in sorted(kinds, key=lambda k: k.value):
         for trial, (init, target) in enumerate(pairs):
-            t = run_descent(init, target, replace(cfg, loss_kind=kind))
+            t = run_descent(init, target, kind, cfg)
             records.append(TrialRecord(trial, kind, t.converged, t.converged_at, t.final_iou))
     return tuple(records)
 
@@ -390,9 +382,9 @@ def scalar_calls(monkeypatch):
     """The pairs ``convergence_study`` hands to ``run_descent`` (it does so only to raise its error)."""
     calls = []
 
-    def recording(init, target, cfg):
+    def recording(init, target, kind, cfg):
         calls.append((init, target))
-        return run_descent(init, target, cfg)
+        return run_descent(init, target, kind, cfg)
 
     monkeypatch.setattr(boxlab.descent, "run_descent", recording)
     return calls
@@ -404,45 +396,48 @@ class TestLockstepStudy:
     @pytest.mark.parametrize("lr", [0.1, 2.0, 3.0])
     @pytest.mark.parametrize("backtracking", [False, True])
     @pytest.mark.parametrize("parameterization", ["corner", "center"])
-    def test_records_match_run_descent(self, parameterization, backtracking, lr, scalar_calls):
-        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=lr, max_iters=40, backtracking=backtracking,
+    def test_records_match_run_descent(self, parameterization, backtracking, lr, scalar_calls, fixed_pairs):
+        cfg = DescentConfig(learning_rate=lr, max_iters=40, backtracking=backtracking,
                             parameterization=parameterization)
         want = scalar_records(LANE_PAIRS, list(LossKind), cfg)
-        study = convergence_study(len(LANE_PAIRS), list(LossKind), FixedPairs(LANE_PAIRS), cfg)
+        fixed_pairs(LANE_PAIRS)
+        study = convergence_study(len(LANE_PAIRS), list(LossKind), 0, cfg)
         assert scalar_calls == []  # the lanes made these records
         # repr tells -0.0 from 0.0, which == does not.
         assert repr(study.records) == repr(want)
 
     @pytest.mark.parametrize("parameterization", ["corner", "center"])
-    def test_raising_ciou_candidate_rejected(self, parameterization, scalar_calls):
+    def test_raising_ciou_candidate_rejected(self, parameterization, scalar_calls, fixed_pairs):
         init, target, lr = RAISING_CIOU
         if parameterization == "center":
             lr *= 2.0  # the center step halves the size change
-        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=lr, max_iters=30, backtracking=True,
-                            parameterization=parameterization)
+        cfg = DescentConfig(learning_rate=lr, max_iters=30, backtracking=True, parameterization=parameterization)
         pairs = [(init, target)] + SAMPLED_PAIRS[:29]
-        study = convergence_study(30, [LossKind.CIOU], FixedPairs(pairs), cfg)
+        fixed_pairs(pairs)
+        study = convergence_study(30, [LossKind.CIOU], 0, cfg)
         assert scalar_calls == []
         assert repr(study.records) == repr(scalar_records(pairs, [LossKind.CIOU], cfg))
         assert study.records[0].converged
 
-    def test_underflowing_candidate_rejected(self, scalar_calls, loss_calls):
+    def test_underflowing_candidate_rejected(self, scalar_calls, loss_calls, fixed_pairs):
         init, target, lr = UNDERFLOWING_CANDIDATE
-        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=lr, max_iters=30, backtracking=True)
+        cfg = DescentConfig(learning_rate=lr, max_iters=30, backtracking=True)
         pairs = [(init, target)] + SAMPLED_PAIRS[:29]
         kinds = [LossKind.IOU, LossKind.GIOU, LossKind.DIOU, LossKind.CIOU]
-        study = convergence_study(30, kinds, FixedPairs(pairs), cfg)
+        fixed_pairs(pairs)
+        study = convergence_study(30, kinds, 0, cfg)
         assert scalar_calls == []
         want = scalar_records(pairs, kinds, cfg)
         assert sum(raised for _, raised in loss_calls) > 4 * 30  # every kind rejects many candidates
         assert repr(study.records) == repr(want)
 
     @pytest.mark.parametrize("backtracking", [False, True])
-    def test_tiny_prediction_below_ciou_gate(self, backtracking, scalar_calls):
+    def test_tiny_prediction_below_ciou_gate(self, backtracking, scalar_calls, fixed_pairs):
         # 0 times CIoU's overflowed dV made run_descent's gradient NaN where the lanes' was DIoU's.
-        cfg = DescentConfig(loss_kind=LossKind.CIOU, learning_rate=1e-4, max_iters=30, backtracking=backtracking)
+        cfg = DescentConfig(learning_rate=1e-4, max_iters=30, backtracking=backtracking)
         pairs = [TINY_PREDICTION] + SAMPLED_PAIRS[:29]
-        study = convergence_study(30, [LossKind.CIOU, LossKind.DIOU], FixedPairs(pairs), cfg)
+        fixed_pairs(pairs)
+        study = convergence_study(30, [LossKind.CIOU, LossKind.DIOU], 0, cfg)
         assert scalar_calls == []
         assert repr(study.records) == repr(scalar_records(pairs, [LossKind.CIOU, LossKind.DIOU], cfg))
 
@@ -463,13 +458,13 @@ class TestLockstepStudy:
 
     @pytest.mark.parametrize("seed", sorted(BENCH_CSV_DIGESTS))
     def test_bench_study_csv_pinned(self, seed):
-        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=3.0, max_iters=100, backtracking=True)
-        study = convergence_study(30, [LossKind.IOU, LossKind.GIOU, LossKind.DIOU], PairSampler(seed=seed), cfg)
+        cfg = DescentConfig(learning_rate=3.0, max_iters=100, backtracking=True)
+        study = convergence_study(30, [LossKind.IOU, LossKind.GIOU, LossKind.DIOU], seed, cfg)
         assert rows_digest(trial_csv_rows(study)) == self.BENCH_CSV_DIGESTS[seed]
 
     def test_summary_from_lane_records(self):
-        cfg = DescentConfig(loss_kind=LossKind.L1, learning_rate=3.0, max_iters=100, backtracking=True)
-        study = convergence_study(30, [LossKind.GIOU, LossKind.DIOU], PairSampler(seed=68), cfg)
+        cfg = DescentConfig(learning_rate=3.0, max_iters=100, backtracking=True)
+        study = convergence_study(30, [LossKind.GIOU, LossKind.DIOU], 68, cfg)
         for kind, summary in study.summary.items():
             records = [r for r in study.records if r.loss_kind is kind]
             iterations = sorted(math.inf if r.iterations is None else r.iterations for r in records)
@@ -481,29 +476,30 @@ class TestLockstepStudy:
         [
             # IoU's gradient near these 0.1-wide boxes is about 10: a step of 1e308 leaves the floats.
             ((Box(0.0, 0.0, 0.1, 0.1), Box(0.05, 0.05, 0.15, 0.15)), [LossKind.IOU],
-             DescentConfig(loss_kind=LossKind.IOU, learning_rate=1e308), "InvalidBoxError"),
+             DescentConfig(learning_rate=1e308), "InvalidBoxError"),
             ((Box(0.0, 0.0, 0.1, 0.1), Box(0.05, 0.05, 0.15, 0.15)), [LossKind.IOU],
-             DescentConfig(loss_kind=LossKind.IOU, learning_rate=1e308, backtracking=True), "InvalidBoxError"),
+             DescentConfig(learning_rate=1e308, backtracking=True), "InvalidBoxError"),
             (RAISING_CIOU[:2], [LossKind.CIOU, LossKind.DIOU],
-             DescentConfig(loss_kind=LossKind.CIOU, learning_rate=RAISING_CIOU[2], max_iters=30),
+             DescentConfig(learning_rate=RAISING_CIOU[2], max_iters=30),
              "DegenerateAspectError"),
             (TIED_L1_STEP, [LossKind.DIOU, LossKind.L1],
-             DescentConfig(loss_kind=LossKind.DIOU, learning_rate=1e200, max_iters=5), "ValidationError"),
+             DescentConfig(learning_rate=1e200, max_iters=5), "ValidationError"),
             (UNDERFLOWING_PAIR, [LossKind.IOU, LossKind.GIOU, LossKind.L1],
-             DescentConfig(loss_kind=LossKind.IOU, max_iters=5, backtracking=True), "UndefinedOverlapError"),
+             DescentConfig(max_iters=5, backtracking=True), "UndefinedOverlapError"),
             (UNDERFLOWING_PAIR, [LossKind.CIOU, LossKind.DIOU],
-             DescentConfig(loss_kind=LossKind.IOU, max_iters=5), "UndefinedOverlapError"),
+             DescentConfig(max_iters=5), "UndefinedOverlapError"),
             ((Box(0.0, 0.0, 1.0, 1.0), Box(1.0, 1.0, 1.0, 3.0)), [LossKind.L1, LossKind.GIOU],
-             DescentConfig(loss_kind=LossKind.L1, max_iters=5), "ValidationError"),
+             DescentConfig(max_iters=5), "ValidationError"),
         ],
         ids=["non-finite-step", "non-finite-candidate", "degenerate-ciou", "overflowing-center-distance",
              "underflowing-start-backtracking", "underflowing-start", "zero-area-target"],
     )
-    def test_raises_as_run_descent(self, pair, kinds, cfg, error, scalar_calls):
+    def test_raises_as_run_descent(self, pair, kinds, cfg, error, scalar_calls, fixed_pairs):
         # The study must raise the scalar loop's first error in (kind, trial) order, wherever
         # the lanes meet theirs.
         pairs = overlapping_pairs(69, 30) + [pair]
         want = outcome(lambda: scalar_records(pairs, kinds, cfg))
         assert want[0] == error
-        assert outcome(lambda: convergence_study(len(pairs), kinds, FixedPairs(pairs), cfg)) == want
+        fixed_pairs(pairs)
+        assert outcome(lambda: convergence_study(len(pairs), kinds, 0, cfg)) == want
         assert len(scalar_calls) == 1  # one run_descent, on the first raising lane, raised the error

@@ -1,6 +1,7 @@
 """Each module's ``__all__`` is the one list of its public names, and ``boxlab`` republishes every list whole."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 from collections import Counter
@@ -11,6 +12,14 @@ import boxlab
 
 MODULES = ["errors", "geometry", "losses", "proposals", "evaluation", "augment", "descent", "coco_io", "reports"]
 NOT_REPUBLISHED = {"cli", "__main__"}
+# Every parameter of these has a caller that sets it; none has a default that only tests change.
+SIGNATURES = {
+    "run_descent": ["init", "target", "kind", "cfg"],
+    "sample_pairs": ["n", "seed"],
+    "convergence_study": ["trials", "loss_kinds", "seed", "cfg"],
+    "shift_scale_rotate_box": ["b", "dx", "dy", "s", "angle_deg", "image_width", "image_height"],
+    "load_predictions": ["path", "manifest"],
+}
 
 
 def _module(name: str) -> types.ModuleType:
@@ -44,3 +53,17 @@ def test_no_name_is_exported_twice():
     # A wildcard import would silently shadow the earlier module's binding.
     counts = Counter(name for module in MODULES for name in _module(module).__all__)
     assert [name for name, n in counts.items() if n > 1] == []
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_signature(name):
+    parameters = inspect.signature(getattr(boxlab, name)).parameters
+    assert list(parameters) == SIGNATURES[name]
+    if name == "load_predictions":
+        assert parameters["manifest"].default is inspect.Parameter.empty
+
+
+def test_descent_config_has_no_loss_kind():
+    # The study gives each kind to run_descent; a config field would be one more value to override.
+    assert "loss_kind" not in inspect.signature(boxlab.DescentConfig).parameters
+    assert not hasattr(boxlab, "PairSampler")
