@@ -371,7 +371,8 @@ def _load_metrics_doc(path: str) -> tuple[list[ModelReportRow], dict]:
         except ValidationError as exc:  # the row's own check names only the field
             raise ValidationError(f"{ctx}.{exc}") from None
     per_class: dict[str, dict] = {}
-    for metric, table in _object(doc.get("per_class") or {}, "per_class").items():
+    section = doc.get("per_class")  # only an absent or null section is empty
+    for metric, table in _object({} if section is None else section, "per_class").items():
         per_class[metric] = {}
         for name, per_model in _object(table, f"per_class.{metric}").items():
             ctx = f"per_class.{metric}.{name}"

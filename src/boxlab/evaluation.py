@@ -341,7 +341,7 @@ def evaluate(
     (d_img, d_cls, d_boxes, d_scores), (g_img, g_cls, g_boxes), class_ids = _coded(dets, gts)
     classes = set(g_cls.tolist()) | set(d_cls.tolist() if cfg.include_gt_free_classes else ())
 
-    ap50_index = _ap50_index(cfg.iou_thresholds)
+    ap50_index = cfg.iou_thresholds.index(0.5) if 0.5 in cfg.iou_thresholds else None
     results = []
     for c in sorted(classes, key=lambda c: _class_key(class_ids[c])):
         dm, gm = d_cls == c, g_cls == c
@@ -359,13 +359,6 @@ def evaluate(
             )
         )
     return aggregate(results)
-
-
-def _ap50_index(thresholds: tuple[float, ...]) -> int | None:
-    for i, t in enumerate(thresholds):
-        if math.isclose(t, 0.5, abs_tol=1e-9):
-            return i
-    return None
 
 
 def aggregate(per_class: Sequence[PerClassResult]) -> EvalReport:

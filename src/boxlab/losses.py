@@ -38,11 +38,6 @@ __all__ = [
     "GradVec",
     "LossKind",
     "LossResult",
-    "loss_l1",
-    "loss_iou",
-    "loss_giou",
-    "loss_diou",
-    "loss_ciou",
     "loss",
 ]
 
@@ -74,21 +69,33 @@ def _underflow(what: str, gt: Box, pred: Box) -> UndefinedOverlapError:
     return UndefinedOverlapError(f"{what} underflows to 0 ({gt.as_tuple()}, {pred.as_tuple()})")
 
 
-def _iou_terms(gt, pred):
-    """IoU and union with their gradients w.r.t. the predicted corners.
+def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
+    """The loss named by ``kind`` and its gradient, for ``pred`` against ``gt``.
 
-    Returns ``(iou, union, d_iou, d_union)``. Disjoint and edge-touching
-    pairs take the non-overlap branch: intersection 0 with zero gradient.
+    The IoU family walks the lane kernel's chain and returns once ``kind``'s
+    terms are in: ``1 - IoU``, then ``+ (C - U)/C`` for GIoU, or ``+ rho^2/c^2``
+    for DIoU and CIoU, then ``+ alpha*V`` for CIoU. A ``kind`` that is not a
+    LossKind raises ValidationError, and CIoU raises DegenerateAspectError if
+    either box has zero width or height.
     """
+    if kind is LossKind.L1:  # mean absolute difference over the four corner coordinates
+        g = gt.as_tuple()
+        p = pred.as_tuple()
+        value = _sum_in_order(abs(gi - pi) for gi, pi in zip(g, p)) / 4.0
+        gradient = tuple((1.0 if pi > gi else -1.0 if pi < gi else 0.0) / 4.0 for gi, pi in zip(g, p))
+        return LossResult(value, gradient)
+    if not isinstance(kind, LossKind):
+        raise ValidationError(f"unknown loss kind {kind!r}: expected a LossKind")
+
+    # 1 - IoU, locally constant (zero gradient) when the boxes are disjoint. Disjoint
+    # and edge-touching pairs take the non-overlap branch: intersection 0, di = 0.
     gx1, gy1, gx2, gy2 = gt.x_min, gt.y_min, gt.x_max, gt.y_max
     px1, py1, px2, py2 = pred.x_min, pred.y_min, pred.x_max, pred.y_max
     pw = px2 - px1
     ph = py2 - py1
-
     # d(area_p) = (-ph, -pw, ph, pw)
     area_p = pw * ph
     area_g = (gx2 - gx1) * (gy2 - gy1)
-
     iw = min(gx2, px2) - max(gx1, px1)
     ih = min(gy2, py2) - max(gy1, py1)
     if iw > 0.0 and ih > 0.0:
@@ -100,7 +107,6 @@ def _iou_terms(gt, pred):
     else:
         inter = 0.0
         di1 = di2 = di3 = di4 = 0.0
-
     union = area_p + area_g - inter
     if union <= 0.0:
         raise UndefinedOverlapError(
@@ -114,164 +120,85 @@ def _iou_terms(gt, pred):
     usq = union * union
     if usq == 0.0:
         raise _underflow("IoU undefined: the squared union", gt, pred)
-    d_iou = (
-        (di1 * union - inter * du1) / usq,
-        (di2 * union - inter * du2) / usq,
-        (di3 * union - inter * du3) / usq,
-        (di4 * union - inter * du4) / usq,
-    )
-    return iou, union, d_iou, (du1, du2, du3, du4)
+    # dq = d(IoU) = (dI*U - I*dU)/U^2
+    dq1 = (di1 * union - inter * du1) / usq
+    dq2 = (di2 * union - inter * du2) / usq
+    dq3 = (di3 * union - inter * du3) / usq
+    dq4 = (di4 * union - inter * du4) / usq
+    if kind is LossKind.IOU:
+        return LossResult(1.0 - iou, (-dq1, -dq2, -dq3, -dq4))
 
-
-def _hull_terms(gt, pred):
-    """Enclosing-box width/height and ``(dew/dx1, deh/dy1, dew/dx2, deh/dy2)``;
-    the cross derivatives (ew by y, eh by x) are zero."""
-    gx1, gy1, gx2, gy2 = gt.x_min, gt.y_min, gt.x_max, gt.y_max
-    px1, py1, px2, py2 = pred.x_min, pred.y_min, pred.x_max, pred.y_max
+    # The enclosing box's width and height, and (dew/dx1, deh/dy1, dew/dx2, deh/dy2);
+    # the cross derivatives (ew by y, eh by x) are zero.
     ew = max(gx2, px2) - min(gx1, px1)
     eh = max(gy2, py2) - min(gy1, py1)
-    d_hull: GradVec = (
-        -1.0 if px1 < gx1 else 0.0,
-        -1.0 if py1 < gy1 else 0.0,
-        1.0 if px2 > gx2 else 0.0,
-        1.0 if py2 > gy2 else 0.0,
-    )
-    return ew, eh, d_hull
+    h1 = -1.0 if px1 < gx1 else 0.0
+    h2 = -1.0 if py1 < gy1 else 0.0
+    h3 = 1.0 if px2 > gx2 else 0.0
+    h4 = 1.0 if py2 > gy2 else 0.0
+    if kind is LossKind.GIOU:  # + (C - U)/C, where C is the enclosing-box area
+        c_area = ew * eh
+        dc1, dc2, dc3, dc4 = eh * h1, ew * h2, eh * h3, ew * h4
+        csq = c_area * c_area
+        if csq == 0.0:
+            raise _underflow("GIoU undefined: the squared enclosing-box area", gt, pred)
+        # d[(C - U)/C] = d[1 - U/C] = -(dU*C - U*dC)/C^2
+        value = 1.0 - iou + (c_area - union) / c_area
+        gradient = (
+            -dq1 - (du1 * c_area - union * dc1) / csq,
+            -dq2 - (du2 * c_area - union * dc2) / csq,
+            -dq3 - (du3 * c_area - union * dc3) / csq,
+            -dq4 - (du4 * c_area - union * dc4) / csq,
+        )
+        return LossResult(value, gradient)
 
-
-def loss_l1(gt: Box, pred: Box) -> LossResult:
-    """Mean absolute difference over the four corner coordinates."""
-    g = gt.as_tuple()
-    p = pred.as_tuple()
-    value = _sum_in_order(abs(gi - pi) for gi, pi in zip(g, p)) / 4.0
-    gradient = tuple((1.0 if pi > gi else -1.0 if pi < gi else 0.0) / 4.0 for gi, pi in zip(g, p))
-    return LossResult(value, gradient)
-
-
-def loss_iou(gt: Box, pred: Box) -> LossResult:
-    """``1 - IoU``; locally constant (zero gradient) when the boxes are disjoint."""
-    iou, _, (d1, d2, d3, d4), _ = _iou_terms(gt, pred)
-    return LossResult(1.0 - iou, (-d1, -d2, -d3, -d4))
-
-
-def loss_giou(gt: Box, pred: Box) -> LossResult:
-    """``1 - IoU + (C - U)/C`` where C is the enclosing-box area."""
-    iou, union, (di1, di2, di3, di4), (du1, du2, du3, du4) = _iou_terms(gt, pred)
-    ew, eh, (h1, h2, h3, h4) = _hull_terms(gt, pred)
-    c_area = ew * eh
-    dc1, dc2, dc3, dc4 = eh * h1, ew * h2, eh * h3, ew * h4
-    csq = c_area * c_area
-    if csq == 0.0:
-        raise _underflow("GIoU undefined: the squared enclosing-box area", gt, pred)
-    # d[(C - U)/C] = d[1 - U/C] = -(dU*C - U*dC)/C^2
-    value = 1.0 - iou + (c_area - union) / c_area
-    gradient = (
-        -di1 - (du1 * c_area - union * dc1) / csq,
-        -di2 - (du2 * c_area - union * dc2) / csq,
-        -di3 - (du3 * c_area - union * dc3) / csq,
-        -di4 - (du4 * c_area - union * dc4) / csq,
-    )
-    return LossResult(value, gradient)
-
-
-def _diou_terms(gt, pred):
-    """DIoU value and gradient, plus the IoU (reused by CIoU)."""
-    iou, _, (di1, di2, di3, di4), _ = _iou_terms(gt, pred)
-    ew, eh, (h1, h2, h3, h4) = _hull_terms(gt, pred)
-
-    gcx = (gt.x_min + gt.x_max) / 2.0
-    gcy = (gt.y_min + gt.y_max) / 2.0
-    pcx = (pred.x_min + pred.x_max) / 2.0
-    pcy = (pred.y_min + pred.y_max) / 2.0
+    # DIoU and CIoU: + rho^2/c^2, the squared center distance over the squared
+    # enclosing-box diagonal; equal to the IoU loss when the centroids coincide.
     # Each corner moves its center coordinate by 1/2: d(rho2)/dx = (pcx - gcx).
-    drx = pcx - gcx
-    dry = pcy - gcy
+    drx = (px1 + px2) / 2.0 - (gx1 + gx2) / 2.0
+    dry = (py1 + py2) / 2.0 - (gy1 + gy2) / 2.0
     try:
         rho2 = drx ** 2 + dry ** 2
     except OverflowError:  # finite inputs only: inf ** 2 is inf without an error
         raise ValidationError(
             f"DIoU undefined: the squared center distance overflows ({gt.as_tuple()}, {pred.as_tuple()})"
         ) from None
-
     c2 = ew * ew + eh * eh
     dc1, dc2, dc3, dc4 = 2.0 * ew * h1, 2.0 * eh * h2, 2.0 * ew * h3, 2.0 * eh * h4
-
     c2sq = c2 * c2
     if c2sq == 0.0:
         raise _underflow("DIoU undefined: the squared enclosing-box diagonal", gt, pred)
     value = 1.0 - iou + rho2 / c2
-    gradient = (
-        -di1 + (drx * c2 - rho2 * dc1) / c2sq,
-        -di2 + (dry * c2 - rho2 * dc2) / c2sq,
-        -di3 + (drx * c2 - rho2 * dc3) / c2sq,
-        -di4 + (dry * c2 - rho2 * dc4) / c2sq,
-    )
-    return value, gradient, iou
+    g1 = -dq1 + (drx * c2 - rho2 * dc1) / c2sq
+    g2 = -dq2 + (dry * c2 - rho2 * dc2) / c2sq
+    g3 = -dq3 + (drx * c2 - rho2 * dc3) / c2sq
+    g4 = -dq4 + (dry * c2 - rho2 * dc4) / c2sq
+    if kind is LossKind.DIOU:
+        return LossResult(value, (g1, g2, g3, g4))
 
-
-def loss_diou(gt: Box, pred: Box) -> LossResult:
-    """``1 - IoU + rho^2/c^2``; equals the IoU loss when the centroids coincide."""
-    value, gradient, _ = _diou_terms(gt, pred)
-    return LossResult(value, gradient)
-
-
-def _aspect_terms(gt, pred):
-    """Aspect-consistency term ``V = (4/pi^2)(atan(wg/hg) - atan(wp/hp))^2`` and its gradient."""
-    if gt.width <= 0.0 or gt.height <= 0.0 or pred.width <= 0.0 or pred.height <= 0.0:
+    # CIoU: + alpha*V, with the aspect-consistency term V = (4/pi^2)(atan(wg/hg) - atan(wp/hp))^2.
+    # alpha = V/((1 - IoU) + V) at IoU >= 0.5 and 0 below, held constant under differentiation.
+    if gt.width <= 0.0 or gt.height <= 0.0 or pw <= 0.0 or ph <= 0.0:
         raise DegenerateAspectError(
             "aspect-ratio term requires positive width and height for both boxes, "
             f"got gt={gt.as_tuple()} pred={pred.as_tuple()}"
         )
-    pw = pred.width
-    ph = pred.height
-    t = math.atan(gt.width / gt.height) - math.atan(pw / ph)
-    v = _FOUR_OVER_PI_SQ * t * t
     # d atan(pw/ph) = (ph*dpw - pw*dph)/(pw^2 + ph^2)
     diag_sq = pw * pw + ph * ph
     if diag_sq == 0.0:
         raise _underflow("CIoU undefined: the predicted box's squared diagonal", gt, pred)
-    common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
-    d_v: GradVec = (common * ph, -common * pw, -common * ph, common * pw)
-    return v, d_v
-
-
-def _ciou_alpha(iou: float, v: float) -> float:
-    """CIoU's trade-off weight ``V/((1 - IoU) + V)``, or 0 when IoU < 0.5."""
-    if iou >= 0.5:
+    alpha = 0.0
+    if iou >= 0.5:  # V (and its two atan calls) counts only at or above the gate
+        t = math.atan(gt.width / gt.height) - math.atan(pw / ph)
+        v = _FOUR_OVER_PI_SQ * t * t
         denom = (1.0 - iou) + v
         if denom > 0.0:
-            return v / denom
-    return 0.0
-
-
-def loss_ciou(gt: Box, pred: Box) -> LossResult:
-    """DIoU plus ``alpha*V``; reverts to DIoU exactly when IoU < 0.5.
-
-    ``alpha = V/((1 - IoU) + V)`` for IoU >= 0.5 and 0 otherwise, and is held
-    constant under differentiation, so the gradient is ``grad_DIoU + alpha*dV``.
-    Raises DegenerateAspectError if either box has zero width or height.
-    """
-    diou_value, (g1, g2, g3, g4), iou = _diou_terms(gt, pred)
-    v, (dv1, dv2, dv3, dv4) = _aspect_terms(gt, pred)
-    alpha = _ciou_alpha(iou, v)
+            alpha = v / denom
     if alpha == 0.0:  # DIoU exactly: 0 times an overflowed dV (a tiny predicted diagonal) is NaN
-        return LossResult(diou_value, (g1, g2, g3, g4))
-    value = diou_value + alpha * v
-    return LossResult(value, (g1 + alpha * dv1, g2 + alpha * dv2, g3 + alpha * dv3, g4 + alpha * dv4))
-
-
-_DISPATCH = {
-    LossKind.L1: loss_l1,
-    LossKind.IOU: loss_iou,
-    LossKind.GIOU: loss_giou,
-    LossKind.DIOU: loss_diou,
-    LossKind.CIOU: loss_ciou,
-}
-
-
-def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
-    """Dispatch to the loss named by ``kind``."""
-    return _DISPATCH[kind](gt, pred)
+        return LossResult(value, (g1, g2, g3, g4))
+    common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
+    dv1, dv2, dv3, dv4 = common * ph, -common * pw, -common * ph, common * pw
+    return LossResult(value + alpha * v, (g1 + alpha * dv1, g2 + alpha * dv2, g3 + alpha * dv3, g4 + alpha * dv4))
 
 
 # --- lanes ----------------------------------------------------------------
@@ -294,7 +221,7 @@ _WHWH = np.array([0, 1, 0, 1])
 
 
 def _iou_lanes(g, p):
-    """``_iou_terms`` over (4, N) lanes, plus where it raises: iou and union (N,),
+    """The IoU block of ``loss`` over (4, N) lanes, plus where it raises: iou and union (N,),
     d_iou and d_union (4, N)."""
     iwh = np.minimum(g[2:], p[2:]) - np.maximum(g[:2], p[:2])  # (iw, ih)
     overlap = (iwh[0] > 0.0) & (iwh[1] > 0.0)
@@ -315,12 +242,10 @@ def _iou_lanes(g, p):
 
 
 def _hull_lanes(g, p):
-    """``_hull_terms`` over (4, N) lanes: (ew, eh) as (2, N) and the (4, N) hull derivatives."""
+    """The enclosing box of ``loss`` over (4, N) lanes: (ew, eh) as (2, N) and the (4, N) hull derivatives."""
     ewh = np.maximum(g[2:], p[2:]) - np.minimum(g[:2], p[:2])
     outside = np.concatenate([p[:2] < g[:2], p[2:] > g[2:]])
     return ewh, np.where(outside, _D_EXTENT, 0.0)
-
-
 
 
 def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from boxlab.geometry import Box
-from boxlab.losses import LossKind, loss, loss_diou
+from boxlab.losses import LossKind, loss
 
 Tup4 = tuple[float, float, float, float]
 
@@ -221,7 +221,7 @@ def finite_diff_gradient(kind: LossKind, gt: Box, pred: Box, h: float = 1e-5) ->
         frozen_alpha, _ = ciou_aspect(gt.as_tuple(), pred.as_tuple())
 
         def f(q: Box) -> float:
-            return loss_diou(gt, q).value + frozen_alpha * ciou_aspect(gt.as_tuple(), q.as_tuple())[1]
+            return loss(LossKind.DIOU, gt, q).value + frozen_alpha * ciou_aspect(gt.as_tuple(), q.as_tuple())[1]
 
     else:
 

@@ -27,7 +27,7 @@ from boxlab.evaluation import (
 )
 from boxlab.augment import AugmentParams, sample_plan
 from boxlab.geometry import Box
-from boxlab.losses import LossKind, loss, loss_giou, loss_iou
+from boxlab.losses import LossKind, loss
 from boxlab.proposals import ScoredBox, decode_delta, encode_delta, nms
 from boxlab.reports import percent_change
 from helpers import (
@@ -102,9 +102,9 @@ def test_criterion_3_iou_vanishing_gradient():
     rng = random.Random(3)
     for _ in range(100):
         gt, pred = sample_disjoint_pair(rng)
-        assert loss_iou(gt, pred).gradient == (0.0, 0.0, 0.0, 0.0)
+        assert loss(LossKind.IOU, gt, pred).gradient == (0.0, 0.0, 0.0, 0.0)
         if gt.center() != pred.center():
-            grad = loss_giou(gt, pred).gradient
+            grad = loss(LossKind.GIOU, gt, pred).gradient
             assert math.sqrt(sum(g * g for g in grad)) > 0.0
     elapsed = time.perf_counter() - start
     _report("criterion 3 (IoU gradient exactly zero on 100 disjoint pairs; GIoU nonzero)", elapsed)

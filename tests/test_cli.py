@@ -120,6 +120,24 @@ class TestEvaluateCommand:
         assert cli._parse_thresholds("0.50:0.95:0.05") == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
         assert cli._parse_thresholds("0:0.999:0.001") == tuple(round(k * 0.001, 10) for k in range(1000))
 
+    @pytest.mark.parametrize("spec, ap_50", [("0.4999999999,0.5", 0.0), ("0.4999999999", None)])
+    def test_map_50_is_read_at_exactly_half(self, tmp_path, capsys, spec, ap_50):
+        # The one prediction has IoU 0.49999999995: a TP at 0.4999999999 and an FP at 0.5. Matching
+        # 0.5 within 1e-9 read mAP@0.50 from 0.4999999999 (1.0), also when 0.5 was not a threshold.
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({
+            "images": [{"id": 1, "width": 10, "height": 10, "file_name": "a.jpg"}],
+            "categories": [{"id": 1, "name": "alpha"}],
+            "annotations": [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1]}],
+        }))
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 0.49999999995, 1], "score": 1}]))
+        assert main(["evaluate", str(gt), str(pred), "--iou-thresholds", spec, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["per_class"][0]["ap_per_threshold"] == [1.0, 0.0][: len(spec.split(","))]
+        assert doc["per_class"][0]["ap_50"] == ap_50
+        assert doc["map_50"] == ap_50
+
     def test_map_50_absent_without_half_threshold(self, dataset, capsys):
         gt, pred = dataset
         args = ["evaluate", gt, pred, "--iou-thresholds", "0.9"]
@@ -531,6 +549,27 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("section, kind", [([], "list"), (False, "bool"), (0, "int"), ("", "str")])
+    def test_falsy_non_object_per_class_exit_2(self, section, kind, tmp_path, capsys):
+        # A falsy section was read as empty with exit 0; only an absent or null one is.
+        doc = json.loads((FIXTURES / "published_metrics.json").read_text())
+        bad = tmp_path / "metrics.json"
+        bad.write_text(json.dumps({**doc, "per_class": section}))
+        assert main(["report", str(bad), "--baseline", "mBaseline"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: per_class: expected an object, got {kind}\n"
+        assert captured.out == ""
+
+    def test_absent_or_null_per_class_is_empty(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "published_metrics.json").read_text())
+        outputs = []
+        for section in ({}, {"per_class": None}, {"per_class": {}}):
+            path = tmp_path / "metrics.json"
+            path.write_text(json.dumps({"models": doc["models"], **section}))
+            assert main(["report", str(path), "--baseline", "mBaseline", "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_zero_baseline_change_is_na(self, tmp_path, capsys):
         doc = {

@@ -18,7 +18,7 @@ import boxlab.losses
 from boxlab.coco_io import load_manifest, load_predictions
 from boxlab.evaluation import PerClassResult, aggregate, evaluate
 from boxlab.geometry import Box
-from boxlab.losses import _LANE_KINDS, LossKind, _lane_loss, loss_l1
+from boxlab.losses import _LANE_KINDS, LossKind, _lane_loss, loss
 from test_cli_golden import CASES, GOLDEN, run_case
 
 MODULES = (boxlab.cli, boxlab.coco_io, boxlab.evaluation, boxlab.geometry, boxlab.losses)
@@ -43,7 +43,7 @@ def test_l1_loss_is_the_lane_kernel_bit_for_bit():
     assert math.fsum(gaps) != left_to_right(gaps)  # a pair where the two sums differ
     value, _, _ = _lane_loss(np.array([_LANE_KINDS.index(LossKind.L1)]), np.array([gt.as_tuple()]).T,
                              np.array([pred.as_tuple()]).T)
-    assert loss_l1(gt, pred).value == value[0] == left_to_right(gaps) / 4.0
+    assert loss(LossKind.L1, gt, pred).value == value[0] == left_to_right(gaps) / 4.0
 
 
 def test_aggregate_means_added_in_order():

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from boxlab.errors import InvalidBoxError, UndefinedOverlapError
 from boxlab.geometry import Box, area, intersection_area, iou, iou_array
-from boxlab.losses import loss_diou, loss_giou, loss_iou
+from boxlab.losses import LossKind, loss
 from helpers import raster_iou, sample_box, tuple_iou
 
 
 def _giou_penalty(a, b):
     """``(C - U) / C``, C the area of the enclosing box and U the union, as the GIoU loss adds it."""
-    return loss_giou(a, b).value - loss_iou(a, b).value
+    return loss(LossKind.GIOU, a, b).value - loss(LossKind.IOU, a, b).value
 
 
 def _diou_penalty(a, b):
     """``rho^2 / c^2``: squared center distance over squared enclosing diagonal, as the DIoU loss adds it."""
-    return loss_diou(a, b).value - loss_iou(a, b).value
+    return loss(LossKind.DIOU, a, b).value - loss(LossKind.IOU, a, b).value
 
 
 class TestArea:
@@ -281,9 +281,9 @@ class TestProperties:
             # C >= U: the GIoU penalty (C - U) / C is non-negative, up to a few
             # ulps: under containment U (a + b - inter) and C (hull width * height)
             # are mathematically equal but round differently.
-            assert loss_giou(a, b).value >= loss_iou(a, b).value - 1e-12
+            assert loss(LossKind.GIOU, a, b).value >= loss(LossKind.IOU, a, b).value - 1e-12
             # rho^2 <= c^2: the DIoU penalty rho^2 / c^2 is in [0, 1).
-            assert 0.0 <= loss_diou(a, b).value - loss_iou(a, b).value < 1.0
+            assert 0.0 <= loss(LossKind.DIOU, a, b).value - loss(LossKind.IOU, a, b).value < 1.0
 
     def test_iou_matches_rasterization_oracle(self):
         # Integer boxes built on a hundredths grid, counted at unit resolution

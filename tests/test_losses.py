@@ -4,19 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from boxlab.errors import DegenerateAspectError, UndefinedOverlapError
+from boxlab.errors import DegenerateAspectError, UndefinedOverlapError, ValidationError
 from boxlab.geometry import Box, iou
-from boxlab.losses import (
-    _LANE_KINDS,
-    LossKind,
-    _lane_loss,
-    loss,
-    loss_ciou,
-    loss_diou,
-    loss_giou,
-    loss_iou,
-    loss_l1,
-)
+from boxlab.losses import _LANE_KINDS, LossKind, _lane_loss, loss
 from helpers import ciou_aspect, finite_diff_gradient, sample_box, sample_clean_pair, sample_disjoint_pair
 
 # The 15 frozen loss fixtures. Expected values were derived independently by
@@ -46,40 +36,35 @@ class TestLossValues:
     def test_fixture(self, kind, gt, pred, expected):
         assert loss(kind, gt, pred).value == pytest.approx(expected, abs=1e-9)
 
-    def test_dispatch_matches_direct_calls(self):
-        gt, pred = Box(0, 0, 4, 4), Box(1, 0.5, 3, 3.5)
-        for kind, fn in [
-            (LossKind.L1, loss_l1),
-            (LossKind.IOU, loss_iou),
-            (LossKind.GIOU, loss_giou),
-            (LossKind.DIOU, loss_diou),
-            (LossKind.CIOU, loss_ciou),
-        ]:
-            assert loss(kind, gt, pred) == fn(gt, pred)
+    @pytest.mark.parametrize("kind", ["ciou", "l1", None, 4])
+    def test_kind_that_is_not_a_loss_kind_raises_naming_it(self, kind):
+        # A chain of ``is`` tests would otherwise fall through to CIoU.
+        with pytest.raises(ValidationError, match=f"unknown loss kind {kind!r}"):
+            loss(kind, Box(0, 0, 4, 4), Box(1, 0.5, 3, 3.5))
 
     def test_disjoint_iou_gradient_is_exactly_zero(self):
-        result = loss_iou(Box(0, 0, 1, 1), Box(5, 5, 6, 6))
+        result = loss(LossKind.IOU, Box(0, 0, 1, 1), Box(5, 5, 6, 6))
         assert result.value == 1.0
         assert result.gradient == (0.0, 0.0, 0.0, 0.0)
 
     def test_disjoint_giou_gradient_nonzero(self):
-        result = loss_giou(Box(0, 0, 1, 1), Box(2, 2, 3, 3))
+        result = loss(LossKind.GIOU, Box(0, 0, 1, 1), Box(2, 2, 3, 3))
         assert math.sqrt(sum(g * g for g in result.gradient)) > 0.0
 
     def test_ciou_degenerate_aspect_raises(self):
         with pytest.raises(DegenerateAspectError):
-            loss_ciou(Box(0, 0, 4, 4), Box(0, 0, 4, 0))
+            loss(LossKind.CIOU, Box(0, 0, 4, 4), Box(0, 0, 4, 0))
         with pytest.raises(DegenerateAspectError):
-            loss_ciou(Box(0, 0, 0, 4), Box(0, 0, 4, 4))
+            loss(LossKind.CIOU, Box(0, 0, 0, 4), Box(0, 0, 4, 4))
 
 
 def aspect_term(gt, pred):
     """CIoU's ``alpha*V``, as the loss adds it to DIoU."""
-    return loss_ciou(gt, pred).value - loss_diou(gt, pred).value
+    return loss(LossKind.CIOU, gt, pred).value - loss(LossKind.DIOU, gt, pred).value
 
 
 class TestCiouInternals:
-    """``loss_ciou - loss_diou`` is ``alpha*V``, with alpha and V from the definition
+    """CIoU minus DIoU is ``alpha*V``, with alpha and V from the definition
     (``helpers.ciou_aspect``)."""
 
     def test_known_pair(self):
@@ -109,7 +94,7 @@ class TestCiouInternals:
         b = Box(1, 2, 5, 9)
         assert ciou_aspect(b.as_tuple(), b.as_tuple()) == (0.0, 0.0)
         assert aspect_term(b, b) == 0.0
-        assert loss_ciou(b, b).value == 0.0
+        assert loss(LossKind.CIOU, b, b).value == 0.0
 
 
 class TestFiniteDiff:
@@ -139,11 +124,11 @@ class TestRangesAndIdentities:
         for _ in range(10_000):
             gt = sample_box(rng)
             pred = sample_box(rng)
-            l1 = loss_l1(gt, pred).value
-            li = loss_iou(gt, pred).value
-            lg = loss_giou(gt, pred).value
-            ld = loss_diou(gt, pred).value
-            lc = loss_ciou(gt, pred).value
+            l1 = loss(LossKind.L1, gt, pred).value
+            li = loss(LossKind.IOU, gt, pred).value
+            lg = loss(LossKind.GIOU, gt, pred).value
+            ld = loss(LossKind.DIOU, gt, pred).value
+            lc = loss(LossKind.CIOU, gt, pred).value
             assert l1 >= 0.0
             assert 0.0 <= li <= 1.0
             assert 0.0 <= lg <= 2.0
@@ -163,7 +148,7 @@ class TestRangesAndIdentities:
             (Box(-2, -2, 2, 2), Box(-1, -0.5, 1, 0.5)),
         ]
         for gt, pred in pairs:
-            assert loss_diou(gt, pred).value == loss_iou(gt, pred).value
+            assert loss(LossKind.DIOU, gt, pred).value == loss(LossKind.IOU, gt, pred).value
 
     def test_ciou_equals_diou_below_half_iou(self):
         rng = random.Random(24)
@@ -173,7 +158,7 @@ class TestRangesAndIdentities:
             pred = sample_box(rng)
             if iou(gt, pred) < 0.5:
                 checked += 1
-                assert loss_ciou(gt, pred).value == loss_diou(gt, pred).value
+                assert loss(LossKind.CIOU, gt, pred).value == loss(LossKind.DIOU, gt, pred).value
         assert checked > 500
 
     def test_ciou_is_diou_below_half_iou_for_tiny_prediction(self):
@@ -181,7 +166,7 @@ class TestRangesAndIdentities:
         # 0 times that dV used to make every gradient component NaN.
         gt, pred = Box(-0.001, -0.001, -0.0005, -0.0005), Box(-1e-160, -1e-160, -5e-161, 0.0)
         assert iou(gt, pred) < 0.5
-        assert loss_ciou(gt, pred) == loss_diou(gt, pred)
+        assert loss(LossKind.CIOU, gt, pred) == loss(LossKind.DIOU, gt, pred)
 
     def test_translation_invariance(self):
         rng = random.Random(25)
@@ -207,7 +192,7 @@ class TestRangesAndIdentities:
             g2, p2 = Box(*(2.0 * c for c in gt.as_tuple())), Box(*(2.0 * c for c in pred.as_tuple()))
             for kind in (LossKind.IOU, LossKind.GIOU, LossKind.DIOU, LossKind.CIOU):
                 assert loss(kind, g2, p2).value == loss(kind, gt, pred).value
-            assert loss_l1(g2, p2).value == 2.0 * loss_l1(gt, pred).value
+            assert loss(LossKind.L1, g2, p2).value == 2.0 * loss(LossKind.L1, gt, pred).value
 
 
 class TestDisjointBehaviour:
@@ -215,11 +200,11 @@ class TestDisjointBehaviour:
         rng = random.Random(27)
         for _ in range(200):
             gt, pred = sample_disjoint_pair(rng)
-            assert loss_iou(gt, pred).gradient == (0.0, 0.0, 0.0, 0.0)
+            assert loss(LossKind.IOU, gt, pred).gradient == (0.0, 0.0, 0.0, 0.0)
             gcx, gcy = gt.center()
             pcx, pcy = pred.center()
             if (gcx, gcy) != (pcx, pcy):
-                grad = loss_giou(gt, pred).gradient
+                grad = loss(LossKind.GIOU, gt, pred).gradient
                 assert math.sqrt(sum(g * g for g in grad)) > 0.0
 
 

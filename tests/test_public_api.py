@@ -19,6 +19,7 @@ SIGNATURES = {
     "convergence_study": ["trials", "loss_kinds", "seed", "cfg"],
     "shift_scale_rotate_box": ["b", "dx", "dy", "s", "angle_deg", "image_width", "image_height"],
     "load_predictions": ["path", "manifest"],
+    "loss": ["kind", "gt", "pred"],
 }
 
 
