@@ -19,7 +19,8 @@ truth; score range and finite corners for predictions. Each bad record is
 named by its first failing check, and the load raises ``DanglingIdError``,
 else ``InvalidBoxError``, else ``ValidationError``, naming every record of
 that class. A key repeated in a JSON object and a repeated image or category
-id are rejected too.
+id are rejected too: a flat text is proved free of repeated keys by its colon
+count, any other is parsed with a hook that names the first (``_read_json``).
 
 Both loaders run with the cyclic garbage collector paused (and its state restored
 on return or error): ``json`` builds only acyclic trees, which refcounting frees,
@@ -32,6 +33,7 @@ import gc
 import json
 import math
 import random
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -57,6 +59,7 @@ __all__ = [
 ]
 
 _BOUNDS_TOL = 1e-9  # forgive float dust when checking image containment
+_NESTED = re.compile(r'[^"\s]\s*:|:\s*\{')  # a colon inside a string, or an object as a member value
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,33 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _shallow_pairs(raw: Any) -> int:
+    """Pairs of the root object and of the objects listed at the root or in a list-valued root member."""
+    lists = [v for v in (raw.values() if type(raw) is dict else [raw]) if type(v) is list]
+    own = len(raw) if type(raw) is dict else 0
+    return own + sum(sum(map(len, items)) for items in lists if set(map(type, items)) <= {dict})
+
+
 def _read_json(path: str) -> Any:
+    """Parse a JSON file; a repeated key raises ``ParseError`` with ``_unique_keys``'s message.
+
+    A text whose first 4 KiB show no colon in a string and no object as a member value is parsed
+    without a hook, and kept if its colon count equals ``_shallow_pairs``: each ``:`` outside a
+    string is one pair of the text and the tree holds at most those, so equality proves that no
+    key repeats. Any other text is parsed with ``_unique_keys``, which raises every error in order.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+        if not _NESTED.search(text, 0, 4096):
+            try:
+                raw = json.loads(text)
+                if text.count(":") == _shallow_pairs(raw):
+                    return raw
+                del raw  # free the first tree before the second parse
+            except Exception:  # the hook parse below raises the error, in its own order
+                pass
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -384,3 +385,29 @@ def parse_plan_lines(lines: list[str]) -> dict:
         "params": {name: float(value) for name, value in (token.split("=", 1) for token in params)},
         "decisions": tuple(decisions),
     }
+
+
+# --- strict JSON reading (stdlib json and a naive hook, no package calls) -----
+
+
+class RepeatedKey(Exception):
+    """Raised by ``naive_unique_pairs``; its one argument is the key that repeats."""
+
+
+def naive_unique_pairs(pairs: list) -> dict:
+    """``json`` object hook: raise ``RepeatedKey`` for the first key that an earlier pair of the object holds."""
+    seen = []
+    for key, _ in pairs:
+        if key in seen:
+            raise RepeatedKey(key)
+        seen.append(key)
+    return dict(pairs)
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text: str):
+    """``json.loads`` that refuses a repeated key (``RepeatedKey``) and NaN or Infinity (``ValueError``)."""
+    return json.loads(text, object_pairs_hook=naive_unique_pairs, parse_constant=_no_constant)

@@ -1,9 +1,13 @@
+import contextlib
+import copy
 import csv
 import io
 import json
 import math
 import pathlib
+import random
 import tempfile
+import time
 from dataclasses import asdict
 
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 from boxlab import cli
 from boxlab.augment import sample_plan, AugmentParams
 from boxlab.cli import Output, _render, main
-from helpers import parse_plan_lines
+from helpers import parse_plan_lines, strict_loads
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -826,3 +830,84 @@ class TestFuzzedInputExitCodes:
                 assert all(math.isfinite(d[k]) for d in decisions for k in ("dx", "dy", "scale", "angle_deg"))
                 assert all(d["scale"] > 0.0 for d in decisions)
         assert code in (0, 1, 2)
+
+
+class _Obj(list):
+    """A JSON object as a list of ``[key, value]`` pairs, so that a key may repeat."""
+
+
+def _dump(node) -> str:
+    if isinstance(node, _Obj):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dump(value)}" for key, value in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_dump, node)) + "]"
+    return json.dumps(node)  # NaN and Infinity as the json module writes them, 10**400 as its digits
+
+
+_ADVERSARIAL = [1e308, -1e308, 5e-324, 1e-300, 10**400, -(10**400), 2**63, 0, 1, 2, -1, 0.5, 1.0, 1.5, 100, True,
+                False, None, "", "x", float("nan"), float("inf"), [], [1, 2], [[0, 0, 1, 1]]]
+
+
+def _mutate(doc, rng: random.Random) -> None:
+    """One edit in place: an adversarial or nested value, a duplicated record, a repeated or a deleted key."""
+    slots, objects, lists = [], [], []  # (container, index) of every value; every object; every array
+
+    def walk(node):
+        if isinstance(node, list):
+            (objects if isinstance(node, _Obj) else lists).append(node)
+            for i, item in enumerate(node):
+                slots.append((item, 1) if isinstance(node, _Obj) else (node, i))
+                walk(item[1] if isinstance(node, _Obj) else item)
+
+    walk(doc)
+    edit = rng.choice(["value", "value", "nest", "duplicate", "repeat", "delete"])
+    if edit == "duplicate" and any(lists):
+        records = rng.choice([r for r in lists if r])
+        records.insert(rng.randrange(len(records) + 1), copy.deepcopy(rng.choice(records)))
+    elif edit in ("repeat", "delete") and any(objects):
+        obj = rng.choice([o for o in objects if o])
+        if edit == "delete":
+            del obj[rng.randrange(len(obj))]
+        else:
+            obj.insert(rng.randrange(len(obj) + 1), [rng.choice(obj)[0], copy.deepcopy(rng.choice(_ADVERSARIAL))])
+    elif slots:
+        container, index = rng.choice(slots)
+        nested = _Obj([["k", container[index]]]) if rng.random() < 0.5 else [container[index]]
+        container[index] = nested if edit == "nest" else copy.deepcopy(rng.choice(_ADVERSARIAL))
+
+
+def test_mutated_golden_inputs_exit_cleanly(tmp_path):
+    """Seeded edits of the golden gt.json, pred.json and published_metrics.json texts: every run of evaluate,
+    split or report exits 0, 1 or 2 without a traceback, and every exit-0 JSON output parses strictly."""
+    sources = {name: (FIXTURES / source).read_text() for name, source in
+               [("gt", "cli_golden/gt.json"), ("pred", "cli_golden/pred.json"), ("metrics", "published_metrics.json")]}
+    commands = [
+        (["evaluate", "{gt}", "{pred}", "--format", "json"], ["gt", "pred"]),
+        (["evaluate", "{gt}", "{pred}", "--iou-thresholds", "0.5", "--format", "json"], ["pred"]),
+        (["split", "{gt}", "--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25", "--format", "json"],
+         ["gt"]),
+        (["report", "{metrics}", "--baseline", "mBaseline", "--format", "json"], ["metrics"]),
+    ]
+    paths = {name: str(tmp_path / f"{name}.json") for name in sources}
+    rng = random.Random(2103)
+    codes = {}
+    deadline = time.monotonic() + 3.0
+    for run in range(800):
+        if time.monotonic() > deadline:
+            break
+        argv, names = commands[run % len(commands)]
+        mutated = rng.choice(names)
+        for name, text in sources.items():
+            doc = json.loads(text, object_pairs_hook=lambda pairs: _Obj(map(list, pairs)))
+            for _ in range(rng.randint(1, 3) if name == mutated else 0):
+                _mutate(doc, rng)
+            pathlib.Path(paths[name]).write_text(_dump(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(**paths) for arg in argv])
+        where = f"run {run}: {argv[0]} exited {code}: {err.getvalue()!r}"
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), where
+        if code == 0:
+            strict_loads(out.getvalue())
+        codes[code] = codes.get(code, 0) + 1
+    assert set(codes) == {0, 1, 2}, codes

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from boxlab.errors import (
 )
 from boxlab.evaluation import BoxColumns, Detection, GroundTruthAnnotation, evaluate
 from boxlab.geometry import Box
+from helpers import RepeatedKey, strict_loads
 
 
 def _write(tmp_path, name, doc):
@@ -34,6 +36,10 @@ def _write(tmp_path, name, doc):
     path.write_text(json.dumps(doc))
     return str(path)
 
+
+# About 5 KiB of flat records, so that what follows them lies past the 4 KiB that _read_json looks at first.
+_FLAT_PREDICTIONS = ", ".join(['{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5}'] * 70)
+_FLAT_IMAGES = ", ".join(['{"id": 1, "width": 8, "height": 8, "file_name": "a.jpg"}'] * 90)
 
 # The ids every prediction below uses, for the tests that check the predictions alone.
 ONE_IMAGE = DatasetManifest(images=(ImageInfo(1, 100.0, 80.0),), categories=(Category(1, "alpha"),), annotations=())
@@ -748,6 +754,17 @@ class TestInputBoundary:
         [
             ('[{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "score": 0.9}]', "score"),
             ('{"images": [], "images": []}', "images"),
+            # After 4 KiB of flat records the colon count is checked, and it sends the text to the hook.
+            pytest.param("[" + _FLAT_PREDICTIONS + ', {"image_id": 1, "extra": {"k": 1, "k": 2}}]', "k",
+                         id="member-past-4k"),
+            pytest.param('{"images": [' + _FLAT_IMAGES + '], "info": {"v": 1, "v": 2}}', "v", id="root-member-past-4k"),
+            pytest.param('[{"image_id": 1, "bbox": [0, 0, 1, {"k": 1, "k": 2}], "score": 0.5}]', "k", id="in-a-list"),
+            # Only objects' pairs are counted: the string's length must not stand in for the lost pair.
+            pytest.param('[{"score": 0.5, "score": 0.9}, "x"]', "score", id="beside-a-string"),
+            # The repeated key comes first in the text, so it is named ahead of the syntax error.
+            pytest.param('[{"score": 0.5, "score": 0.9}, {"image_id": ]', "score", id="then-syntax-error"),
+            pytest.param("[" + _FLAT_PREDICTIONS + ', {"score": 0.5, "score": 0.9}, {"image_id": ]', "score",
+                         id="past-4k-then-syntax-error"),
         ],
     )
     def test_duplicate_keys_named(self, tmp_path, text, key):
@@ -778,6 +795,130 @@ class TestInputBoundary:
         path.write_bytes(b'[{"image_id": 1, "name": "\xe9"}]')
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9"):
             load_predictions(str(path), ONE_IMAGE)
+
+
+class TestRepeatedKeyCheck:
+    """A flat text is checked by its colon count and a nested one by the hook: same trees, same messages."""
+
+    @staticmethod
+    def _spy_loads(monkeypatch):
+        """Record, for each ``json.loads`` call, whether it ran with a hook."""
+        calls, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append("object_pairs_hook" in kw) or loads(text, **kw))
+        return calls
+
+    def test_flat_files_load_without_the_hook(self, tmp_path, monkeypatch):
+        images = [{"id": i, "width": 640, "height": 360, "file_name": f"{i:06d}.jpg"} for i in range(1, 201)]
+        anns = [{"image_id": i, "category_id": 1 + i % 5, "bbox": [1.5, 2.25, 30.0, 40.5]} for i in range(1, 201)]
+        categories = [{"id": c, "name": f"class_{c}"} for c in range(1, 6)]
+        gt = _write(tmp_path, "gt.json", {"images": images, "categories": categories, "annotations": anns})
+        pred = _write(tmp_path, "pred.json", [dict(a, score=0.5) for a in anns])
+        monkeypatch.setattr(coco_io, "_unique_keys", lambda pairs: pytest.fail("the hook parsed a flat file"))
+        calls = self._spy_loads(monkeypatch)
+        detections = load_predictions(pred, load_manifest(gt))
+        assert (len(detections), calls) == (200, [False, False])
+
+    def test_nested_file_parsed_once_with_the_hook(self, tmp_path, monkeypatch):
+        doc = {
+            "info": {"description": "COCO-like", "url": "http://example.org", "date_created": "2017/09/01"},
+            "licenses": [{"url": f"http://example.org/licenses/{i}/", "id": i, "name": f"L{i}"} for i in range(1, 9)],
+            "images": [{"id": i, "width": 640, "height": 480, "file_name": f"{i:012d}.jpg",
+                        "coco_url": f"http://example.org/val/{i:012d}.jpg", "date_captured": "2013-11-14 17:02:52"}
+                       for i in range(1, 51)],
+            "categories": [{"supercategory": "seed", "id": 1, "name": "a"}],
+            "annotations": [{"segmentation": {"counts": [3, 4], "size": [480, 640]} if i % 10 == 0
+                             else [[1.0, 2.0, 30.0, 2.0, 30.0, 40.0]],
+                             "image_id": i, "category_id": 1, "bbox": [1, 2, 29, 38], "iscrowd": 0, "id": i}
+                            for i in range(1, 51)],
+        }
+        path = _write(tmp_path, "gt.json", doc)
+        calls = self._spy_loads(monkeypatch)
+        assert len(load_manifest(path).annotations) == 50
+        assert calls == [True]
+
+    @pytest.mark.parametrize("file_name", ["a:b.jpg", "a\\u003ab.jpg"], ids=["colon", "escaped-colon"])
+    def test_colon_in_a_string(self, tmp_path, file_name):
+        text = ('{"images": [{"id": 1, "width": 10, "height": 10, "file_name": "%s"}], "categories": [], '
+                '"annotations": []}' % file_name)
+        path = tmp_path / "gt.json"
+        path.write_text(text)
+        assert repr(coco_io._read_json(str(path))) == repr(json.loads(text, object_pairs_hook=coco_io._unique_keys))
+        assert load_manifest(str(path)).images.file_names == ["a:b.jpg"]
+
+    def test_matches_a_naive_hook_parse(self, tmp_path, monkeypatch):
+        """Seeded texts (flat prefixes past 4 KiB, repeated keys at every depth, colons, escaped quotes and
+        escaped colons in strings, whitespace before colons, truncation) read as the naive hook reads them."""
+        rng = random.Random(2101)
+        path = tmp_path / "doc.json"
+        calls = self._spy_loads(monkeypatch)
+        paths = {}
+        deadline = time.monotonic() + 2.0
+        for case in range(1_000):
+            if time.monotonic() > deadline:
+                break
+            text = _fuzz_document(rng)
+            path.write_text(text)
+            try:
+                expected = repr(strict_loads(text))
+            except RepeatedKey as exc:
+                expected = f"ParseError: {path}: duplicate key {exc.args[0]!r} in a JSON object"
+            except json.JSONDecodeError as exc:
+                expected = f"ParseError: {path}: invalid JSON at line {exc.lineno} column {exc.colno}"
+            del calls[:]
+            try:
+                got = repr(coco_io._read_json(str(path)))
+            except ParseError as exc:
+                got = f"ParseError: {exc}"
+            assert got == expected, f"case {case}: {text!r}"
+            kind = {(True,): "selector", (False,): "proof accepted", (False, True): "proof rejected"}[tuple(calls)]
+            paths[kind] = paths.get(kind, 0) + 1
+        assert set(paths) == {"selector", "proof accepted", "proof rejected"}, paths
+
+
+_KEYS = ["id", "image_id", "bbox", "score", "a:b", "a\\u003ab", 'q\\"', 'x\\":y', "k", "\\u003a"]
+_STRINGS = ["x", "000001.jpg", "a:b.jpg", "a\\u003ab", '\\"', 'x\\":y', " : ", "http://h/p", ""]
+_SCALARS = ["1", "-2.5", "3e2", "true", "false", "null"]
+
+
+def _fuzz_ws(rng):
+    return rng.choice(["", "", " ", "\n", " \t "])
+
+
+def _fuzz_value(rng, depth):
+    """A JSON value as text: scalars, strings with colons and escapes, lists, and objects whose keys may repeat."""
+    roll = rng.random()
+    if depth >= 3 or roll < 0.4:
+        return rng.choice(_SCALARS) if rng.random() < 0.6 else '"%s"' % rng.choice(_STRINGS)
+    items = [_fuzz_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    if roll < 0.7:
+        return "[" + ", ".join(items) + "]"
+    keys = rng.sample(_KEYS, len(items))
+    if len(keys) > 1 and rng.random() < 0.3:
+        keys[rng.randrange(1, len(keys))] = keys[0]
+    return "{" + ", ".join(f'"{k}"{_fuzz_ws(rng)}:{_fuzz_ws(rng)}{v}' for k, v in zip(keys, items)) + "}"
+
+
+def _fuzz_record(rng):
+    """A flat prediction-like record: string keys, numbers, short strings and number lists only."""
+    fields = rng.sample(["image_id", "category_id", "bbox", "score", "file_name"], rng.randint(1, 5))
+    values = {"bbox": "[1, 2.5, 3, 4]", "file_name": '"%06d.jpg"' % rng.randrange(10**6)}
+    return "{" + ", ".join(f'"{f}"{_fuzz_ws(rng)}:{_fuzz_ws(rng)}{values.get(f, rng.choice(_SCALARS))}'
+                           for f in fields) + "}"
+
+
+def _fuzz_document(rng):
+    """A flat list or root member past 4 KiB with random items around it, or a random value; sometimes cut short."""
+    if rng.random() < 0.7:
+        items = [_fuzz_record(rng) for _ in range(rng.randint(100, 140))]
+        for _ in range(rng.randint(0, 2)):
+            items.insert(rng.choice([0, len(items)]) if rng.random() < 0.8 else rng.randrange(len(items)),
+                         _fuzz_value(rng, 1))
+        text = "[" + ", ".join(items) + "]"
+        if rng.random() < 0.5:
+            text = '{"images"%s:%s%s, "categories": []}' % (_fuzz_ws(rng), _fuzz_ws(rng), text)
+    else:
+        text = _fuzz_value(rng, 0)
+    return text[: rng.randrange(len(text))] if rng.random() < 0.15 else text
 
 
 @pytest.fixture()
