@@ -136,13 +136,13 @@ def _signed2(x: float | None) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> Output:
-    manifest = load_manifest(args.gt)
-    detections = load_predictions(args.pred, manifest)
     cfg = EvalConfig(
         iou_thresholds=_parse_thresholds(args.iou_thresholds),
         max_detections_per_image=args.max_dets,
         include_gt_free_classes=args.include_empty_classes,
     )
+    manifest = load_manifest(args.gt)
+    detections = load_predictions(args.pred, manifest)
     report = evaluate(detections, manifest.annotations, cfg)
     names = manifest.category_names()
 

@@ -8,12 +8,14 @@ Each class is evaluated with the structure of COCOeval (Lin et al.,
    image. One join gives every same-image (kept detection, ground truth)
    pair one IoU; the pairs with IoU > 0 are sorted by (detection rank,
    -IoU, ground-truth index);
-2. one matching pass per IoU threshold over that pair table: each detection,
-   in rank order, takes its first still-unmatched ground truth with IoU >=
-   the threshold: the one with the highest IoU, equal IoUs going to the
-   lower index;
-3. the TP flags in rank order give both the cumulative precision/recall
-   curve and the maximum achieved recall. AP is the mean of interpolated
+2. greedy matching over that pair table at each IoU threshold: each
+   detection, in rank order, takes its first ground truth with IoU >= the
+   threshold still unmatched at it (the highest IoU, equal IoUs going to the
+   lower index). One walk serves up to 62 thresholds, each side carrying a
+   bitmask of the thresholds it is matched at;
+3. the (kept detection, threshold) TP flags in rank order give, in one
+   pass over every threshold, the cumulative precision/recall curves and
+   the maximum achieved recalls. AP is the mean of interpolated
    precision (max precision at recall >= r) at ``RECALL_SAMPLES`` (101)
    evenly spaced recall points in [0, 1], COCOeval's fixed grid.
 
@@ -204,14 +206,18 @@ def _coded(dets: Sequence, gts: Sequence):
     return coded[1], coded[0][:3], tuple(codes[1])
 
 
+_BLOCK = 62  # thresholds per walk, so that ``1 << n`` and every mask fit an int64
+
+
 def _match(dets, gts, thresholds, cap: int):
     """Greedy matching of (image codes, boxes, scores) detections against
     (image codes, boxes) ground truths at every threshold, one ``iou_array``
-    over every same-image pair.
+    over every same-image pair and one walk of the pairs per block of
+    ``_BLOCK`` thresholds.
 
     Returns:
-        (input indices of the kept detections in rank order, and per threshold
-         (their TP flags, the ground truths' matched flags in input order)).
+        (input indices of the kept detections in rank order, their (n_kept, T)
+         uint8 TP flags, the ground truths' (n_gt, T) matched flags in input order).
     """
     (d_img, d_boxes, d_scores), (g_img, g_boxes) = dets, gts
     rank = np.argsort(-d_scores, kind="stable")
@@ -226,50 +232,53 @@ def _match(dets, gts, thresholds, cap: int):
     counts = np.searchsorted(g_img[g_order], d_img[kept], "right") - lo
     det = np.repeat(np.arange(len(kept)), counts)
     gt = g_order[np.arange(len(det)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
-    overlap = iou_array(d_boxes[kept][det], g_boxes[gt])
+    overlap = iou_array(np.take(d_boxes, kept[det], axis=0), np.take(g_boxes, gt, axis=0))
     hit = overlap > 0.0
     det, gt, overlap = det[hit], gt[hit], overlap[hit]
     table = np.lexsort((gt, -overlap, det))  # (rank, -IoU, ground-truth index): the tie-break
     det, gt, overlap = det[table], gt[table], overlap[table]
 
-    flags = []
-    for t in thresholds:
-        tp, taken = bytearray(len(kept)), bytearray(len(g_img))
-        last = -1
-        above = overlap >= t
-        for d, g in zip(det[above].tolist(), gt[above].tolist()):
-            if d != last and not taken[g]:
-                taken[g] = tp[d] = 1
-                last = d
-        flags.append((np.frombuffer(tp, dtype=np.uint8), taken))
-    return kept, flags
-
-
-def _interpolated_ap(tp: np.ndarray, n_gt: int) -> float:
-    """AP from TP flags in score-rank order; 0.0 when there are no detections."""
-    if not len(tp):
-        return 0.0
-    hits = np.cumsum(tp)
-    # Interpolated precision: max precision over ranks with recall >= r.
-    max_prec_from = np.maximum.accumulate((hits / np.arange(1, len(tp) + 1))[::-1])[::-1]
-    at = np.searchsorted(hits / n_gt, np.arange(RECALL_SAMPLES) / (RECALL_SAMPLES - 1))
-    return _sum_in_order(max_prec_from[at[at < len(tp)]].tolist()) / RECALL_SAMPLES  # np.sum's order changes bits
+    # A pair matches at the thresholds <= its IoU where neither side is matched
+    # yet: bit k of a mask stands for threshold ``first + k`` of the block.
+    levels = np.searchsorted(thresholds, overlap, "right")
+    tp = np.empty((len(kept), len(thresholds)), np.uint8)
+    matched = np.empty((len(g_img), len(thresholds)), np.uint8)
+    for first in range(0, len(thresholds), _BLOCK):
+        n = min(_BLOCK, len(thresholds) - first)
+        done, taken = [0] * len(kept), [0] * len(g_img)
+        above = levels > first
+        masks = (1 << np.minimum(levels[above] - first, n)) - 1
+        for d, g, m in zip(det[above].tolist(), gt[above].tolist(), masks.tolist()):
+            free = m & ~(done[d] | taken[g])
+            done[d] |= free
+            taken[g] |= free
+        bits = np.arange(n)
+        tp[:, first:first + n] = np.array(done, np.int64).reshape(-1, 1) >> bits & 1
+        matched[:, first:first + n] = np.array(taken, np.int64).reshape(-1, 1) >> bits & 1
+    return kept, tp, matched
 
 
 def _class_metrics(dets, gts, thresholds, cfg: EvalConfig):
-    """(AP, max achieved recall) per threshold for one class, from one set of flags.
+    """(AP, max achieved recall) per threshold for one class, from one matching.
 
-    Both are 0.0 when the class has no ground truths (whether it is skipped
-    from aggregation in that case is the aggregator's policy decision).
+    AP is 0.0 when there are no detections. Both are 0.0 when the class has no
+    ground truths (whether it is skipped from aggregation in that case is the
+    aggregator's policy decision).
     """
     n_gt = len(gts[0])
     if n_gt == 0:
         zeros = (0.0,) * len(thresholds)
         return zeros, zeros
-    _, flags = _match(dets, gts, thresholds, cfg.max_detections_per_image)
-    aps = tuple(_interpolated_ap(tp, n_gt) for tp, _ in flags)
-    recalls = tuple(int(tp.sum()) / n_gt for tp, _ in flags)
-    return aps, recalls
+    _, tp, _ = _match(dets, gts, thresholds, cfg.max_detections_per_image)
+    hits = np.cumsum(tp, axis=0)
+    # Interpolated precision: max precision over ranks with recall >= r.
+    max_prec_from = np.maximum.accumulate((hits / np.arange(1, len(tp) + 1).reshape(-1, 1))[::-1])[::-1]
+    recall, grid = hits / n_gt, np.arange(RECALL_SAMPLES) / (RECALL_SAMPLES - 1)
+    aps = []
+    for k in range(len(thresholds)):
+        at = np.searchsorted(recall[:, k], grid)
+        aps.append(_sum_in_order(max_prec_from[at[at < len(tp)], k].tolist()) / RECALL_SAMPLES)  # np.sum's order changes bits
+    return tuple(aps), tuple(int(s) / n_gt for s in tp.sum(axis=0, dtype=np.int64).tolist())
 
 
 def _one_class(dets, gts, t: float, cfg: EvalConfig):
@@ -297,10 +306,10 @@ def match_detections(
     """
     (_, _, d_boxes, d_scores), (_, _, g_boxes), _ = _coded(dets, gts)
     one_image = np.zeros(len(d_boxes), np.intp), np.zeros(len(g_boxes), np.intp)  # image ids are not compared
-    kept, [(tp, matched)] = _match((one_image[0], d_boxes, d_scores), (one_image[1], g_boxes), (t,), len(d_boxes))
+    kept, tp, matched = _match((one_image[0], d_boxes, d_scores), (one_image[1], g_boxes), (t,), len(d_boxes))
     tp_flags = np.zeros(len(d_boxes), dtype=bool)
-    tp_flags[kept] = tp
-    return tp_flags.tolist(), [bool(m) for m in matched]
+    tp_flags[kept] = tp[:, 0]
+    return tp_flags.tolist(), matched[:, 0].astype(bool).tolist()
 
 
 def average_precision(

@@ -56,6 +56,10 @@ class LossKind(enum.Enum):
     CIOU = "ciou"
 
 
+# The members as plain globals: on Python 3.11 each ``LossKind.X`` lookup costs about 0.1 µs.
+_L1, _IOU, _GIOU, _DIOU = LossKind.L1, LossKind.IOU, LossKind.GIOU, LossKind.DIOU
+
+
 @dataclass(frozen=True)
 class LossResult:
     """Loss value plus gradient with respect to the predicted box corners."""
@@ -78,7 +82,7 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
     LossKind raises ValidationError, and CIoU raises DegenerateAspectError if
     either box has zero width or height.
     """
-    if kind is LossKind.L1:  # mean absolute difference over the four corner coordinates
+    if kind is _L1:  # mean absolute difference over the four corner coordinates
         g = gt.as_tuple()
         p = pred.as_tuple()
         value = _sum_in_order(abs(gi - pi) for gi, pi in zip(g, p)) / 4.0
@@ -125,7 +129,7 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
     dq2 = (di2 * union - inter * du2) / usq
     dq3 = (di3 * union - inter * du3) / usq
     dq4 = (di4 * union - inter * du4) / usq
-    if kind is LossKind.IOU:
+    if kind is _IOU:
         return LossResult(1.0 - iou, (-dq1, -dq2, -dq3, -dq4))
 
     # The enclosing box's width and height, and (dew/dx1, deh/dy1, dew/dx2, deh/dy2);
@@ -136,7 +140,7 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
     h2 = -1.0 if py1 < gy1 else 0.0
     h3 = 1.0 if px2 > gx2 else 0.0
     h4 = 1.0 if py2 > gy2 else 0.0
-    if kind is LossKind.GIOU:  # + (C - U)/C, where C is the enclosing-box area
+    if kind is _GIOU:  # + (C - U)/C, where C is the enclosing-box area
         c_area = ew * eh
         dc1, dc2, dc3, dc4 = eh * h1, ew * h2, eh * h3, ew * h4
         csq = c_area * c_area
@@ -173,7 +177,7 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
     g2 = -dq2 + (dry * c2 - rho2 * dc2) / c2sq
     g3 = -dq3 + (drx * c2 - rho2 * dc3) / c2sq
     g4 = -dq4 + (dry * c2 - rho2 * dc4) / c2sq
-    if kind is LossKind.DIOU:
+    if kind is _DIOU:
         return LossResult(value, (g1, g2, g3, g4))
 
     # CIoU: + alpha*V, with the aspect-consistency term V = (4/pi^2)(atan(wg/hg) - atan(wp/hp))^2.

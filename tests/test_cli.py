@@ -120,6 +120,20 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"bad --iou-thresholds {spec!r}" in err and reason in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-dets", "0"], "max_detections_per_image must be positive"),
+        (["--iou-thresholds", "0.5,0.4"], "iou_thresholds must be strictly increasing"),
+    ])
+    def test_bad_flag_exits_1_before_reading_either_file(self, tmp_path, monkeypatch, capsys, flags, message):
+        missing = [str(tmp_path / "gt.json"), str(tmp_path / "pred.json")]
+        assert main(["evaluate", *missing, *flags]) == 1  # a missing file alone exits 2
+        assert message in capsys.readouterr().err
+        calls = []
+        monkeypatch.setattr(cli, "load_manifest", lambda *args: calls.append("load_manifest"))
+        monkeypatch.setattr(cli, "load_predictions", lambda *args: calls.append("load_predictions"))
+        assert main(["evaluate", *missing, *flags]) == 1
+        assert calls == []
+
     def test_threshold_range_up_to_the_bound(self):
         assert cli._parse_thresholds("0.50:0.95:0.05") == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
         assert cli._parse_thresholds("0:0.999:0.001") == tuple(round(k * 0.001, 10) for k in range(1000))

@@ -26,7 +26,7 @@ from boxlab.coco_io import load_manifest, load_predictions
 from boxlab.evaluation import DEFAULT_IOU_THRESHOLDS, Detection, EvalConfig, GroundTruthAnnotation, evaluate
 from boxlab.evaluation import match_detections
 from boxlab.geometry import Box, iou
-from helpers import naive_average_precision, naive_max_recall
+from helpers import naive_average_precision, naive_max_recall, tuple_iou
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "eval_golden.json"
 SCORES = (0.0, 0.3, 0.5, 0.5, 0.9, 1.0)
@@ -147,6 +147,11 @@ def test_loaded_columns_match_golden_exactly(tmp_path):
 def test_matches_naive_oracles(seed):
     case = sample_instance(random.Random(seed))
     assume(case["gts"])
+    assert_matches_naive_oracles(case)
+
+
+def assert_matches_naive_oracles(case: dict) -> None:
+    """``evaluate`` gives every class and, at each threshold, the naive oracles' AP and recall."""
     cfg = config(case)
     report = evaluate(*objects(case), cfg)
     gt_classes = {g[1] for g in case["gts"]}
@@ -157,8 +162,59 @@ def test_matches_naive_oracles(seed):
         for k, t in enumerate(cfg.iou_thresholds):
             want_ap = naive_average_precision(dets, gts, t, cfg.max_detections_per_image)
             want_recall = naive_max_recall(dets, gts, t, cfg.max_detections_per_image)
-            assert result.ap_per_threshold[k] == pytest.approx(want_ap, abs=1e-9)
-            assert result.recall_per_threshold[k] == pytest.approx(want_recall, abs=1e-12)
+            assert result.ap_per_threshold[k] == pytest.approx(want_ap, abs=1e-9), (class_id, t)
+            assert result.recall_per_threshold[k] == pytest.approx(want_recall, abs=1e-12), (class_id, t)
+
+
+def pinned_thresholds(n: int, pins: dict[int, float]) -> tuple[float, ...]:
+    """``n`` increasing thresholds in (0, 1): ``pins[i]`` at index ``i``, the rest evenly spaced between."""
+    marks = [(-1, 0.0), *sorted(pins.items()), (n, 1.0)]
+    thresholds = []
+    for (i, a), (j, b) in zip(marks, marks[1:]):
+        thresholds += [a + (b - a) * (k - i) / (j - i) for k in range(i + 1, j)] + ([b] if j < n else [])
+    return tuple(thresholds)
+
+
+# Matching walks the pair table once per block of 62 thresholds. Exact IoUs of
+# integer and half-integer corners sit on the last and first threshold of each
+# block, so that ``>=`` ties fall on the block edges.
+EDGE_IOUS = {63: {61: 0.25, 62: 0.5}, 125: {61: 0.25, 62: 0.5, 123: 2 / 3, 124: 0.75}}
+
+
+def edge_ties(case: dict, ious) -> int:
+    """The same-image, same-class (detection, ground truth) pairs whose IoU is one of ``ious``."""
+    return sum(
+        tuple_iou(tuple(map(float, d[2:6])), tuple(map(float, g[2:]))) in ious
+        for d in case["dets"] for g in case["gts"] if d[:2] == g[:2]
+    )
+
+
+@pytest.mark.parametrize("n", sorted(EDGE_IOUS))
+def test_threshold_blocks_match_naive_oracles(n):
+    thresholds, rng, ties = pinned_thresholds(n, EDGE_IOUS[n]), random.Random(n), 0
+    assert len(thresholds) == n and all(thresholds[i] == t for i, t in EDGE_IOUS[n].items())
+    for _ in range(12):
+        case = {**sample_instance(rng), "thresholds": thresholds}
+        if case["gts"]:
+            assert_matches_naive_oracles(case)
+            ties += edge_ties(case, EDGE_IOUS[n].values())
+    assert ties >= 10
+
+
+def test_each_threshold_of_a_block_run_equals_a_run_at_it_alone():
+    thresholds, rng = pinned_thresholds(125, EDGE_IOUS[125]), random.Random(125)
+    for _ in range(4):
+        case = sample_instance(rng)
+        if not case["gts"]:
+            continue
+        objs = objects(case)
+        report = evaluate(*objs, config({**case, "thresholds": thresholds}))
+        for k, t in enumerate(thresholds):
+            alone = evaluate(*objs, config({**case, "thresholds": [t]}))
+            assert alone.per_class.keys() == report.per_class.keys()
+            for class_id, result in report.per_class.items():
+                got = (result.ap_per_threshold[k], result.recall_per_threshold[k])
+                assert got == (*alone.per_class[class_id].ap_per_threshold, *alone.per_class[class_id].recall_per_threshold)
 
 
 _scale = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e150])
