@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
 
 from .augment import AugmentParams, plan_to_lines, sample_plan
@@ -89,6 +89,8 @@ def _parse_thresholds(spec: str) -> tuple[float, ...]:
             for k in range(_MAX_THRESHOLDS + 1):
                 v = round(start + k * step, 10)
                 if v > stop + 1e-9:
+                    if not values:
+                        raise ValueError("the range is empty")
                     return tuple(values)
                 values.append(v)
             raise ValueError(f"the range holds more than {_MAX_THRESHOLDS:,} thresholds")
@@ -124,6 +126,11 @@ def _parse_losses(spec: str) -> list[LossKind]:
         ) from exc
 
 
+def _config(cls: type, args: argparse.Namespace, **parsed: Any) -> Any:
+    """``cls`` built from the flags named after its fields; ``parsed`` holds the fields read from spec strings."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in parsed}, **parsed)
+
+
 def _round4(x: float | None) -> str:
     return "n/a" if x is None else f"{x:.4f}"
 
@@ -136,11 +143,7 @@ def _signed2(x: float | None) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> Output:
-    cfg = EvalConfig(
-        iou_thresholds=_parse_thresholds(args.iou_thresholds),
-        max_detections_per_image=args.max_dets,
-        include_gt_free_classes=args.include_empty_classes,
-    )
+    cfg = _config(EvalConfig, args, iou_thresholds=_parse_thresholds(args.iou_thresholds))
     manifest = load_manifest(args.gt)
     detections = load_predictions(args.pred, manifest)
     report = evaluate(detections, manifest.annotations, cfg)
@@ -207,13 +210,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Output:
 
 def cmd_split(args: argparse.Namespace) -> Output:
     manifest = load_manifest(args.manifest)
-    spec = SplitSpec(
-        train_frac=args.train_frac,
-        val_frac=args.val_frac,
-        test_frac=args.test_frac,
-        seed=args.seed,
-    )
-    split = split_dataset(manifest, spec)
+    split = split_dataset(manifest, _config(SplitSpec, args))
     subsets = {"train": split.train, "val": split.val, "test": split.test}
     return Output(
         doc=lambda: {name: list(ids) for name, ids in subsets.items()},
@@ -228,13 +225,7 @@ def cmd_split(args: argparse.Namespace) -> Output:
 
 
 def cmd_convergence(args: argparse.Namespace) -> Output:
-    cfg = DescentConfig(
-        learning_rate=args.lr,
-        max_iters=args.max_iters,
-        success_iou=args.success_iou,
-        parameterization=args.parameterization,
-        backtracking=args.backtracking,
-    )
+    cfg = _config(DescentConfig, args)
     study = convergence_study(trials=args.trials, loss_kinds=_parse_losses(args.losses), seed=args.seed, cfg=cfg)
 
     def doc() -> dict:
@@ -247,16 +238,7 @@ def cmd_convergence(args: argparse.Namespace) -> Output:
                 }
                 for s in study.summary.values()
             },
-            "trials": [
-                {
-                    "trial": r.trial,
-                    "loss_kind": r.loss_kind.value,
-                    "converged": r.converged,
-                    "iterations": r.iterations,
-                    "final_iou": r.final_iou,
-                }
-                for r in study.records
-            ],
+            "trials": [{**asdict(r), "loss_kind": r.loss_kind.value} for r in study.records],
         }
 
     def table() -> list[Section]:
@@ -289,15 +271,15 @@ _MAX_ANCHORS = 4_000_000
 def cmd_anchors(args: argparse.Namespace) -> Output:
     if args.image_size is not None and args.feature_sizes is not None:
         raise ValidationError("give one of --image-size or --feature-sizes, not both")
-    cfg = AnchorConfig(
-        scale=args.scale,
+    cfg = _config(
+        AnchorConfig, args,
         aspect_ratios=_parse_list(args.ratios, "--ratios", float),
         strides=_parse_list(args.strides, "--strides", int),
     )
-    if args.feature_sizes:
+    if args.feature_sizes is not None:
         flag, spec = "--feature-sizes", args.feature_sizes
         feature_sizes = [_parse_pair(tok, flag) for tok in spec.split(",")]
-    elif args.image_size:
+    elif args.image_size is not None:
         flag, spec = "--image-size", args.image_size
         width, height = _parse_pair(spec, flag)
         feature_sizes = [(-(-height // s), -(-width // s)) for s in cfg.strides]  # exact ceil, any size
@@ -335,16 +317,7 @@ def cmd_anchors(args: argparse.Namespace) -> Output:
 
 def cmd_augment_plan(args: argparse.Namespace) -> str:
     width, height = _parse_pair(args.image_size, "--image-size")
-    params = AugmentParams(
-        image_width=width,
-        image_height=height,
-        flip_prob=args.flip_prob,
-        max_shift_frac=args.max_shift_frac,
-        max_scale_delta=args.max_scale_delta,
-        max_rotate_deg=args.max_rotate_deg,
-        shift_scale_rotate_prob=args.ssr_prob,
-    )
-    plan = sample_plan(params, args.images, args.seed)
+    plan = sample_plan(_config(AugmentParams, args, image_width=width, image_height=height), args.images, args.seed)
     return "\n".join(plan_to_lines(plan))
 
 
@@ -393,17 +366,7 @@ def cmd_report(args: argparse.Namespace) -> Output:
     def doc() -> dict:
         return {
             "baseline": args.baseline,
-            "models": [
-                {
-                    "model": s.model,
-                    "fps": s.fps,
-                    "f1": s.f1,
-                    "map_pct_change": s.map_pct_change,
-                    "map_50_pct_change": s.map_50_pct_change,
-                    "recall_pct_change": s.recall_pct_change,
-                }
-                for s in stats
-            ],
+            "models": [asdict(s) for s in stats],
             "class_pct_changes": class_changes,
         }
 
@@ -459,12 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt", help="ground-truth JSON (images/categories/annotations)")
     p.add_argument("pred", help="predictions JSON (flat list)")
     p.add_argument("--iou-thresholds", default="0.50:0.95:0.05", help="comma list or start:stop:step")
-    p.add_argument("--max-dets", type=int, default=100, help="detection cap per (class, image)")
-    p.add_argument(
-        "--include-empty-classes",
-        action="store_true",
-        help="aggregate classes that have detections but no ground truths (as AP 0)",
-    )
+    p.add_argument("--max-dets", dest="max_detections_per_image", metavar="MAX_DETS", type=int,
+                   default=EvalConfig.max_detections_per_image, help="detection cap per (class, image)")
+    p.add_argument("--include-empty-classes", dest="include_gt_free_classes", action="store_true",
+                   help="aggregate classes that have detections but no ground truths (as AP 0)")
     _add_output_flags(p)
     p.add_argument("--json-output", default=None, help="also write the full-precision JSON report here")
     p.set_defaults(func=cmd_evaluate)
@@ -474,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-frac", type=float, required=True)
     p.add_argument("--val-frac", type=float, required=True)
     p.add_argument("--test-frac", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
     _add_output_flags(p, default_format="json")
     p.set_defaults(func=cmd_split)
 
@@ -482,20 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--losses", default="iou,giou,diou", help="comma list: l1,iou,giou,diou,ciou")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--success-iou", type=float, default=0.9)
-    p.add_argument("--parameterization", choices=("corner", "center"), default="corner")
-    p.add_argument("--backtracking", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=DescentConfig.learning_rate)
+    p.add_argument("--max-iters", type=int, default=DescentConfig.max_iters)
+    p.add_argument("--success-iou", type=float, default=DescentConfig.success_iou)
+    p.add_argument("--parameterization", choices=("corner", "center"), default=DescentConfig.parameterization)
+    p.add_argument("--backtracking", action=argparse.BooleanOptionalAction, default=True)  # the library's is off
     _add_output_flags(p)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("anchors", help="dump generated pyramid anchors")
     p.add_argument("--image-size", default=None, help="WIDTHxHEIGHT; feature sizes are ceil(dim/stride)")
     p.add_argument("--feature-sizes", default=None, help="explicit HEIGHTxWIDTH per level, comma-separated")
-    p.add_argument("--scale", type=int, default=8)
-    p.add_argument("--ratios", default="0.5,1.0,2.0")
-    p.add_argument("--strides", default="4,8,16,32")
+    p.add_argument("--scale", type=int, default=AnchorConfig.scale)
+    p.add_argument("--ratios", default=",".join(map(str, AnchorConfig.aspect_ratios)))
+    p.add_argument("--strides", default=",".join(map(str, AnchorConfig.strides)))
     _add_output_flags(p)
     p.set_defaults(func=cmd_anchors)
 
@@ -503,11 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--image-size", required=True, help="WIDTHxHEIGHT")
-    p.add_argument("--flip-prob", type=float, default=0.5)
-    p.add_argument("--max-shift-frac", type=float, default=0.0625)
-    p.add_argument("--max-scale-delta", type=float, default=0.1)
-    p.add_argument("--max-rotate-deg", type=float, default=45.0)
-    p.add_argument("--ssr-prob", type=float, default=1.0)
+    p.add_argument("--flip-prob", type=float, default=AugmentParams.flip_prob)
+    p.add_argument("--max-shift-frac", type=float, default=AugmentParams.max_shift_frac)
+    p.add_argument("--max-scale-delta", type=float, default=AugmentParams.max_scale_delta)
+    p.add_argument("--max-rotate-deg", type=float, default=AugmentParams.max_rotate_deg)
+    p.add_argument("--ssr-prob", dest="shift_scale_rotate_prob", metavar="SSR_PROB", type=float,
+                   default=AugmentParams.shift_scale_rotate_prob)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_augment_plan)
 

@@ -235,7 +235,9 @@ def _match(dets, gts, thresholds, cap: int):
     overlap = iou_array(np.take(d_boxes, kept[det], axis=0), np.take(g_boxes, gt, axis=0))
     hit = overlap > 0.0
     det, gt, overlap = det[hit], gt[hit], overlap[hit]
-    table = np.lexsort((gt, -overlap, det))  # (rank, -IoU, ground-truth index): the tie-break
+    # (rank, -IoU, ground-truth index): the tie-break. The join lists each detection's pairs in
+    # ascending ground-truth index (``g_order`` is stable), and ``lexsort`` is stable too.
+    table = np.lexsort((-overlap, det))
     det, gt, overlap = det[table], gt[table], overlap[table]
 
     # A pair matches at the thresholds <= its IoU where neither side is matched

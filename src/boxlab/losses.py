@@ -169,9 +169,7 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
         ) from None
     c2 = ew * ew + eh * eh
     dc1, dc2, dc3, dc4 = 2.0 * ew * h1, 2.0 * eh * h2, 2.0 * ew * h3, 2.0 * eh * h4
-    c2sq = c2 * c2
-    if c2sq == 0.0:
-        raise _underflow("DIoU undefined: the squared enclosing-box diagonal", gt, pred)
+    c2sq = c2 * c2  # nonzero wherever usq is: c2 >= 2*ew*eh >= 2*union
     value = 1.0 - iou + rho2 / c2
     g1 = -dq1 + (drx * c2 - rho2 * dc1) / c2sq
     g2 = -dq2 + (dry * c2 - rho2 * dc2) / c2sq
@@ -290,8 +288,7 @@ def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
             rho2 = dr_sq[0] + dr_sq[1]
             c2 = ewh[0, :d] * ewh[0, :d] + ewh[1, :d] * ewh[1, :d]
             d_c2 = (2.0 * ewh[:, :d]).take(_WHWH, 0) * d_hull[:, :d]
-            c2sq = c2 * c2
-            raises[:d] |= c2sq == 0.0
+            c2sq = c2 * c2  # nonzero wherever usq is, as in ``loss``
             value[:d] += rho2 / c2
             gradient[:, :d] += (dr.take(_WHWH, 0) * c2 - rho2 * d_c2) / c2sq
         if c:  # CIoU: + alpha*V

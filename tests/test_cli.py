@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -8,7 +9,7 @@ import pathlib
 import random
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,10 @@ from hypothesis import strategies as st
 from boxlab import cli
 from boxlab.augment import sample_plan, AugmentParams
 from boxlab.cli import Output, _render, main
+from boxlab.coco_io import SplitSpec
+from boxlab.descent import DescentConfig
+from boxlab.evaluation import DEFAULT_IOU_THRESHOLDS, EvalConfig
+from boxlab.proposals import AnchorConfig
 from helpers import parse_plan_lines, strict_loads
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -62,6 +67,45 @@ def test_render_builds_only_the_printed_format(fmt, with_csv, built):
     out = Output(doc=field("doc", {"h": "x"}), table=field("table", [(None, ["h"], [["x"]])]), csv=csv_field)
     assert _render(out, fmt) == {"json": '{\n  "h": "x"\n}', "csv": "h\nx", "table": "h\n-\nx"}[fmt]
     assert calls == built
+
+
+# The config each subcommand builds, and the fields it reads from a spec string: the flag and,
+# unless the flag is required, how its default parses.
+CONFIG_COMMANDS = {
+    "evaluate": (EvalConfig, {"iou_thresholds": ("--iou-thresholds", cli._parse_thresholds)}),
+    "split": (SplitSpec, {}),
+    "convergence": (DescentConfig, {}),
+    "anchors": (AnchorConfig, {"aspect_ratios": ("--ratios", lambda spec: cli._parse_list(spec, "--ratios", float)),
+                               "strides": ("--strides", lambda spec: cli._parse_list(spec, "--strides", int))}),
+    "augment-plan": (AugmentParams, {"image_width": ("--image-size", None), "image_height": ("--image-size", None)}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_each_config_field_is_a_flag_with_the_config_default(command):
+    cls, from_specs = CONFIG_COMMANDS[command]
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    by_dest = {a.dest: a for a in actions}
+    by_flag = {flag: a for a in actions for flag in a.option_strings}
+    for field in fields(cls):
+        if field.name in from_specs:
+            flag, parse = from_specs[field.name]
+            action = by_flag[flag]
+            assert action.required if parse is None else parse(action.default) == field.default, field.name
+            continue
+        action = by_dest[field.name]  # a KeyError here: the field has no flag
+        if field.default is MISSING:
+            assert action.required, field.name
+        elif action.option_strings == ["--backtracking", "--no-backtracking"]:
+            assert (action.default, field.default) == (True, False)  # the one CLI default that differs
+        else:
+            assert (action.default, type(action.default)) == (field.default, type(field.default)), field.name
+
+
+def test_default_threshold_spec_parses_to_the_default_thresholds():
+    args = cli.build_parser().parse_args(["evaluate", "gt.json", "pred.json"])
+    assert cli._parse_thresholds(args.iou_thresholds) == DEFAULT_IOU_THRESHOLDS
 
 
 class TestEvaluateCommand:
@@ -123,6 +167,8 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--max-dets", "0"], "max_detections_per_image must be positive"),
         (["--iou-thresholds", "0.5,0.4"], "iou_thresholds must be strictly increasing"),
+        # Named no flag before: "iou_thresholds must be strictly increasing within (0, 1), got ()".
+        (["--iou-thresholds", "0.5:0.4:0.1"], "error: bad --iou-thresholds '0.5:0.4:0.1': the range is empty\n"),
     ])
     def test_bad_flag_exits_1_before_reading_either_file(self, tmp_path, monkeypatch, capsys, flags, message):
         missing = [str(tmp_path / "gt.json"), str(tmp_path / "pred.json")]
@@ -346,6 +392,10 @@ class TestConvergenceCommand:
     def test_unknown_loss_exit_1(self):
         assert main(["convergence", "--trials", "30", "--losses", "l2"]) == 1
 
+    def test_empty_loss_list_exit_1(self, capsys):
+        assert main(["convergence", "--losses", ",,"]) == 1
+        assert capsys.readouterr().err == "error: loss_kinds must not be empty\n"
+
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_exit_1(self, lr, capsys):
         assert main(["convergence", "--trials", "2", "--lr", lr]) == 1
@@ -425,6 +475,9 @@ class TestAnchorsCommand:
             # parsed, so unparsable values get the same message.
             (["--image-size", "4x4", "--feature-sizes", "1x1,1x1,1x1,1x1"], "give one of --image-size or --feature-sizes, not both"),
             (["--image-size", "8x0", "--feature-sizes", "junk"], "give one of --image-size or --feature-sizes, not both"),
+            # An empty size was taken for an absent one: "one of --image-size or --feature-sizes is required".
+            (["--feature-sizes", ""], "bad --feature-sizes '': expected two integers like 640x360"),
+            (["--image-size", ""], "bad --image-size '': expected two integers like 640x360"),
         ],
     )
     def test_out_of_range_values_exit_1(self, args, message, capsys):

@@ -330,6 +330,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValidationError):
             convergence_study(10, [LossKind.IOU], 1, self.CFG)
 
+    @pytest.mark.parametrize("kinds", [[], iter(())])
+    def test_no_loss_kind_raises(self, kinds):
+        with pytest.raises(ValidationError, match="^loss_kinds must not be empty$"):
+            convergence_study(30, kinds, 1, self.CFG)
+
     def test_sampler_produces_disjoint_pairs(self):
         from boxlab.geometry import intersection_area
 

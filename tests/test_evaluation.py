@@ -331,6 +331,20 @@ class TestCoreEquivalence:
                     )
         assert capped_slices > 0
 
+    def test_equal_iou_tie_break_with_gt_indices_interleaved_across_images(self):
+        # Each image has two ground truths at IoU 1/3 from its first detection, and a second detection
+        # on the one of higher input index. Images interleave in the ground-truth list, so the pair
+        # table holds each detection's pairs in input order only if the join's sort by image is stable.
+        rng = random.Random(23)
+        gts = [_gt(image_id, 1, box) for image_id in range(60) for box in ((0, 0, 2, 2), (2, 0, 4, 2))]
+        rng.shuffle(gts)
+        dets = []
+        for image_id in range(60):
+            later = max(j for j, g in enumerate(gts) if g.image_id == image_id)
+            dets += [_det(image_id, 1, (1, 0, 3, 2), 0.9), _det(image_id, 1, gts[later].box.as_tuple(), 0.5)]
+        result = evaluate(dets, gts, EvalConfig(iou_thresholds=(0.3,))).per_class[1]
+        assert result.recall_per_threshold == (1.0,) and result.ap_per_threshold == (1.0,)
+
     def test_single_threshold_wrappers_agree_exactly(self):
         rng = random.Random(47)
         cfg = EvalConfig(max_detections_per_image=self.CAP)

@@ -189,9 +189,9 @@ def lane_cases(draw) -> tuple[int, Box, Box]:
     return (draw(st.integers(0, len(_LANE_KINDS) - 1)), *boxes)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(lane_cases(), min_size=1, max_size=40))
-def test_lane_kernel_matches_scalar_loss(lanes):
+def assert_lanes_equal_scalar(lanes: list[tuple[int, Box, Box]]) -> list[bool]:
+    """The lane kernel over ``lanes`` (sorted by kind code here) equals the scalar loss of each
+    lane, and raises exactly where it raises; returns which lanes raised."""
     lanes.sort(key=lambda lane: lane[0])
     value, gradient, raises = _lane_loss(
         np.array([code for code, _, _ in lanes]),
@@ -207,6 +207,33 @@ def test_lane_kernel_matches_scalar_loss(lanes):
         assert not r, (code, gt, pred)
         assert v.hex() == want.value.hex(), (code, gt, pred)
         assert np.array_equal(grad, want.gradient, equal_nan=True), (code, gt, pred)
+    return raises.tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(lane_cases(), min_size=1, max_size=40))
+def test_lane_kernel_matches_scalar_loss(lanes):
+    assert_lanes_equal_scalar(lanes)
+
+
+def test_lane_kernel_matches_scalar_loss_where_the_squared_union_underflows():
+    # Between 1e-82.5 and 1e-80 the squared union of two boxes underflows or not. The squared
+    # enclosing-box diagonal c2 * c2 needs no check of its own: c2 >= 2*ew*eh >= 2*union, so it
+    # is nonzero wherever the squared union is, and every DIoU and CIoU lane that does not
+    # raise has a finite value and gradient.
+    rng = random.Random(81)
+    lanes = []
+    for _ in range(2_000):
+        s = 10 ** rng.uniform(-82.5, -80.0)
+        x, y, w, h, u, v, pw, ph = (rng.uniform(0.0, 4.0) for _ in range(8))
+        code = rng.choice([_LANE_KINDS.index(LossKind.CIOU), _LANE_KINDS.index(LossKind.DIOU)])
+        lanes.append((code, Box(x * s, y * s, (x + w) * s, (y + h) * s), Box(u * s, v * s, (u + pw) * s, (v + ph) * s)))
+    raised = assert_lanes_equal_scalar(lanes)
+    assert 200 < sum(raised) < 1_800
+    for (code, gt, pred), r in zip(lanes, raised):
+        if not r:
+            result = loss(_LANE_KINDS[code], gt, pred)
+            assert all(map(math.isfinite, (result.value, *result.gradient))), (code, gt, pred)
 
 
 if __name__ == "__main__":

@@ -210,7 +210,8 @@ class TestDisjointBehaviour:
 
 # Tiny positive boxes where a squared denominator underflows to 0 (it used to raise
 # ZeroDivisionError). DIoU's c2sq never underflows alone: c2 = ew^2 + eh^2 >= 2*ew*eh
-# >= 2*union, so wherever c2sq is 0, usq is 0 too, and the first pair stops there.
+# >= 2*union, so wherever c2sq is 0, usq is 0 too, and the first pair stops there;
+# c2sq has no check of its own.
 UNDERFLOW_PAIRS = [
     # union 2e-200: usq is 0 for every IoU-family loss
     pytest.param(Box(0, 0, 1e-100, 1e-100), Box(0, 0, 1e-100, 2e-100), list(LossKind)[1:], "squared union", id="usq"),
