@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
@@ -231,11 +232,7 @@ def cmd_convergence(args: argparse.Namespace) -> Output:
     def doc() -> dict:
         return {
             "summary": {
-                s.loss_kind.value: {
-                    "trials": s.trials,
-                    "convergence_rate": s.convergence_rate,
-                    "median_iterations": None if math.isinf(s.median_iterations) else s.median_iterations,
-                }
+                s.loss_kind.value: {k: None if v == math.inf else v for k, v in asdict(s).items() if k != "loss_kind"}
                 for s in study.summary.values()
             },
             "trials": [{**asdict(r), "loss_kind": r.loss_kind.value} for r in study.records],
@@ -487,6 +484,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         out = args.func(args)
         _emit(out if isinstance(out, str) else _render(out, args.format), args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

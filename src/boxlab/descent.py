@@ -14,7 +14,8 @@ asserted. The headline facts it exposes:
 ``run_descent`` follows one pair and keeps its whole trajectory.
 ``convergence_study`` needs only where each pair stops, so it runs every
 (kind, trial) pair as one lane (a column) of (4, lanes) corner arrays and
-takes each step for all lanes at once, with ``run_descent``'s arithmetic.
+takes each step for all lanes at once. Both move boxes through one step
+function, ``_moved``, on floats or on arrays.
 """
 
 from __future__ import annotations
@@ -88,35 +89,28 @@ class Trajectory:
         return self.converged_at is not None
 
 
-def _repaired_box(x1: float, y1: float, x2: float, y2: float) -> Box:
-    # Coordinate-order violations are repaired by swapping, not clamping,
-    # so the gradient stays informative on the next step.
-    if x2 < x1:
-        x1, x2 = x2, x1
-    if y2 < y1:
-        y1, y2 = y2, y1
-    return Box(x1, y1, x2, y2)
+def _moved(x1, y1, x2, y2, g1, g2, g3, g4, s, parameterization: str):
+    """The corners that one step of size ``s`` moves ``(x1, y1, x2, y2)`` to, before
+    the swap repair. Only ``+ - * /`` and ``abs``, so ``_step`` calls it on floats
+    and ``_lane_steps`` on broadcast arrays, with the same operations in one order."""
+    if parameterization == "corner":
+        return x1 - s * g1, y1 - s * g2, x2 - s * g3, y2 - s * g4
+    # Center/size step via the chain rule: dL/dc = dL/dx1 + dL/dx2,
+    # dL/dw = (dL/dx2 - dL/dx1)/2. A negative size is the swap repair.
+    cx = (x1 + x2) / 2.0 - s * (g1 + g3)
+    cy = (y1 + y2) / 2.0 - s * (g2 + g4)
+    w = abs((x2 - x1) - s * (g3 - g1) / 2.0)
+    h = abs((y2 - y1) - s * (g4 - g2) / 2.0)
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
 
 def _step(pred: Box, gradient: GradVec, step_size: float, parameterization: str) -> Box:
-    g1, g2, g3, g4 = gradient
-    if parameterization == "corner":
-        return _repaired_box(
-            pred.x_min - step_size * g1,
-            pred.y_min - step_size * g2,
-            pred.x_max - step_size * g3,
-            pred.y_max - step_size * g4,
-        )
-    # Center/size step via the chain rule: dL/dc = dL/dx1 + dL/dx2,
-    # dL/dw = (dL/dx2 - dL/dx1)/2. A negative size is the swap repair.
-    cx, cy = pred.center()
-    w = pred.width
-    h = pred.height
-    cx -= step_size * (g1 + g3)
-    cy -= step_size * (g2 + g4)
-    w = abs(w - step_size * (g3 - g1) / 2.0)
-    h = abs(h - step_size * (g4 - g2) / 2.0)
-    return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    x1, y1, x2, y2 = _moved(*pred.as_tuple(), *gradient, step_size, parameterization)
+    # Coordinate-order violations are repaired by swapping, not clamping,
+    # so the gradient stays informative on the next step.
+    x1, x2 = (x2, x1) if x2 < x1 else (x1, x2)
+    y1, y2 = (y2, y1) if y2 < y1 else (y1, y2)
+    return Box(x1, y1, x2, y2)
 
 
 def run_descent(init: Box, target: Box, kind: LossKind, cfg: DescentConfig) -> Trajectory:
@@ -223,23 +217,12 @@ def _lane_steps(pred: np.ndarray, gradient: np.ndarray, sizes, parameterization:
     """``_step`` of every lane (columns of the (4, N) ``pred`` and ``gradient``)
     at every step size: (4, N, len(sizes)), unvalidated. ``_step`` raises
     exactly where a candidate is not finite."""
-    s = np.asarray(sizes)[None, :]
-    x1, y1, x2, y2 = pred[:, :, None]
-    g1, g2, g3, g4 = gradient[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        if parameterization == "corner":
-            x1, y1, x2, y2 = x1 - s * g1, y1 - s * g2, x2 - s * g3, y2 - s * g4
-            swap_x, swap_y = x2 < x1, y2 < y1  # _repaired_box
-            x1, x2 = np.where(swap_x, x2, x1), np.where(swap_x, x1, x2)
-            y1, y2 = np.where(swap_y, y2, y1), np.where(swap_y, y1, y2)
-            box = (x1, y1, x2, y2)
-        else:
-            cx = (x1 + x2) / 2.0 - s * (g1 + g3)
-            cy = (y1 + y2) / 2.0 - s * (g2 + g4)
-            w = np.abs((x2 - x1) - s * (g3 - g1) / 2.0)
-            h = np.abs((y2 - y1) - s * (g4 - g2) / 2.0)
-            box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-    return np.stack(box)
+        x1, y1, x2, y2 = _moved(*pred[:, :, None], *gradient[:, :, None], np.asarray(sizes)[None, :], parameterization)
+        swap_x, swap_y = x2 < x1, y2 < y1
+    x1, x2 = np.where(swap_x, x2, x1), np.where(swap_x, x1, x2)
+    y1, y2 = np.where(swap_y, y2, y1), np.where(swap_y, y1, y2)
+    return np.stack((x1, y1, x2, y2))
 
 
 def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: DescentConfig):

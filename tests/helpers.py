@@ -240,6 +240,33 @@ def finite_diff_gradient(kind: LossKind, gt: Box, pred: Box, h: float = 1e-5) ->
     return tuple(grad)
 
 
+# --- one descent step, from the README's definition ---------------------------
+
+
+def reference_step(box: Tup4, gradient: Tup4, lr: float, parameterization: str) -> Tup4:
+    """The corners one descent step of size ``lr`` moves ``box`` to, unvalidated.
+
+    Corner form moves each corner by ``lr`` times its gradient component. Center
+    form moves the center by ``lr`` times ``(g1 + g3, g2 + g4)`` and the size by
+    ``lr`` times ``(g3 - g1) / 2`` and ``(g4 - g2) / 2``, keeps the size's absolute
+    value, and puts the corners half a size from the center. Then a corner pair
+    out of order is swapped."""
+    x_min, y_min, x_max, y_max = box
+    g1, g2, g3, g4 = gradient
+    if parameterization == "corner":
+        moved = [x_min - lr * g1, y_min - lr * g2, x_max - lr * g3, y_max - lr * g4]
+    else:
+        center_x = (x_min + x_max) / 2.0 - lr * (g1 + g3)
+        center_y = (y_min + y_max) / 2.0 - lr * (g2 + g4)
+        half_w = abs((x_max - x_min) - lr * (g3 - g1) / 2.0) / 2.0
+        half_h = abs((y_max - y_min) - lr * (g4 - g2) / 2.0) / 2.0
+        moved = [center_x - half_w, center_y - half_h, center_x + half_w, center_y + half_h]
+    for lo in (0, 1):
+        if moved[lo + 2] < moved[lo]:
+            moved[lo], moved[lo + 2] = moved[lo + 2], moved[lo]
+    return tuple(moved)
+
+
 # --- samplers ----------------------------------------------------------------
 
 

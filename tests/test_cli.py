@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import MISSING, asdict, fields
@@ -500,6 +503,24 @@ class TestAnchorsCommand:
         assert main(["anchors", "--feature-sizes", "1x2", "--strides", "16", "--format", "csv"]) == 0
         assert main(["anchors", "--feature-sizes", "1x1,1x2", "--strides", "8,16"]) == 1
         assert capsys.readouterr().err == "error: bad --feature-sizes '1x1,1x2': tiles more than the limit of 6 anchors\n"
+
+    def test_closed_pipe_exits_2_quietly(self):
+        # About 3 MB of CSV, past the pipe buffer, so a write meets the closed pipe. It
+        # printed "error: [Errno 32] Broken pipe" before.
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "boxlab", "anchors", "--image-size", "640x360", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"level,stride,row,col,x_min,y_min,x_max,y_max\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
 
 class TestAugmentPlanCommand:

@@ -1,6 +1,8 @@
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 
 import boxlab.descent
@@ -9,16 +11,17 @@ from boxlab.descent import (
     Trajectory,
     TrajectoryPoint,
     TrialRecord,
+    _lane_steps,
     _step,
     convergence_study,
     run_descent,
     sample_pairs,
     trial_csv_rows,
 )
-from boxlab.errors import BoxlabError, DegenerateAspectError, ValidationError
+from boxlab.errors import BoxlabError, DegenerateAspectError, InvalidBoxError, ValidationError
 from boxlab.geometry import Box, iou
 from boxlab.losses import LossKind, loss
-from helpers import rows_digest, sample_disjoint_pair
+from helpers import reference_step, rows_digest, sample_disjoint_pair
 
 # Concentric and contained in the prediction, so CIoU's gradient is symmetric:
 # at this learning rate the first corner step collapses the width to zero
@@ -56,7 +59,7 @@ def reference_descent(init: Box, target: Box, kind: LossKind, cfg: DescentConfig
             accepted = None
             step_size = cfg.learning_rate
             for _ in range(20 + 1):  # the learning rate, then 20 halvings
-                candidate = _step(pred, result.gradient, step_size, cfg.parameterization)
+                candidate = Box(*reference_step(pred.as_tuple(), result.gradient, step_size, cfg.parameterization))
                 try:
                     candidate_value = boxlab.descent.loss(kind, target, candidate).value
                 except BoxlabError:
@@ -69,7 +72,7 @@ def reference_descent(init: Box, target: Box, kind: LossKind, cfg: DescentConfig
                 break
             pred = accepted
         else:
-            pred = _step(pred, result.gradient, cfg.learning_rate, cfg.parameterization)
+            pred = Box(*reference_step(pred.as_tuple(), result.gradient, cfg.learning_rate, cfg.parameterization))
         steps += 1
     return Trajectory(points=tuple(points), converged_at=converged_at, final_iou=iou(target, pred))
 
@@ -247,6 +250,47 @@ class TestLossEvaluations:
         assert loss_calls == [(init, False), (Box(2.0, -1.5, 2.0, 3.5), True)]
         with pytest.raises(DegenerateAspectError):
             reference_descent(init, target, LossKind.CIOU, cfg)
+
+
+def _bits(corners) -> bytes:
+    """The float64 bits of ``corners``: tells -0.0 from 0.0, which == does not."""
+    return struct.pack("<4d", *corners)
+
+
+class TestStep:
+    """``_step`` and every lane of ``_lane_steps`` against ``helpers.reference_step``."""
+
+    # The large sizes swap the corners of most candidates; 1e308 overflows most of them.
+    SIZES = [0.0, 1e-3, 0.5, 3.0, 50.0, 1e308]
+
+    @pytest.mark.parametrize("parameterization", ["corner", "center"])
+    def test_matches_reference_step_bit_for_bit(self, parameterization):
+        rng = random.Random(73)
+        boxes, gradients = [], []
+        for _ in range(200):
+            x, y = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            boxes.append((x, y, x + rng.uniform(0.0, 4.0), y + rng.uniform(0.0, 4.0)))
+            gradients.append(tuple(rng.uniform(-2.0, 2.0) for _ in range(4)))
+        boxes += [(-0.0, -0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0)]  # signs of zero; inf - inf
+        gradients += [(0.0, -0.0, -0.0, 0.0), (-1e308, 1e308, 1e308, -1e308)]
+        lanes = _lane_steps(np.array(boxes).T, np.array(gradients).T, self.SIZES, parameterization)
+        inverted = non_finite = 0
+        for i, (box, gradient) in enumerate(zip(boxes, gradients)):
+            for k, size in enumerate(self.SIZES):
+                want = reference_step(box, gradient, size, parameterization)
+                assert _bits(lanes[:, i, k]) == _bits(want)
+                if all(math.isfinite(c) for c in want):
+                    assert _bits(_step(Box(*box), gradient, size, parameterization).as_tuple()) == _bits(want)
+                else:
+                    non_finite += 1
+                    with pytest.raises(InvalidBoxError):
+                        _step(Box(*box), gradient, size, parameterization)
+                g1, _, g3, _ = gradient
+                if parameterization == "corner":
+                    inverted += box[2] - size * g3 < box[0] - size * g1
+                else:
+                    inverted += (box[2] - box[0]) - size * (g3 - g1) / 2.0 < 0.0
+        assert inverted > 50 and non_finite > 50
 
 
 class TestMatchesReferenceLoop:
@@ -475,6 +519,14 @@ class TestLockstepStudy:
             iterations = sorted(math.inf if r.iterations is None else r.iterations for r in records)
             assert summary.convergence_rate == sum(r.converged for r in records) / 30
             assert summary.median_iterations == iterations[14] / 2 + iterations[15] / 2
+
+    def test_lane_failure_without_scalar_error_is_an_assertion(self, monkeypatch, fixed_pairs):
+        # A lane that fails in lockstep where run_descent does not raise is a bug in the lanes.
+        pairs = overlapping_pairs(69, 30)
+        fixed_pairs(pairs)
+        monkeypatch.setattr(boxlab.descent, "run_descent", lambda init, target, kind, cfg: None)
+        with pytest.raises(AssertionError, match="failed in lockstep, but run_descent did not raise$"):
+            convergence_study(30, [LossKind.IOU], 0, DescentConfig(learning_rate=1e308))
 
     @pytest.mark.parametrize(
         "pair, kinds, cfg, error",
