@@ -286,25 +286,23 @@ def cmd_anchors(args: argparse.Namespace) -> Output:
         raise ValidationError(f"bad {flag} {spec!r}: tiles more than the limit of {_MAX_ANCHORS:,} anchors")
     anchors = generate_anchors(cfg, feature_sizes)
 
+    def rows():
+        """(level, stride, (row, col), corners) of each anchor, read from the set's columns."""
+        corners = zip(anchors.x_min, anchors.y_min, anchors.x_max, anchors.y_max)
+        return zip(anchors.level, (cfg.strides[level] for level in anchors.level), anchors.cell, corners)
+
     def doc() -> list[dict]:
         return [
-            {
-                "level": a.level,
-                "stride": cfg.strides[a.level],
-                "row": a.cell[0],
-                "col": a.cell[1],
-                "box": list(a.box.as_tuple()),
-            }
-            for a in anchors
+            {"level": level, "stride": stride, "row": row, "col": col, "box": list(box)}
+            for level, stride, (row, col), box in rows()
         ]
 
     def table() -> list[Section]:
-        rows = [
-            [str(a.level), str(cfg.strides[a.level]), str(a.cell[0]), str(a.cell[1]),
-             *(f"{c:.3f}" for c in a.box.as_tuple())]
-            for a in anchors
+        body = [
+            [str(level), str(stride), str(row), str(col), *(f"{c:.3f}" for c in box)]
+            for level, stride, (row, col), box in rows()
         ]
-        return [(None, ["level", "stride", "row", "col", "x_min", "y_min", "x_max", "y_max"], rows)]
+        return [(None, ["level", "stride", "row", "col", "x_min", "y_min", "x_max", "y_max"], body)]
 
     return Output(doc, table)
 

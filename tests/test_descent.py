@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import statistics
 import struct
 
 import numpy as np
@@ -512,13 +514,41 @@ class TestLockstepStudy:
         assert rows_digest(trial_csv_rows(study)) == self.BENCH_CSV_DIGESTS[seed]
 
     def test_summary_from_lane_records(self):
+        # Each summary against its own records, counted and medianed without numpy.
         cfg = DescentConfig(learning_rate=3.0, max_iters=100, backtracking=True)
-        study = convergence_study(30, [LossKind.GIOU, LossKind.DIOU], 68, cfg)
-        for kind, summary in study.summary.items():
-            records = [r for r in study.records if r.loss_kind is kind]
-            iterations = sorted(math.inf if r.iterations is None else r.iterations for r in records)
-            assert summary.convergence_rate == sum(r.converged for r in records) / 30
-            assert summary.median_iterations == iterations[14] / 2 + iterations[15] / 2
+        for trials, seed in itertools.product([30, 31], [68, 69, 70]):
+            study = convergence_study(trials, list(LossKind), seed, cfg)
+            assert list(study.summary) == sorted(LossKind, key=lambda k: k.value)
+            for kind, summary in study.summary.items():
+                records = [r for r in study.records if r.loss_kind is kind]
+                assert summary.loss_kind is kind and summary.trials == len(records) == trials
+                assert summary.convergence_rate == sum(r.converged for r in records) / trials
+                assert summary.median_iterations == statistics.median(
+                    math.inf if r.iterations is None else r.iterations for r in records
+                )
+
+    @pytest.mark.parametrize("trials, on_target, median", [(30, 15, math.inf), (31, 16, 0.0), (31, 15, math.inf)])
+    def test_median_is_infinite_unless_more_than_half_converge(self, trials, on_target, median, fixed_pairs):
+        # An IoU-loss lane that starts on its target converges at step 0; a disjoint one
+        # has zero gradient and never moves.
+        on = (Box(1.0, 1.0, 2.0, 3.0), Box(1.0, 1.0, 2.0, 3.0))
+        off = (Box(0.0, 0.0, 1.0, 1.0), Box(5.0, 5.0, 6.0, 6.0))
+        fixed_pairs([on] * on_target + [off] * (trials - on_target))
+        summary = convergence_study(trials, [LossKind.IOU], 0, DescentConfig()).summary[LossKind.IOU]
+        assert summary.convergence_rate == on_target / trials
+        assert summary.median_iterations == median
+
+    def test_records_take_the_lanes_final_iou(self, monkeypatch):
+        # When no lane fails, the study computes no scalar IoU: each record's final IoU
+        # is the one its lane's last success test computed.
+        cfg = DescentConfig(learning_rate=3.0, max_iters=100, backtracking=True)
+        want = repr(convergence_study(30, list(LossKind), 68, cfg))
+
+        def raising(a, b):
+            raise AssertionError("the study called the scalar iou")
+
+        monkeypatch.setattr(boxlab.descent, "iou", raising)
+        assert repr(convergence_study(30, list(LossKind), 68, cfg)) == want
 
     def test_lane_failure_without_scalar_error_is_an_assertion(self, monkeypatch, fixed_pairs):
         # A lane that fails in lockstep where run_descent does not raise is a bug in the lanes.

@@ -180,6 +180,11 @@ class TestIouArray:
         with np.errstate(all="raise"):
             assert iou_array(huge, huge) == 0.0
 
+    def test_scalar_iou_of_overflowing_areas_is_nan(self):
+        # The README Convention: on the same NaN union the scalar iou returns NaN, not 0.
+        b = Box(0.0, 0.0, 1e300, 1e300)
+        assert math.isnan(iou(b, b))
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_bits_equal_the_where_formula(self, data):
