@@ -239,7 +239,8 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
         sizes.append(sizes[-1] / 2.0)
 
     value, gradient, failed = _lane_loss(codes, targets, inits)
-    failed |= (targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0
+    with np.errstate(over="ignore"):  # an area past 1e308 is inf, which is not zero
+        failed |= (targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0
     converged_at = np.full(len(codes), -1)
     final_iou = np.zeros(len(codes))
     lane, pred = np.arange(len(codes)), inits

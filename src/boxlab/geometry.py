@@ -100,17 +100,23 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Unlike :func:`iou`, a pair whose union is empty (two zero-area boxes) or
     NaN (areas past 1e308) gets 0 instead of raising: NMS, proposal assignment
-    and matching treat it as no overlap.
+    and matching treat it as no overlap. Each step writes into a temporary the
+    kernel allocated itself, so ``a`` and ``b`` are never written or returned.
     """
     # An area past 1e308 is inf and its union may be NaN; an empty or NaN union divides to 0 or NaN.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        iw = np.asarray(np.minimum(a[..., 2], b[..., 2], dtype=np.result_type(a, b, 0.0)))  # integer boxes: float
+        iw -= np.maximum(a[..., 0], b[..., 0])
+        ih = np.asarray(np.minimum(a[..., 3], b[..., 3], dtype=iw.dtype))  # 0-d: a scalar, which out= cannot take
+        ih -= np.maximum(a[..., 1], b[..., 1])
         # ``+ 0.0`` turns a -0.0 overlap into 0.0 (``np.maximum`` may return either zero). An overlap
         # of 0 * inf (one extent overflowed) is NaN, and so is its union, which zeroes it below.
-        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0) + 0.0
+        inter = np.maximum(iw, 0.0, out=iw)
+        inter *= np.maximum(ih, 0.0, out=ih)
+        inter += 0.0
         area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-        union = area_a + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter
-        out = np.asarray(inter / union)
-        out[~(union > 0.0)] = 0.0
-        return out
+        union = np.add(area_a, (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]), out=ih)
+        union -= inter
+        inter /= union
+        inter[~(union > 0.0)] = 0.0
+        return inter

@@ -9,6 +9,7 @@ Anchors are not clipped to image bounds; clipping policy belongs to callers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -118,11 +119,12 @@ class ProposalAssignment:
     iou: float
 
 
-# Anchors, decoded boxes and scored boxes are built through the slot descriptors, without ``__init__`` frames.
+# Anchors, decoded boxes, scored boxes and assignments are built through the slot descriptors, not __init__.
 _new = object.__new__
 _set_x_min, _set_y_min, _set_x_max, _set_y_max = (getattr(Box, name).__set__ for name in Box.__slots__)
 _set_box, _set_level, _set_cell = (getattr(Anchor, name).__set__ for name in Anchor.__slots__)
 _set_scored_box, _set_score = (getattr(ScoredBox, name).__set__ for name in ScoredBox.__slots__)
+_set_assignment = [getattr(ProposalAssignment, name).__set__ for name in ProposalAssignment.__slots__]
 
 
 class AnchorSet(Sequence[Anchor]):
@@ -194,7 +196,8 @@ def generate_anchors(cfg: AnchorConfig, feature_sizes: Sequence[tuple[int, int]]
             cy = (row + 0.5) * stride
             anchors.y_min += [cy - hh for _, hh in halves] * width
             anchors.y_max += [cy + hh for _, hh in halves] * width
-            anchors.cell += [cell for col in range(width) for cell in repeat((row, col), len(halves))]
+            cells = list(zip(repeat(row, width), range(width)))  # one tuple per cell, shared by its anchors
+            anchors.cell += chain.from_iterable(zip(*[cells] * len(halves)))
     return anchors
 
 
@@ -315,15 +318,14 @@ def assign_proposals(
     """
     if not 0.0 < pos_threshold < 1.0:
         raise ValidationError(f"pos_threshold must be in (0, 1), got {pos_threshold}")
-    if not gts:
-        return [
-            ProposalAssignment(i, positive=False, gt_index=None, iou=0.0)
-            for i in range(len(proposals))
-        ]
-    ious = iou_array(_boxes_array(proposals)[:, None], _boxes_array(gts)[None])
-    best = ious.argmax(axis=1).tolist()
-    best_ious = ious.max(axis=1).tolist()
-    return [
-        ProposalAssignment(i, positive=v > pos_threshold, gt_index=g, iou=v)
-        for i, (g, v) in enumerate(zip(best, best_ious))
-    ]
+    n = len(proposals)
+    if gts:
+        ious = iou_array(_boxes_array(proposals)[:, None], _boxes_array(gts)[None])
+        best_ious = ious.max(axis=1)
+        columns = (best_ious > pos_threshold).tolist(), ious.argmax(axis=1).tolist(), best_ious.tolist()
+    else:
+        columns = [False] * n, [None] * n, [0.0] * n
+    records = list(map(_new, repeat(ProposalAssignment, n)))
+    for set_field, column in zip(_set_assignment, (range(n), *columns)):
+        deque(map(set_field, records, column), 0)  # runs the setter on every record, keeps nothing
+    return records

@@ -538,6 +538,14 @@ class TestLockstepStudy:
         assert summary.convergence_rate == on_target / trials
         assert summary.median_iterations == median
 
+    def test_overflowing_target_area_reports_zero_overlap(self, fixed_pairs):
+        # The target's area is inf: the zero-area check must not warn, and the lane
+        # reports iou_array's 0.0 for the NaN union (the README NaN-union Convention).
+        huge = Box(0.0, 0.0, 1e300, 1e300)
+        fixed_pairs([(huge, huge)] * 30)
+        records = convergence_study(30, [LossKind.L1], 0, DescentConfig()).records
+        assert [(r.converged, r.final_iou) for r in records] == [(False, 0.0)] * 30
+
     def test_records_take_the_lanes_final_iou(self, monkeypatch):
         # When no lane fails, the study computes no scalar IoU: each record's final IoU
         # is the one its lane's last success test computed.

@@ -185,6 +185,42 @@ class TestIouArray:
         b = Box(0.0, 0.0, 1e300, 1e300)
         assert math.isnan(iou(b, b))
 
+    @pytest.mark.parametrize("case", ["nms", "nms_nothing_kept", "assign", "match", "lockstep", "0-d", "extreme"])
+    def test_never_writes_its_inputs(self, case):
+        # The kernel computes in place in its own temporaries: the inputs must come back untouched,
+        # and the result must not be (a view of) either of them.
+        rng = np.random.default_rng(5)
+        boxes = np.sort(rng.uniform(-50.0, 50.0, (80, 2, 2)), axis=1).transpose(0, 2, 1).reshape(80, 4)
+        extreme = boxes[:8].copy()
+        extreme[:3, 2] = np.nan
+        extreme[3:, 2:] = 1e300
+        a, b = {
+            "nms": (boxes[:64, None], boxes[None, :70]),
+            "nms_nothing_kept": (boxes[:64, None], np.empty((1, 0, 4))),
+            "assign": (boxes[:30, None], boxes[None, 75:]),
+            "match": (boxes[:40], boxes[40:]),
+            "lockstep": (boxes[:40].T.copy().T, boxes[40:].T.copy().T),  # (N, 4) views of (4, N) rows
+            "0-d": (boxes[0], boxes[1]),
+            "extreme": (extreme[:, None], np.concatenate((extreme, boxes[:4]))[None]),
+        }[case]
+        before = a.tobytes(), b.tobytes()
+        out = iou_array(a, b)
+        assert (a.tobytes(), b.tobytes()) == before
+        assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+        assert out.shape == np.broadcast_shapes(a.shape, b.shape)[:-1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_other_dtypes_as_the_where_formula(self, dtype):
+        # The in-place steps must not reject integer boxes (they compute in float64) or
+        # promote float32 boxes: the result has the frozen formula's dtype and bits.
+        rng = np.random.default_rng(9)
+        corners = rng.integers(0, 40, (30, 2, 2))
+        boxes = np.concatenate((corners.min(1), corners.max(1)), axis=1).astype(dtype)
+        for p, q in ((boxes[:, None], boxes[None]), (boxes[:15], boxes[15:]), (boxes[0], boxes[1])):
+            got, want = iou_array(p, q), _iou_array_where(p, q)
+            assert got.dtype == want.dtype == (np.float32 if dtype is np.float32 else np.float64)
+            assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_bits_equal_the_where_formula(self, data):

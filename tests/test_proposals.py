@@ -16,6 +16,7 @@ from boxlab.proposals import (
     AnchorConfig,
     AnchorSet,
     BoxDelta,
+    ProposalAssignment,
     ScoredBox,
     assign_proposals,
     decode_delta,
@@ -619,6 +620,26 @@ class TestAssignProposals:
     def test_zero_area_proposal_is_negative(self):
         (record,) = assign_proposals([Box(1, 1, 1, 1)], [Box(0, 0, 2, 2), Box(1, 1, 1, 1)], 0.5)
         assert (record.positive, record.gt_index, record.iou) == (False, 0, 0.0)
+
+    @pytest.mark.parametrize("n_gts", [0, 1, 5])
+    def test_records_equal_the_constructors(self, n_gts):
+        # assign_proposals builds its records through the slot descriptors, not __init__.
+        rng = random.Random(41 + n_gts)
+        gts = [sample_box(rng) for _ in range(n_gts)]
+        props = [sample_box(rng) for _ in range(60)] + gts + [Box(2, 2, 2, 2)]
+        records = assign_proposals(props, gts, 0.5)
+        assert len(records) == len(props)
+        for i, (prop, rec) in enumerate(zip(props, records)):
+            ious = [tuple_iou(prop.as_tuple(), g.as_tuple()) for g in gts]
+            best = max(range(len(gts)), key=lambda j: (ious[j], -j), default=None)
+            iou = 0.0 if best is None else ious[best]
+            want = ProposalAssignment(i, positive=iou > 0.5, gt_index=best, iou=iou)
+            assert (rec == want, hash(rec) == hash(want), repr(rec)) == (True, True, repr(want))
+            assert (type(rec.proposal_index), type(rec.positive), type(rec.iou)) == (int, bool, float)
+            assert type(rec.gt_index) is (int if gts else type(None))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rec.iou = 0.0
+        assert any(rec.positive for rec in records) == bool(gts)
 
     def test_threshold_validation(self):
         with pytest.raises(ValidationError):
