@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BoxlabError, ValidationError
-from .geometry import Box, area, intersection_area, iou, iou_array
+from .geometry import Box, _overlap, area, iou, iou_array
 from .losses import _LANE_KINDS, GradVec, LossKind, _lane_loss, loss
 
 __all__ = [
@@ -173,7 +173,7 @@ def sample_pairs(n: int, seed: int) -> list[tuple[Box, Box]]:
     for _ in range(n):
         target = _sample_box(rng)
         init = _sample_box(rng)
-        while intersection_area(init, target) > 0.0:
+        while _overlap(init, target)[0] > 0.0:
             init = _sample_box(rng)
         pairs.append((init, target))
     return pairs

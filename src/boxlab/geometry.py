@@ -17,7 +17,6 @@ from .errors import InvalidBoxError, UndefinedOverlapError
 __all__ = [
     "Box",
     "area",
-    "intersection_area",
     "iou",
     "iou_array",
 ]
@@ -68,29 +67,24 @@ def area(b: Box) -> float:
     return b.width * b.height
 
 
-def intersection_area(a: Box, b: Box) -> float:
-    """Overlap area; boxes that merely touch along an edge intersect with area 0."""
+def _overlap(a: Box, b: Box) -> tuple[float, float, float]:
+    """The intersection's width and height, both 0.0 unless both are positive (touching edges do not
+    overlap), and the union, read from the corners: ``area()``'s lookups slow the loss. Raises as iou."""
     iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
+        iw = ih = 0.0
+    union = (a.x_max - a.x_min) * (a.y_max - a.y_min) + (b.x_max - b.x_min) * (b.y_max - b.y_min) - iw * ih
+    if union <= 0.0:
+        raise UndefinedOverlapError(f"IoU undefined: both boxes have zero area ({a.as_tuple()}, {b.as_tuple()})")
+    return iw, ih, union
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union, in [0, 1].
-
-    Raises:
-        UndefinedOverlapError: if both boxes have zero area (0/0 usually means
-            corrupt data, so it is surfaced rather than silently returned as 0).
-    """
-    inter = intersection_area(a, b)
-    union = area(a) + area(b) - inter
-    if union <= 0.0:
-        raise UndefinedOverlapError(
-            f"IoU undefined: both boxes have zero area ({a.as_tuple()}, {b.as_tuple()})"
-        )
-    return inter / union
+    """Intersection over union, in [0, 1]. Raises UndefinedOverlapError if both boxes have zero area:
+    0/0 usually means corrupt data, so it is surfaced rather than silently returned as 0."""
+    iw, ih, union = _overlap(a, b)
+    return iw * ih / union
 
 
 def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,11 +97,13 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and matching treat it as no overlap. Each step writes into a temporary the
     kernel allocated itself, so ``a`` and ``b`` are never written or returned.
     """
+    dtype = np.result_type(a, b, 0.0)  # integer boxes: float, so no area or union wraps around
+    a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     # An area past 1e308 is inf and its union may be NaN; an empty or NaN union divides to 0 or NaN.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        iw = np.asarray(np.minimum(a[..., 2], b[..., 2], dtype=np.result_type(a, b, 0.0)))  # integer boxes: float
+        iw = np.asarray(np.minimum(a[..., 2], b[..., 2]))  # 0-d: a scalar, which out= cannot take
         iw -= np.maximum(a[..., 0], b[..., 0])
-        ih = np.asarray(np.minimum(a[..., 3], b[..., 3], dtype=iw.dtype))  # 0-d: a scalar, which out= cannot take
+        ih = np.asarray(np.minimum(a[..., 3], b[..., 3]))
         ih -= np.maximum(a[..., 1], b[..., 1])
         # ``+ 0.0`` turns a -0.0 overlap into 0.0 (``np.maximum`` may return either zero). An overlap
         # of 0 * inf (one extent overflowed) is NaN, and so is its union, which zeroes it below.

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAspectError, UndefinedOverlapError, ValidationError
-from .geometry import Box, _sum_in_order
+from .geometry import Box, _overlap, _sum_in_order
 
 __all__ = [
     "GradVec",
@@ -97,25 +97,16 @@ def loss(kind: LossKind, gt: Box, pred: Box) -> LossResult:
     px1, py1, px2, py2 = pred.x_min, pred.y_min, pred.x_max, pred.y_max
     pw = px2 - px1
     ph = py2 - py1
-    # d(area_p) = (-ph, -pw, ph, pw)
-    area_p = pw * ph
-    area_g = (gx2 - gx1) * (gy2 - gy1)
-    iw = min(gx2, px2) - max(gx1, px1)
-    ih = min(gy2, py2) - max(gy1, py1)
-    if iw > 0.0 and ih > 0.0:
-        inter = iw * ih
+    iw, ih, union = _overlap(gt, pred)
+    inter = iw * ih
+    if iw > 0.0:  # the di stay +0.0 when the extents were zeroed: -1.0 * 0.0 would be -0.0
         di1 = ih * (-1.0 if px1 > gx1 else 0.0)
         di2 = iw * (-1.0 if py1 > gy1 else 0.0)
         di3 = ih * (1.0 if px2 < gx2 else 0.0)
         di4 = iw * (1.0 if py2 < gy2 else 0.0)
     else:
-        inter = 0.0
         di1 = di2 = di3 = di4 = 0.0
-    union = area_p + area_g - inter
-    if union <= 0.0:
-        raise UndefinedOverlapError(
-            f"IoU undefined: both boxes have zero area ({gt.as_tuple()}, {pred.as_tuple()})"
-        )
+    # d(area_p) = (-ph, -pw, ph, pw)
     du1 = -ph - di1
     du2 = -pw - di2
     du3 = ph - di3

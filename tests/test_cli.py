@@ -507,11 +507,9 @@ class TestAnchorsCommand:
     def test_closed_pipe_exits_2_quietly(self):
         # About 3 MB of CSV, past the pipe buffer, so a write meets the closed pipe. It
         # printed "error: [Errno 32] Broken pipe" before.
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.Popen(
             [sys.executable, "-m", "boxlab", "anchors", "--image-size", "640x360", "--format", "csv"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_tree_env(),
         )
         try:
             assert proc.stdout.readline() == b"level,stride,row,col,x_min,y_min,x_max,y_max\n"
@@ -521,6 +519,23 @@ class TestAnchorsCommand:
         finally:
             proc.kill()
             proc.stderr.close()
+
+
+@pytest.mark.parametrize("module", ["boxlab", "boxlab.cli"])
+def test_module_entry_points_run_main(module):
+    # ``python -m boxlab`` runs __main__.py and ``python -m boxlab.cli`` the module's own guard;
+    # the in-process tests call main() and reach neither.
+    result = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True, env=_source_tree_env(),
+                            timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith(b"usage: boxlab ")
+    assert result.stderr == b""
+
+
+def _source_tree_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports boxlab from this checkout's src/."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestAugmentPlanCommand:

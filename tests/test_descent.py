@@ -382,10 +382,8 @@ class TestConvergenceStudy:
             convergence_study(30, kinds, 1, self.CFG)
 
     def test_sampler_produces_disjoint_pairs(self):
-        from boxlab.geometry import intersection_area
-
         pairs = sample_pairs(200, 67)
-        assert all(intersection_area(a, b) == 0.0 for a, b in pairs)
+        assert all(iou(a, b) == 0.0 for a, b in pairs)
         # The fixed ranges: every box inside [0, 10]^2, each side in [0.5, 3].
         boxes = [box for pair in pairs for box in pair]
         assert all(-1e-12 <= min(b.x_min, b.y_min) and max(b.x_max, b.y_max) <= 10.0 + 1e-12 for b in boxes)

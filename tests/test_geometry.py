@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab.errors import InvalidBoxError, UndefinedOverlapError
-from boxlab.geometry import Box, area, intersection_area, iou, iou_array
+from boxlab.geometry import Box, _overlap, area, iou, iou_array
 from boxlab.losses import LossKind, loss
 from helpers import raster_iou, sample_box, tuple_iou
+
+
+def _intersection(a, b):
+    """The overlap area, from the extents that ``iou`` and the losses share."""
+    iw, ih, _ = _overlap(a, b)
+    return iw * ih
 
 
 def _giou_penalty(a, b):
@@ -50,6 +56,27 @@ class TestIou:
 
     def test_touching_edge_is_zero(self):
         assert iou(Box(0, 0, 2, 2), Box(2, 0, 4, 2)) == 0.0
+
+    @pytest.mark.parametrize("other", [Box(2, 0, 4, 2), Box(0, 2, 2, 3), Box(2, 2, 3, 3), Box(-1, 0, 0, 5)])
+    def test_touching_boxes_share_no_extent(self, other):
+        # Edge or corner contact is no overlap: both extents are +0.0, even where one of them is positive.
+        b = Box(0, 0, 2, 2)
+        got = _overlap(b, other)
+        assert got == (0.0, 0.0, area(b) + area(other))
+        assert all(math.copysign(1.0, v) == 1.0 for v in got[:2])
+
+    def test_loss_value_is_one_minus_iou_bit_for_bit(self):
+        rng = random.Random(28)
+        for _ in range(2000):
+            g, p = sample_box(rng), sample_box(rng)
+            assert loss(LossKind.IOU, g, p).value == 1.0 - iou(g, p)
+        with pytest.raises(UndefinedOverlapError) as from_iou:
+            iou(Box(0, 0, 0, 0), Box(1, 1, 1, 1))
+        with pytest.raises(UndefinedOverlapError) as from_loss:
+            loss(LossKind.IOU, Box(0, 0, 0, 0), Box(1, 1, 1, 1))
+        assert str(from_loss.value) == str(from_iou.value) == (
+            "IoU undefined: both boxes have zero area ((0, 0, 0, 0), (1, 1, 1, 1))"
+        )
 
     def test_both_zero_area_raises(self):
         with pytest.raises(UndefinedOverlapError):
@@ -209,6 +236,13 @@ class TestIouArray:
         assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
         assert out.shape == np.broadcast_shapes(a.shape, b.shape)[:-1]
 
+    @pytest.mark.parametrize("box", [[0, 0, 2**32, 2**32], np.array([0, 0, 70000, 70000], np.int32)])
+    def test_integer_boxes_do_not_wrap(self, box):
+        # Each area must be taken in float: 2**64 wraps to 0 in int64, and 70000**2 in int32.
+        box = np.asarray(box)
+        assert iou_array(box, box) == 1.0
+        assert iou_array(box[None], np.array([[0, 0, 1, 1]], box.dtype)).tolist() == [1 / float(box[2]) ** 2]
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
     def test_other_dtypes_as_the_where_formula(self, dtype):
         # The in-place steps must not reject integer boxes (they compute in float64) or
@@ -296,7 +330,7 @@ class TestProperties:
             at = Box(*(c + d for c, d in zip(a.as_tuple(), (dx, dy, dx, dy))))
             bt = Box(*(c + d for c, d in zip(b.as_tuple(), (dx, dy, dx, dy))))
             assert iou(at, bt) == pytest.approx(iou(a, b), abs=1e-9)
-            assert intersection_area(at, bt) == pytest.approx(intersection_area(a, b), abs=1e-9)
+            assert _intersection(at, bt) == pytest.approx(_intersection(a, b), abs=1e-9)
             assert _giou_penalty(at, bt) == pytest.approx(_giou_penalty(a, b), abs=1e-9)
             assert _diou_penalty(at, bt) == pytest.approx(_diou_penalty(a, b), abs=1e-9)
 
@@ -308,7 +342,7 @@ class TestProperties:
             a2, b2 = Box(*(2.0 * c for c in a.as_tuple())), Box(*(2.0 * c for c in b.as_tuple()))
             assert iou(a2, b2) == iou(a, b)
             assert area(a2) == 4.0 * area(a)
-            assert intersection_area(a2, b2) == 4.0 * intersection_area(a, b)
+            assert _intersection(a2, b2) == 4.0 * _intersection(a, b)
             assert _giou_penalty(a2, b2) == _giou_penalty(a, b)
             assert _diou_penalty(a2, b2) == _diou_penalty(a, b)
 
@@ -317,7 +351,7 @@ class TestProperties:
         for _ in range(1000):
             a = sample_box(rng)
             b = sample_box(rng)
-            inter = intersection_area(a, b)
+            inter = _intersection(a, b)
             assert area(a) + area(b) - inter >= inter
             # C >= U: the GIoU penalty (C - U) / C is non-negative, up to a few
             # ulps: under containment U (a + b - inter) and C (hull width * height)

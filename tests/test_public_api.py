@@ -1,8 +1,11 @@
 """Each module's ``__all__`` is the one list of its public names, and ``boxlab`` republishes every list whole."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 import types
 from collections import Counter
 
@@ -68,3 +71,35 @@ def test_descent_config_has_no_loss_kind():
     # The study gives each kind to run_descent; a config field would be one more value to override.
     assert "loss_kind" not in inspect.signature(boxlab.DescentConfig).parameters
     assert not hasattr(boxlab, "PairSampler")
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _names_used_in_src() -> set[str]:
+    """Every name read, attribute taken or name imported in ``src/boxlab``: a ``def``'s own name
+    and an ``__all__`` entry are neither, so a name that only defines and lists itself is absent."""
+    used = set()
+    for path in sorted((ROOT / "src" / "boxlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # The rule for public names: one that no code in src/ calls and no documented workflow
+    # needs is deleted. The README's code blocks are the documented workflows, and bench/
+    # holds the harness's worker and the tracer, which rebinds names by their strings.
+    fenced = "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S))
+    bench = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    used = _names_used_in_src()
+    uncalled = [
+        f"{module}.{name}" for module in MODULES for name in _module(module).__all__
+        if name not in used and not any(re.search(rf"\b{name}\b", text) for text in (fenced, bench))
+    ]
+    assert uncalled == []
