@@ -42,8 +42,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import DanglingIdError, InvalidBoxError, ParseError, ValidationError, reject_duplicates
-from .evaluation import BoxColumns, Columns, Detection, GroundTruthAnnotation
-from .geometry import _sum_in_order
+from .evaluation import BoxColumns, Detection, GroundTruthAnnotation
+from .geometry import Columns, _sum_in_order
 
 __all__ = [
     "ImageInfo",
@@ -81,7 +81,6 @@ class ImageColumns(Columns):
 
     def __init__(self, ids, sizes: np.ndarray, file_names: list) -> None:
         self.ids, self.sizes, self.file_names = tuple(ids), sizes, file_names
-        self._coding = _id_coding(self.ids)  # both loaders code image ids by this one dict
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -207,15 +206,10 @@ def _typed(context: str, records: list, pull, walk) -> tuple[list, np.ndarray, l
         walk(rec, f"{context}[{i}]")
 
 
-def _id_coding(ids: tuple) -> tuple[tuple, dict]:
-    """An id table and its {id: code} dict."""
-    return ids, {v: k for k, v in enumerate(ids)}
-
-
-def _columns(path: str, context: str, records: list, codings: tuple, scored: bool):
-    """Box columns from one ``_typed`` pass: image and category ids coded by the two ``_id_coding``
-    pairs of ``codings``, corners ``x + w``, ``y + h``. Returns (columns, (N, 2) bbox extents).
-    An unknown id raises ``DanglingIdError``.
+def _columns(path: str, context: str, records: list, image_ids: tuple, class_ids: tuple, scored: bool):
+    """Box columns from one ``_typed`` pass: image and category ids coded by their index in
+    ``image_ids`` and ``class_ids``, corners ``x + w``, ``y + h``. Returns (columns, (N, 2) bbox
+    extents). An unknown id raises ``DanglingIdError``.
     """
 
     def pull(recs: list):
@@ -228,7 +222,7 @@ def _columns(path: str, context: str, records: list, codings: tuple, scored: boo
         _int_id(rec, "image_id", ctx), _int_id(rec, "category_id", ctx), _bbox(rec, ctx),
         scored and _number(rec, "score", ctx),
     ))
-    tables, indexes = zip(*codings)
+    indexes = [{v: k for k, v in enumerate(table)} for table in (image_ids, class_ids)]
     codes = [np.fromiter(map(index.get, col, repeat(-1)), np.intp, len(col)) for col, index in zip(ids, indexes)]
     _reject(path, context, [
         (DanglingIdError, codes[0] < 0, lambda i: f"unknown image_id {records[i]['image_id']}"),
@@ -238,7 +232,7 @@ def _columns(path: str, context: str, records: list, codings: tuple, scored: boo
     extents = boxes[:, 2:].copy()
     with np.errstate(over="ignore"):  # an overflowing corner is named by the caller's checks
         boxes[:, 2:] += boxes[:, :2]
-    return BoxColumns(*tables, *codes, boxes, values[4 * len(records) :] if scored else None), extents
+    return BoxColumns(image_ids, class_ids, *codes, boxes, values[4 * len(records) :] if scored else None), extents
 
 
 def _xywh(rec: dict) -> tuple[float, ...]:
@@ -261,8 +255,8 @@ def _reject(path: str, context: str, checks: list) -> None:
             raise error(f"{path}: " + "; ".join(f"{context}[{i}]: {text}" for i, text in sorted(found)))
 
 
-def _image_coding(images: Sequence[ImageInfo]) -> tuple[tuple, dict]:
-    return images._coding if isinstance(images, ImageColumns) else _id_coding(tuple(im.id for im in images))
+def _image_ids(images: Sequence[ImageInfo]) -> tuple:
+    return images.ids if isinstance(images, ImageColumns) else tuple(im.id for im in images)
 
 
 @contextmanager
@@ -306,7 +300,7 @@ def load_manifest(path: str) -> DatasetManifest:
     del raw, sections  # the image and category records are no longer needed
 
     images = ImageColumns(image_ids, sizes, file_names)
-    annotations, extents = _columns(path, "annotations", records, (images._coding, _id_coding(class_ids)), scored=False)
+    annotations, extents = _columns(path, "annotations", records, images.ids, class_ids, scored=False)
     boxes = annotations.boxes
     bounds = (sizes + _BOUNDS_TOL)[annotations.image]
     with np.errstate(over="ignore", invalid="ignore"):  # inf past 1e308, NaN beside an overflowed corner
@@ -335,8 +329,8 @@ def load_predictions(path: str, manifest: DatasetManifest) -> Sequence[Detection
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON list of predictions")
 
-    codings = (_image_coding(manifest.images), _id_coding(tuple(c.id for c in manifest.categories)))
-    detections, extents = _columns(path, "predictions", raw, codings, scored=True)
+    class_ids = tuple(c.id for c in manifest.categories)
+    detections, extents = _columns(path, "predictions", raw, _image_ids(manifest.images), class_ids, scored=True)
     scores = detections.scores
     _reject(path, "predictions", [
         (InvalidBoxError, (extents < 0.0).any(axis=1), lambda i: f"negative bbox extents {_xywh(raw[i])}"),
@@ -399,4 +393,4 @@ def split_ids(ids: Sequence[int], spec: SplitSpec) -> DatasetSplit:
 
 
 def split_dataset(manifest: DatasetManifest, spec: SplitSpec) -> DatasetSplit:
-    return split_ids(_image_coding(manifest.images)[0], spec)
+    return split_ids(_image_ids(manifest.images), spec)

@@ -43,7 +43,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import EmptyEvaluationError, InvalidBoxError, ValidationError
-from .geometry import Box, _sum_in_order, area, iou, iou_array  # noqa: F401  (iou: bench/tracing.py rebinds this name)
+from .geometry import Box, Columns, _boxes_array, _sum_in_order, area, iou, iou_array  # noqa: F401  (iou: bench/tracing.py rebinds this name)
 
 __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
@@ -150,19 +150,6 @@ def f1(precision_like: float, recall_like: float) -> float:
     return 2.0 * precision_like * recall_like / (precision_like + recall_like)
 
 
-class Columns(Sequence):
-    """A sequence stored as columns: a subclass builds item ``i`` in ``_row(i)``. A slice
-    gives a tuple of items, and it equals a list or tuple of them (or other columns)."""
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(len(self))))
-        return self._row(i)
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, (Columns, list, tuple)) else NotImplemented
-
-
 class BoxColumns(Columns):
     """Detections (or ground truths, when ``scores`` is None) as arrays: ``image``
     and ``cls`` code into the ``image_ids`` and ``class_ids`` tables, ``boxes`` is
@@ -201,7 +188,7 @@ def _coded(dets: Sequence, gts: Sequence):
             continue
         image = np.array([codes[0].setdefault(x.image_id, len(codes[0])) for x in items], np.intp)
         cls = np.array([codes[1].setdefault(x.class_id, len(codes[1])) for x in items], np.intp)
-        boxes = np.array([x.box.as_tuple() for x in items], np.float64).reshape(-1, 4)
+        boxes = _boxes_array(x.box for x in items)
         coded.append((image, cls, boxes, np.array([x.score for x in items], np.float64) if scored else None))
     return coded[1], coded[0][:3], tuple(codes[1])
 

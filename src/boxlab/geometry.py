@@ -2,13 +2,16 @@
 
 Boxes are corner-form ``(x_min, y_min, x_max, y_max)`` in continuous pixel
 coordinates; width is ``x_max - x_min`` with no "+1" pixel convention.
-Everything here is a pure function over immutable values.
+``Columns`` is the one sequence protocol of records stored as columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import inf
+from operator import attrgetter
 
 import numpy as np
 
@@ -52,6 +55,29 @@ class Box:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
+
+
+class Columns(Sequence):
+    """A sequence stored as columns: a subclass builds item ``i`` in ``_row(i)``. A slice
+    gives a tuple of items, and it equals a list or tuple of them (or other columns)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return self._row(i)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (Columns, list, tuple)) else NotImplemented
+
+
+_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
+
+
+def _boxes_array(boxes: Iterable[Box]) -> np.ndarray:
+    """The (N, 4) float64 corner array of ``boxes``."""
+    return np.fromiter(chain.from_iterable(map(_corners, boxes)), np.float64).reshape(-1, 4)
 
 
 def _sum_in_order(values) -> float:

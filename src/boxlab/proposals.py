@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import inf
@@ -19,7 +19,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import InvalidBoxError, ValidationError
-from .geometry import Box, iou_array
+from .geometry import Box, Columns, _boxes_array, iou_array
 
 __all__ = [
     "AnchorConfig",
@@ -127,10 +127,10 @@ _set_scored_box, _set_score = (getattr(ScoredBox, name).__set__ for name in Scor
 _set_assignment = [getattr(ProposalAssignment, name).__set__ for name in ProposalAssignment.__slots__]
 
 
-class AnchorSet(Sequence[Anchor]):
+class AnchorSet(Columns):
     """Anchors as six flat columns, one item per anchor: ``x_min``, ``y_min``, ``x_max``, ``y_max``,
     ``level`` and ``cell``. Each index builds a new ``Anchor(Box)``, equal at every call, whose floats
-    and cell tuple are the columns' objects; a slice is an ``AnchorSet``."""
+    and cell tuple are the columns' objects."""
 
     __slots__ = ("x_min", "y_min", "x_max", "y_max", "level", "cell")
 
@@ -140,9 +140,7 @@ class AnchorSet(Sequence[Anchor]):
     def __len__(self) -> int:
         return len(self.level)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return AnchorSet(*(getattr(self, name)[i] for name in AnchorSet.__slots__))
+    def _row(self, i) -> Anchor:
         box, anchor = _new(Box), _new(Anchor)
         _set_x_min(box, self.x_min[i])
         _set_y_min(box, self.y_min[i])
@@ -247,13 +245,6 @@ def decode_delta(anchor: Box, delta: BoxDelta) -> Box:
         raise InvalidBoxError(f"{delta} on anchor {anchor.as_tuple()} decodes to no box: {err}") from None
 
 
-_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
-
-
-def _boxes_array(boxes: Iterable[Box]) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(map(_corners, boxes)), np.float64).reshape(-1, 4)
-
-
 # Sorted rows per block in nms. A block meets the k boxes kept so far and itself in one
 # (64, k + 64) IoU matrix: 0.5 MB of float64 at k = 1,000.
 _NMS_BLOCK = 64
@@ -277,7 +268,7 @@ def nms(
         raise ValidationError(f"max_keep must be positive, got {max_keep}")
     n = len(candidates)
     scores = np.fromiter(map(attrgetter("score"), candidates), np.float64, n)
-    order = np.lexsort((np.arange(n), -scores))
+    order = np.argsort(-scores, kind="stable")
     boxes = _boxes_array(map(attrgetter("box"), candidates))[order]
     order = order.tolist()
 

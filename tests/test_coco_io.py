@@ -20,6 +20,7 @@ from boxlab.coco_io import (
     split_ids,
 )
 from boxlab.errors import (
+    BoxlabError,
     DanglingIdError,
     DuplicateIdError,
     InvalidBoxError,
@@ -538,23 +539,6 @@ class TestImageColumns:
         assert dets.image_ids is manifest.images.ids and manifest.annotations.image_ids is manifest.images.ids
         assert dets.class_ids == manifest.annotations.class_ids == (1, 2)
 
-    def test_image_id_dict_built_once(self, tmp_path, monkeypatch):
-        # evaluate loads both sides: the {image id: index} dict of the manifest's id tuple is built
-        # by load_manifest and handed on to load_predictions, not built again there.
-        tables = []
-
-        def recording(ids):
-            tables.append(ids)
-            return id_coding(ids)
-
-        id_coding = coco_io._id_coding
-        monkeypatch.setattr(coco_io, "_id_coding", recording)
-        gt, pred = _pair()
-        manifest = load_manifest(_write(tmp_path, "gt.json", gt))
-        dets = load_predictions(_write(tmp_path, "pred.json", pred), manifest)
-        assert dets.image_ids is manifest.images.ids
-        assert sum(t is manifest.images.ids for t in tables) == 1
-
     def test_hand_built_manifest_of_plain_tuples(self, tmp_path):
         manifest = DatasetManifest(
             images=self.IMAGES,
@@ -582,9 +566,7 @@ def _ref_field(record, key, context):
     return record[key]
 
 
-def _ref_number(record, key, context):
-    value = _ref_field(record, key, context)
-    context = f"{context}.{key}"
+def _ref_finite(value, context):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}: expected a number, got {value!r}")
     try:
@@ -594,6 +576,10 @@ def _ref_number(record, key, context):
     if not math.isfinite(number):
         raise ParseError(f"{context}: expected a finite number, got {value!r}")
     return number
+
+
+def _ref_number(record, key, context):
+    return _ref_finite(_ref_field(record, key, context), f"{context}.{key}")
 
 
 def _ref_int_id(record, key, context):
@@ -666,6 +652,115 @@ def test_typed_image_pass_reports_errors_like_the_walk(tmp_path):
         "ok", "missing field 'id'", "missing field 'width'", "missing field 'height'", "expected an integer id",
         "expected a number", "expected a finite number",
     }
+
+
+def reference_walk(name, section) -> None:
+    """The strict per-record walk of a ``categories``, ``annotations`` or ``predictions`` section:
+    raises ``ParseError`` at the first malformed record or non-finite number, as the loaders name it."""
+    for i, rec in enumerate([] if section is None else section):
+        ctx = f"{name}[{i}]"
+        if name == "categories":
+            _ref_int_id(rec, "id", ctx)
+            if not isinstance(value := _ref_field(rec, "name", ctx), str):
+                raise ParseError(f"{ctx}.name: expected a string, got {value!r}")
+            continue
+        _ref_int_id(rec, "image_id", ctx)
+        _ref_int_id(rec, "category_id", ctx)
+        bbox = _ref_field(rec, "bbox", ctx)
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise ParseError(f"{ctx}.bbox: expected [x, y, width, height], got {bbox!r}")
+        for k, item in enumerate(bbox):
+            _ref_finite(item, f"{ctx}.bbox[{k}]")
+        if name == "predictions":
+            _ref_number(rec, "score", ctx)
+
+
+_FIELDS = {
+    "categories": {"id": (1, 2, 5, 2**70), "name": ("alpha", "", "beta gamma")},
+    "annotations": {
+        "image_id": (1, 2, 3),
+        "category_id": (1, 2, 9),
+        # in bounds, a zero extent, past image 1's right edge, a corner past the float range
+        "bbox": ([0, 0, 5, 5], [1.5, 2, 3, 4.25], [0, 0, 0, 3], [90, 0, 20, 20], [1e308, 0, 1e308, 1]),
+    },
+}
+_FIELDS["predictions"] = {**_FIELDS["annotations"], "score": (0.5, 1, 0, 0.75, 1.5, -0.25)}
+_BAD_NAMES = (None, 3, 2.5, True, [], {}, ["alpha"])
+_BAD_BBOXES = ([0, 0, 5], [0, 0, 5, 5, 5], [], "abcd", {"a": 0, "b": 0, "c": 5, "d": 5}, None, 5, [[0, 0, 5, 5]])
+
+
+def malformed_section(name: str, rng: random.Random):
+    """A seeded ``name`` section of zero to five records, with zero to three edits drawn from the bad values
+    above; the good values also give dangling ids, repeated ids and bad boxes, which are not parse errors."""
+    fields = _FIELDS[name]
+    if name != "predictions" and rng.random() < 0.03:
+        return None
+    section = []
+    for _ in range(rng.randrange(0, 6)):
+        rec = {key: json.loads(json.dumps(rng.choice(values))) for key, values in fields.items()}  # a fresh bbox
+        section.append(dict(sorted(rec.items(), key=lambda kv: rng.random())))
+    for _ in range(rng.randrange(0, 4) if section else 0):
+        i, edit = rng.randrange(len(section)), rng.randrange(5)
+        rec = section[i]
+        if edit == 0:
+            section[i] = rng.choice(_NOT_RECORDS)
+        elif not isinstance(rec, dict):
+            continue
+        elif edit == 1:
+            rec.pop(rng.choice(sorted(fields)), None)
+        elif edit == 2:
+            rec[rng.choice([key for key in fields if key.endswith("id")])] = rng.choice(_BAD_IDS)
+        elif name == "categories":
+            rec["name"] = rng.choice(_BAD_NAMES)
+        elif edit == 3 and "score" in rec and rng.random() < 0.4:
+            rec["score"] = rng.choice(_BAD_NUMBERS)
+        elif edit == 3 and isinstance(rec.get("bbox"), list) and rec["bbox"]:
+            rec["bbox"][rng.randrange(len(rec["bbox"]))] = rng.choice(_BAD_NUMBERS)
+        else:
+            rec["bbox"] = rng.choice(_BAD_BBOXES)
+    return section
+
+
+@pytest.mark.parametrize("name", ["categories", "annotations", "predictions"])
+def test_typed_section_pass_reports_errors_like_the_walk(tmp_path, name):
+    # If the column pull refused a section that the walk accepts, the loader would die on a TypeError.
+    manifest = load_manifest(_write(tmp_path, "gt.json", _manifest_doc()))
+    outcomes = set()
+    for seed in range(3000):
+        section = malformed_section(name, random.Random(seed))
+        try:
+            reference_walk(name, section)
+            want = None
+        except ParseError as exc:
+            want = str(exc)
+        if name == "predictions":
+            path, load = _write(tmp_path, "pred.json", section), load_predictions
+        else:
+            path, load = _write(tmp_path, "gt.json", {**_manifest_doc(), name: section}), load_manifest
+        try:
+            loaded = load(path, manifest) if name == "predictions" else load(path)
+            got = None
+        except BoxlabError as exc:
+            got = exc
+        if want is not None:
+            assert type(got) is ParseError and str(got) == want, (seed, section)
+            assert want.startswith(f"{name}[")
+            outcomes.add(want.split(": ", 1)[1].split(",")[0])
+        elif got is None:
+            records = loaded if name == "predictions" else getattr(loaded, name)
+            assert len(records) == len(section or ()), (seed, section)
+            outcomes.add("ok")
+        else:
+            assert not isinstance(got, ParseError), (seed, section, got)
+            outcomes.add(type(got).__name__)
+    assert outcomes >= {
+        "ok", "missing field 'id'" if name == "categories" else "missing field 'bbox'", "expected an integer id",
+        "DuplicateIdError" if name == "categories" else "DanglingIdError",
+    }
+    if name != "categories":
+        assert outcomes >= {"InvalidBoxError", "expected a number", "expected a finite number", "expected [x"}
+    else:
+        assert "expected a string" in outcomes
 
 
 # --- input boundary: each fails on the per-record loaders this replaced -------------

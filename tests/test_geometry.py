@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab.coco_io import ImageColumns, ImageInfo
 from boxlab.errors import InvalidBoxError, UndefinedOverlapError
-from boxlab.geometry import Box, _overlap, area, iou, iou_array
+from boxlab.evaluation import BoxColumns, Detection
+from boxlab.geometry import Box, Columns, _overlap, area, iou, iou_array
 from boxlab.losses import LossKind, loss
+from boxlab.proposals import Anchor, AnchorSet
 from helpers import raster_iou, sample_box, tuple_iou
 
 
@@ -382,3 +385,47 @@ class TestProperties:
         x1 = rng.randrange(0, 25)
         y1 = rng.randrange(0, 25)
         return (x1, y1, x1 + rng.randrange(1, 6), y1 + rng.randrange(1, 6))
+
+
+# --- the one sequence protocol of anchors, loaded boxes and images ----------------------------
+
+
+def _columns_and_rows(kind):
+    """A column-backed sequence of five distinct records, and the list of those records built directly."""
+    corners = [(float(k), 0.5 * k, k + 2.5, 4.0 + k) for k in range(5)]
+    if kind is AnchorSet:
+        rows = [Anchor(Box(*c), k % 2, (k // 2, k)) for k, c in enumerate(corners)]
+        return AnchorSet(*map(list, zip(*(c + (r.level, r.cell) for c, r in zip(corners, rows))))), rows
+    if kind is BoxColumns:
+        rows = [Detection(("a", "b")[k % 2], 7, Box(*c), k / 8) for k, c in enumerate(corners)]
+        codes = np.arange(5) % 2, np.zeros(5, np.intp)
+        return BoxColumns(("a", "b"), (7,), *codes, np.array(corners), np.arange(5) / 8), rows
+    rows = [ImageInfo(10 + k, 64.0 + k, 48.0, f"{k}.jpg") for k in range(5)]
+    sizes = np.array([(r.width, r.height) for r in rows])
+    return ImageColumns([r.id for r in rows], sizes, [r.file_name for r in rows]), rows
+
+
+@pytest.mark.parametrize("kind", [AnchorSet, BoxColumns, ImageColumns], ids=lambda kind: kind.__name__)
+def test_columns_protocol(kind):
+    # An index builds a record, a slice gives a tuple of records, and the columns equal a list or tuple of them.
+    cols, rows = _columns_and_rows(kind)
+    n = len(rows)
+    assert isinstance(cols, Columns) and len(cols) == n
+    for i in range(-n, n):
+        assert type(cols[i]) is type(rows[i]) and cols[i] == rows[i]
+    for i in (n, -n - 1, 10**9, -(10**9)):
+        with pytest.raises(IndexError):
+            cols[i]
+    for sl in (slice(None), slice(1, 4), slice(None, None, -2), slice(-2, None), slice(4, 1), slice(7, 9)):
+        assert type(cols[sl]) is tuple and cols[sl] == tuple(rows[sl])
+    for same in (rows, tuple(rows), _columns_and_rows(kind)[0]):
+        assert cols == same and same == cols
+        assert not cols != same and not same != cols
+    for other in (rows[:-1], tuple(rows[1:]), rows[::-1], rows + rows[:1], [], ()):
+        assert cols != other and other != cols
+        assert not cols == other and not other == cols
+    assert list(cols) == rows and list(reversed(cols)) == rows[::-1]
+    assert [cols.index(r) for r in rows] == list(range(n)) and all(r in cols for r in rows)
+    assert None not in cols
+    with pytest.raises(ValueError):
+        cols.index(None)

@@ -225,7 +225,7 @@ class TestAnchorSet:
                 anchors[i]
         for sl in (slice(2, 9), slice(None, None, -3), slice(5, 2), slice(-4, None), slice(None)):
             part = anchors[sl]
-            assert type(part) is AnchorSet
+            assert type(part) is tuple
             assert list(part) == want[sl]
         assert anchors[7:30][3] == want[10]
         assert list(reversed(anchors)) == want[::-1]
