@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BoxlabError, ValidationError
 from .geometry import Box, _overlap, area, iou, iou_array
-from .losses import _LANE_KINDS, GradVec, LossKind, _lane_loss, loss
+from .losses import _LANE_KINDS, GradVec, LossKind, _lane_gradient, _lane_loss, _lane_values, loss
 
 __all__ = [
     "DescentConfig",
@@ -252,34 +252,39 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
         # grad_norm == 0.0 exactly where every g*g is 0 (a NaN component is not).
         stop = failed[lane] | hit | (gradient * gradient == 0.0).all(0) | (steps >= cfg.max_iters)
         if not stop.all():
-            # Every step size of every moving lane in one kernel call (one size without
-            # backtracking); a lane takes its first accepted candidate, and stops if it has none.
-            k = len(sizes)
-            candidates = _lane_steps(pred[:, ~stop], gradient[:, ~stop], sizes, cfg.parameterization)
-            cand_value, cand_gradient, cand_raises = _lane_loss(
-                np.repeat(codes[~stop], k), np.repeat(targets[:, ~stop], k, axis=1), candidates.reshape(4, -1)
+            # The value of every step size of every moving lane in one value pass (one size
+            # without backtracking); a lane takes its first accepted candidate, and stops if it has none.
+            move, k = ~stop, len(sizes)
+            candidates = _lane_steps(pred[:, move], gradient[:, move], sizes, cfg.parameterization)
+            cand_value, cand_raises, terms = _lane_values(
+                codes[move].repeat(k), targets[:, move].repeat(k, 1), candidates.reshape(4, -1)
             )
             finite = np.isfinite(candidates).all(0)
             accepted = finite & ~cand_raises.reshape(-1, k)
             if cfg.backtracking:
-                accepted &= cand_value.reshape(-1, k) <= value[~stop, None]
+                accepted &= cand_value.reshape(-1, k) <= value[move, None]
             first = (accepted | ~finite).argmax(1)
             rows = np.arange(len(first))
             moved = accepted[rows, first]
             # _step raises on a box built before any accepted one; without backtracking a
             # raising loss raises too, so there a lane with no accepted candidate fails.
-            failed[lane[~stop][~finite[rows, first] if cfg.backtracking else ~moved]] = True
-            pick = rows[moved], first[moved]
-            stop[~stop] = ~moved
+            failed[lane[move][~finite[rows, first] if cfg.backtracking else ~moved]] = True
+            picked = (rows * k + first)[moved]  # the value pass's rows of the accepted candidates
+            stop[move] = ~moved
         final_iou[lane[stop]] = overlap[stop]
         keep = ~stop
         if not keep.any():
             return converged_at, final_iou, failed
         lane, targets, codes = lane[keep], targets[:, keep], codes[keep]
-        pred = candidates[:, pick[0], pick[1]]
-        value = cand_value.reshape(-1, k)[pick]
-        gradient = cand_gradient.reshape(4, -1, k)[:, pick[0], pick[1]]
-        del candidates, cand_value, cand_gradient  # before the next block is built
+        # The gradient pass runs on the picked rows alone, or, where they are every row (one
+        # step size, and every lane moved), on all of them with nothing gathered.
+        pred, value = candidates.reshape(4, -1), cand_value
+        if len(picked) < len(value):
+            pred, value = pred.take(picked, 1), value[picked]
+        else:
+            picked = None
+        gradient = _lane_gradient(targets, pred, terms, picked)
+        del candidates, cand_value, terms  # before the next block is built
         steps += 1
 
 

@@ -211,98 +211,109 @@ _D_EXTENT = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # d(width or height)/d(eac
 _D_V_SIGN = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 _HWHW = np.array([1, 0, 1, 0])  # (w, h).take(_HWHW, 0) is (h, w, h, w), one per corner
 _WHWH = np.array([0, 1, 0, 1])
+# The run each of the value pass's terms covers, as an index into its run ends (c, d, g, i).
+_TERM_RUNS = (3, 3, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0, 0, 0)
 
 
-def _iou_lanes(g, p):
-    """The IoU block of ``loss`` over (4, N) lanes, plus where it raises: iou and union (N,),
-    d_iou and d_union (4, N)."""
-    iwh = np.minimum(g[2:], p[2:]) - np.maximum(g[:2], p[:2])  # (iw, ih)
-    overlap = (iwh[0] > 0.0) & (iwh[1] > 0.0)
-    iwh = np.where(overlap, iwh, 0.0)
-    inter = iwh[0] * iwh[1]
-    # di1 = ih * (-1.0 if px1 > gx1 else 0.0), ..., di4 = iw * (1.0 if py2 < gy2 else 0.0)
-    inside = np.concatenate([p[:2] > g[:2], p[2:] < g[2:]])
-    d_inter = iwh.take(_HWHW, 0) * np.where(inside, _D_EXTENT, 0.0)
-
-    pwh = p[2:] - p[:2]
-    union = pwh[0] * pwh[1] + (g[2] - g[0]) * (g[3] - g[1]) - inter
-    raised = union <= 0.0
-    d_union = pwh.take(_HWHW, 0) * _D_EXTENT - d_inter  # (-ph - di1, -pw - di2, ph - di3, pw - di4)
-    usq = union * union
-    raised |= usq == 0.0
-    d_iou = (d_inter * union - inter * d_union) / usq
-    return inter / union, union, d_iou, d_union, raised
-
-
-def _hull_lanes(g, p):
-    """The enclosing box of ``loss`` over (4, N) lanes: (ew, eh) as (2, N) and the (4, N) hull derivatives."""
-    ewh = np.maximum(g[2:], p[2:]) - np.minimum(g[:2], p[:2])
-    outside = np.concatenate([p[:2] < g[:2], p[2:] > g[2:]])
-    return ewh, np.where(outside, _D_EXTENT, 0.0)
-
-
-def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
-    """The loss of every lane at once: lane ``i`` is kind ``_LANE_KINDS[codes[i]]``
-    of ``gt[:, i]`` against ``pred[:, i]``, where ``gt`` and ``pred`` are (4, N)
-    float64 rows of x_min, y_min, x_max and y_max. ``codes`` must be sorted:
-    each term is then computed once, on the prefix of lanes that needs it, and
-    added in place to the kinds that include it.
-
-    Returns ``(value (N,), gradient (4, N), raises (N,))``: ``raises`` is True
-    exactly where the scalar loss raises, and elsewhere value and gradient
-    equal the scalar ones (a zero component may differ in sign).
+def _lane_values(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
+    """The value pass of the lane kernel: ``(value (N,), raises (N,), terms)``, where lane
+    ``i`` is kind ``_LANE_KINDS[codes[i]]`` of ``gt[:, i]`` against ``pred[:, i]`` ((4, N)
+    float64 corner rows). ``codes`` must be sorted: each term is then computed once, on
+    the prefix of lanes that needs it. ``raises`` is True exactly where the scalar loss
+    raises, and elsewhere value is the scalar one. ``terms`` holds the run ends and the
+    terms ``_lane_gradient`` reads, each on the prefix ``_TERM_RUNS`` names (None if empty).
     """
     n = len(codes)
-    c, d, g, i = np.searchsorted(codes, [1, 2, 3, 4]).tolist()  # the ends of the CIoU ... IoU runs
+    c, d, g, i = ends = np.searchsorted(codes, [1, 2, 3, 4]).tolist()  # the ends of the CIoU ... IoU runs
     value = np.empty(n)
-    gradient = np.empty((4, n))
     raises = np.zeros(n, bool)
+    iwh = inter = union = usq = pwh = ewh = c_area = csq = dr = rho2 = c2 = t = diag_sq = alpha = None
     # A block with no lanes is skipped: numpy calls on empty slices still cost.
     with np.errstate(all="ignore"):  # the raising lanes' values are never read
-        if i:  # 1 - IoU
-            iou, union, d_iou, d_union, raises[:i] = _iou_lanes(gt[:, :i], pred[:, :i])
+        if i:  # 1 - IoU; disjoint and edge-touching pairs have extents (0, 0)
+            iwh = np.minimum(gt[2:, :i], pred[2:, :i]) - np.maximum(gt[:2, :i], pred[:2, :i])
+            iwh = np.where((iwh[0] > 0.0) & (iwh[1] > 0.0), iwh, 0.0)
+            inter = iwh[0] * iwh[1]
+            pwh = pred[2:, :i] - pred[:2, :i]
+            union = pwh[0] * pwh[1] + (gt[2, :i] - gt[0, :i]) * (gt[3, :i] - gt[1, :i]) - inter
+            usq = union * union
+            raises[:i] = (union <= 0.0) | (usq == 0.0)
+            iou = inter / union
             value[:i] = 1.0 - iou
-            gradient[:, :i] = -d_iou
-        if g:
-            ewh, d_hull = _hull_lanes(gt[:, :g], pred[:, :g])
-        if g > d:  # GIoU: + (C - U)/C
-            c_area = ewh[0, d:] * ewh[1, d:]
-            d_c = ewh[:, d:].take(_HWHW, 0) * d_hull[:, d:]
+        if g:  # the enclosing box
+            ewh = np.maximum(gt[2:, :g], pred[2:, :g]) - np.minimum(gt[:2, :g], pred[:2, :g])
+        if g > d:  # GIoU: + (C - U)/C; C covers the whole hull prefix, to be gathered like the other terms
+            c_area = ewh[0] * ewh[1]
             csq = c_area * c_area
-            raises[d:g] |= csq == 0.0
-            value[d:g] += (c_area - union[d:g]) / c_area
-            gradient[:, d:g] -= (d_union[:, d:g] * c_area - union[d:g] * d_c) / csq
+            raises[d:g] |= csq[d:] == 0.0
+            value[d:g] += (c_area[d:] - union[d:g]) / c_area[d:]
         if d:  # DIoU and CIoU: + rho^2/c^2
             dr = (pred[:2, :d] + pred[2:, :d]) / 2.0 - (gt[:2, :d] + gt[2:, :d]) / 2.0  # (drx, dry)
             dr_sq = np.float_power(dr, 2.0)
             raises[:d] |= (np.isinf(dr_sq) & np.isfinite(dr)).any(0)  # where Python's ** raises OverflowError
             rho2 = dr_sq[0] + dr_sq[1]
             c2 = ewh[0, :d] * ewh[0, :d] + ewh[1, :d] * ewh[1, :d]
-            d_c2 = (2.0 * ewh[:, :d]).take(_WHWH, 0) * d_hull[:, :d]
-            c2sq = c2 * c2  # nonzero wherever usq is, as in ``loss``
             value[:d] += rho2 / c2
-            gradient[:, :d] += (dr.take(_WHWH, 0) * c2 - rho2 * d_c2) / c2sq
         if c:  # CIoU: + alpha*V
             gwh = gt[2:, :c] - gt[:2, :c]
-            pwh = pred[2:, :c] - pred[:2, :c]
-            pw, ph = pwh
+            pw, ph = pwh[:, :c]
             diag_sq = pw * pw + ph * ph
-            raises[:c] |= (gwh <= 0.0).any(0) | (pwh <= 0.0).any(0) | (diag_sq == 0.0)
+            raises[:c] |= (gwh <= 0.0).any(0) | (pwh[:, :c] <= 0.0).any(0) | (diag_sq == 0.0)
             # Below IoU 0.5 alpha is 0 and the value and gradient are DIoU's, so t (with
             # its two atan calls) is computed only at or above the gate, and is 0 elsewhere.
             gate = ~raises[:c] & (iou[:c] >= 0.5)
             t = np.zeros(c)
-            for j, a, b, w, h in zip(np.flatnonzero(gate).tolist(), *(x[gate].tolist() for x in (*gwh, *pwh))):
+            for j, a, b, w, h in zip(np.flatnonzero(gate).tolist(), *(x[gate].tolist() for x in (*gwh, pw, ph))):
                 t[j] = math.atan(a / b) - math.atan(w / h)
             v = _FOUR_OVER_PI_SQ * t * t
-            common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
-            d_v = common * pwh.take(_HWHW, 0) * _D_V_SIGN  # (common*ph, -common*pw, -common*ph, common*pw)
             denom = (1.0 - iou[:c]) + v
             alpha = np.where(gate & (denom > 0.0), v / denom, 0.0)
             value[:c] += alpha * v
-            gradient[:, :c] += alpha * d_v
         if i < n:  # L1
             a = np.abs(gt[:, i:] - pred[:, i:])
             value[i:] = (a[0] + a[1] + a[2] + a[3]) / 4.0
+    return value, raises, (ends, (iwh, inter, union, usq, pwh, ewh, c_area, csq, dr, rho2, c2, t, diag_sq, alpha))
+
+
+def _lane_gradient(gt: np.ndarray, pred: np.ndarray, terms, rows=None) -> np.ndarray:
+    """The gradient pass: the (4, M) gradient of the value pass's lanes ``rows`` (M sorted
+    indices; all of them, with no gather, if None), whose boxes are ``gt`` and ``pred``.
+    It gathers their ``terms`` and applies ``loss``'s gradient expressions in its order."""
+    ends, terms = terms
+    if rows is not None:  # a prefix of the value pass's lanes is a prefix of ``rows`` too
+        ends = np.searchsorted(rows, ends).tolist()  # x.take(r, -1) is x[..., r], at less call cost
+        terms = [x if x is None else x.take(rows[: ends[run]], -1) for x, run in zip(terms, _TERM_RUNS)]
+    c, d, g, i = ends
+    iwh, inter, union, usq, pwh, ewh, c_area, csq, dr, rho2, c2, t, diag_sq, alpha = terms
+    gradient = np.empty((4, n := pred.shape[1]))
+    with np.errstate(all="ignore"):  # the raising lanes' gradients are never read
+        if i:  # -d(IoU) = -(dI*U - I*dU)/U^2
+            # How far each pred corner lies outside gt's: negative inside (px1 > gx1, ..., py2 < gy2)
+            # and positive outside (px1 < gx1, ..., py2 > gy2), exactly where those comparisons hold.
+            out = (pred[:, :i] - gt[:, :i]) * _D_EXTENT
+            # di1 = ih * (-1.0 if px1 > gx1 else 0.0), ..., di4 = iw * (1.0 if py2 < gy2 else 0.0)
+            d_inter = iwh.take(_HWHW, 0) * np.where(out < 0.0, _D_EXTENT, 0.0)
+            d_union = pwh.take(_HWHW, 0) * _D_EXTENT - d_inter  # (-ph - di1, -pw - di2, ph - di3, pw - di4)
+            np.negative((d_inter * union - inter * d_union) / usq, out=gradient[:, :i])
+        if g:  # (dew/dx1, deh/dy1, dew/dx2, deh/dy2); the cross derivatives are zero
+            d_hull = np.where(out[:, :g] > 0.0, _D_EXTENT, 0.0)
+        if g > d:  # GIoU: -(dU*C - U*dC)/C^2
+            d_c = ewh[:, d:].take(_HWHW, 0) * d_hull[:, d:]
+            gradient[:, d:g] -= (d_union[:, d:g] * c_area[d:] - union[d:g] * d_c) / csq[d:]
+        if d:  # DIoU and CIoU: (d(rho2)*c2 - rho2*d(c2))/c2^2
+            d_c2 = (2.0 * ewh[:, :d]).take(_WHWH, 0) * d_hull[:, :d]
+            gradient[:, :d] += (dr.take(_WHWH, 0) * c2 - rho2 * d_c2) / (c2 * c2)  # nonzero wherever usq is
+        if c:  # CIoU: alpha*dV
+            common = 2.0 * _FOUR_OVER_PI_SQ * t / diag_sq
+            d_v = common * pwh[:, :c].take(_HWHW, 0) * _D_V_SIGN  # (common*ph, -common*pw, -common*ph, common*pw)
+            gradient[:, :c] += alpha * d_v
+        if i < n:  # L1
             gradient[:, i:] = np.where(pred[:, i:] > gt[:, i:], 0.25, np.where(pred[:, i:] < gt[:, i:], -0.25, 0.0))
-    return value, gradient, raises
+    return gradient
+
+
+def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
+    """``(value (N,), gradient (4, N), raises (N,))``: both passes over all lanes. Where ``raises``
+    is False, value and gradient are the scalar ones (a zero gradient component may differ in sign)."""
+    value, raises, terms = _lane_values(codes, gt, pred)
+    return value, _lane_gradient(gt, pred, terms), raises

@@ -4,7 +4,9 @@ A BENCH file records one change's before/after benchmark runs.
 The workload and metric names are the ones BENCHMARK.json declares, so a file
 that misspells one or drops a side cannot back a claim. A file that claims a
 gain also says how it was measured: enough pairs on the claimed workload, and
-the directories each side ran from.
+the directories each side ran from; and its change median beats its parent
+median on the claimed workload and metric, in the direction BENCHMARK.json
+gives that metric.
 """
 
 import json
@@ -17,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 CLAIMING = [p for p in BENCH_FILES if json.loads(p.read_text(encoding="utf-8")).get("claim") is not None]
 # Fewer alternating parent/change pairs than this cannot show that a gain repeats.
@@ -55,3 +58,16 @@ def test_a_claim_shows_how_it_was_measured(path):
     assert isinstance(directories, list) and directories and all(
         isinstance(d, str) and d for d in directories
     ), f"{path.name}: directories {directories!r}"
+
+
+@pytest.mark.parametrize("path", CLAIMING, ids=lambda p: p.name)
+def test_a_claim_beats_its_parent(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    workload, metric = bench["claim"]["workload"], bench["claim"]["metric"]
+    entry = bench["workloads"][workload]
+    parent, change = entry["parent"][metric]["median"], entry["change"][metric]["median"]
+    better = BETTER[metric]
+    assert better in ("higher", "lower"), f"BENCHMARK.json: {metric} is better {better!r}"
+    assert (change > parent) if better == "higher" else (change < parent), (
+        f"{path.name}: {workload} {metric} median {change} does not beat the parent's {parent} ({better} is better)"
+    )

@@ -50,6 +50,13 @@ CASES.update(
         # L1 and the default success IoU of 0.9.
         "convergence_l1_giou_csv": ["convergence", "--trials", "30", "--losses", "l1,giou", "--lr", "3.0",
                                     "--max-iters", "100", "--seed", "5", "--format", "csv"],
+        # One step size per round, and the center step (CIoU left out, as above).
+        "convergence_no_backtracking_csv": ["convergence", "--trials", "30", "--losses", "l1,iou,giou,diou",
+                                            "--no-backtracking", "--lr", "3.0", "--max-iters", "60", "--seed", "6",
+                                            "--success-iou", "0.5", "--format", "csv"],
+        "convergence_center_csv": ["convergence", "--trials", "30", "--losses", "l1,iou,giou,diou",
+                                   "--parameterization", "center", "--lr", "3.0", "--max-iters", "60", "--seed", "7",
+                                   "--success-iou", "0.5", "--format", "csv"],
         "anchors_feature_sizes_csv": ["anchors", "--feature-sizes", "2x3,1x2", "--strides", "8,16", "--ratios",
                                       "0.5,1", "--format", "csv"],
         "anchors_output_json": COMMANDS["anchors"] + ["--format", "json", "--output", "{out}"],

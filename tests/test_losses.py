@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.errors import DegenerateAspectError, UndefinedOverlapError, ValidationError
 from boxlab.geometry import Box, iou
-from boxlab.losses import _LANE_KINDS, LossKind, _lane_loss, loss
+from boxlab.losses import _LANE_KINDS, LossKind, _lane_gradient, _lane_loss, _lane_values, loss
 from helpers import ciou_aspect, finite_diff_gradient, sample_box, sample_clean_pair, sample_disjoint_pair
 
 # The 15 frozen loss fixtures. Expected values were derived independently by
@@ -234,3 +236,65 @@ def test_underflowing_denominator_raises(gt, pred, kinds, what):
         assert raises.tolist() == [True]
     for kind in set(LossKind) - {LossKind.L1, *kinds}:  # the other losses never reach this denominator
         loss(kind, gt, pred)
+
+
+_corner = st.integers(-6, 6)
+_side = st.integers(0, 5)  # a zero side is a degenerate box: CIoU raises on it, and the IoU family if both are
+
+
+@st.composite
+def _lane(draw):
+    """One (code, gt, pred) lane: the pred box is free, touches the gt box along an edge, lies inside it or
+    is the gt box before the jitter, and both are scaled by one power of ten between 1e-150 (squared areas
+    underflow) and 1e150."""
+    x, y, w, h = draw(_corner), draw(_corner), draw(_side), draw(_side)
+    gt = (x, y, x + w, y + h)
+    shape = draw(st.sampled_from(["free", "touching", "contained", "near"]))
+    if shape == "free":
+        px, py = draw(_corner), draw(_corner)
+        pred = (px, py, px + draw(_side), py + draw(_side))
+    elif shape == "touching":  # sharing gt's x_max edge, or its y_max edge
+        if draw(st.booleans()):
+            pred = (x + w, y, x + w + draw(_side), y + draw(_side))
+        else:
+            pred = (x, y + h, x + draw(_side), y + h + draw(_side))
+    elif shape == "near":
+        pred = gt
+    else:
+        px1, py1 = draw(st.integers(x, x + w)), draw(st.integers(y, y + h))
+        pred = (px1, py1, draw(st.integers(px1, x + w)), draw(st.integers(py1, y + h)))
+    # A quarter-unit shift and growth of the pred box puts it off the integer grid; most near boxes keep IoU >= 0.5.
+    jitter = draw(st.lists(st.sampled_from([0.0, 0.25]), min_size=4, max_size=4))
+    pred = (pred[0] + jitter[0], pred[1] + jitter[1], pred[2] + jitter[0] + jitter[2], pred[3] + jitter[1] + jitter[3])
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return draw(st.integers(0, len(_LANE_KINDS) - 1)), [c * scale for c in gt], [c * scale for c in pred]
+
+
+def _bits(a):
+    """The float64 bit patterns of ``a``, with every NaN as one pattern: numpy's vector and scalar
+    loops may give an overflowed quotient's NaN different sign bits."""
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64).tolist()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lanes=st.lists(_lane(), min_size=1, max_size=30), data=st.data())
+def test_gradient_pass_on_any_row_subset_is_the_all_rows_gradient(lanes, data):
+    """The value pass plus a gradient pass over any sorted subset of its rows gives, at those rows,
+    the values, raises and gradient bits of ``_lane_loss`` over all rows (zeros keep their sign),
+    and so does a value pass over the subset's lanes alone."""
+    lanes.sort(key=lambda lane: lane[0])
+    codes = np.array([code for code, _, _ in lanes])
+    gt = np.array([g for _, g, _ in lanes]).T
+    pred = np.array([p for _, _, p in lanes]).T
+    value, gradient, raises = _lane_loss(codes, gt, pred)
+    rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(lanes), max_size=len(lanes))))
+    ok = rows[~raises[rows]]  # a raising lane's value and gradient are never read
+
+    _, _, terms = _lane_values(codes, gt, pred)
+    sub = _lane_gradient(gt[:, rows], pred[:, rows], terms, rows)
+    assert _bits(sub[:, ~raises[rows]]) == _bits(gradient[:, ok])
+
+    sub_value, sub_raises, sub_terms = _lane_values(codes[rows], gt[:, rows], pred[:, rows])
+    assert sub_raises.tolist() == raises[rows].tolist()
+    assert _bits(sub_value[~sub_raises]) == _bits(value[ok])
+    assert _bits(_lane_gradient(gt[:, rows], pred[:, rows], sub_terms)[:, ~sub_raises]) == _bits(gradient[:, ok])
