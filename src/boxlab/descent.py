@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BoxlabError, ValidationError
 from .geometry import Box, _overlap, area, iou, iou_array
-from .losses import _LANE_KINDS, GradVec, LossKind, _lane_gradient, _lane_loss, _lane_values, loss
+from .losses import _LANE_KINDS, GradVec, LossKind, _lane_gradient, _lane_values, loss
 
 __all__ = [
     "DescentConfig",
@@ -225,7 +225,7 @@ def _lane_steps(pred: np.ndarray, gradient: np.ndarray, sizes, parameterization:
 def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: DescentConfig):
     """``run_descent`` on every lane at once: lane ``i`` starts at ``inits[:, i]``
     toward ``targets[:, i]`` ((4, N) corner rows) with loss kind ``codes[i]``
-    (sorted, as ``_lane_loss`` needs).
+    (sorted, as ``_lane_values`` needs).
 
     Returns (N,) arrays: each lane's ``converged_at`` (-1 for None), the IoU of its
     last success test, and ``failed``: True where ``run_descent`` raises on the
@@ -238,14 +238,16 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
     while cfg.backtracking and len(sizes) <= _MAX_HALVINGS and sizes[-1] > 0.0:
         sizes.append(sizes[-1] / 2.0)
 
-    value, gradient, failed = _lane_loss(codes, targets, inits)
+    value, failed, terms = _lane_values(codes, targets, inits)
     with np.errstate(over="ignore"):  # an area past 1e308 is inf, which is not zero
         failed |= (targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0
     converged_at = np.full(len(codes), -1)
     final_iou = np.zeros(len(codes))
-    lane, pred = np.arange(len(codes)), inits
+    lane, pred, picked = np.arange(len(codes)), inits, None  # the starts are round 0's picks, with no gather
     steps = 0
     while True:
+        gradient = _lane_gradient(targets, pred, terms, picked)
+        del terms  # before the next block is built
         overlap = iou_array(targets.T, pred.T)
         hit = overlap >= cfg.success_iou
         converged_at[lane[hit]] = steps
@@ -276,15 +278,14 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
         if not keep.any():
             return converged_at, final_iou, failed
         lane, targets, codes = lane[keep], targets[:, keep], codes[keep]
-        # The gradient pass runs on the picked rows alone, or, where they are every row (one
-        # step size, and every lane moved), on all of them with nothing gathered.
+        # The next gradient pass runs on the picked rows alone, or, where they are every row
+        # (one step size, and every lane moved), on all of them with nothing gathered.
         pred, value = candidates.reshape(4, -1), cand_value
         if len(picked) < len(value):
             pred, value = pred.take(picked, 1), value[picked]
         else:
             picked = None
-        gradient = _lane_gradient(targets, pred, terms, picked)
-        del candidates, cand_value, terms  # before the next block is built
+        del candidates, cand_value
         steps += 1
 
 

@@ -211,8 +211,6 @@ _D_EXTENT = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # d(width or height)/d(eac
 _D_V_SIGN = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 _HWHW = np.array([1, 0, 1, 0])  # (w, h).take(_HWHW, 0) is (h, w, h, w), one per corner
 _WHWH = np.array([0, 1, 0, 1])
-# The run each of the value pass's terms covers, as an index into its run ends (c, d, g, i).
-_TERM_RUNS = (3, 3, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0, 0, 0)
 
 
 def _lane_values(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
@@ -221,7 +219,7 @@ def _lane_values(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
     float64 corner rows). ``codes`` must be sorted: each term is then computed once, on
     the prefix of lanes that needs it. ``raises`` is True exactly where the scalar loss
     raises, and elsewhere value is the scalar one. ``terms`` holds the run ends and the
-    terms ``_lane_gradient`` reads, each on the prefix ``_TERM_RUNS`` names (None if empty).
+    terms ``_lane_gradient`` reads; each term's length is its run's end (None if empty).
     """
     n = len(codes)
     c, d, g, i = ends = np.searchsorted(codes, [1, 2, 3, 4]).tolist()  # the ends of the CIoU ... IoU runs
@@ -275,14 +273,15 @@ def _lane_values(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
     return value, raises, (ends, (iwh, inter, union, usq, pwh, ewh, c_area, csq, dr, rho2, c2, t, diag_sq, alpha))
 
 
-def _lane_gradient(gt: np.ndarray, pred: np.ndarray, terms, rows=None) -> np.ndarray:
+def _lane_gradient(gt: np.ndarray, pred: np.ndarray, terms, rows) -> np.ndarray:
     """The gradient pass: the (4, M) gradient of the value pass's lanes ``rows`` (M sorted
     indices; all of them, with no gather, if None), whose boxes are ``gt`` and ``pred``.
     It gathers their ``terms`` and applies ``loss``'s gradient expressions in its order."""
     ends, terms = terms
     if rows is not None:  # a prefix of the value pass's lanes is a prefix of ``rows`` too
-        ends = np.searchsorted(rows, ends).tolist()  # x.take(r, -1) is x[..., r], at less call cost
-        terms = [x if x is None else x.take(rows[: ends[run]], -1) for x, run in zip(terms, _TERM_RUNS)]
+        new = np.searchsorted(rows, ends).tolist()
+        cut = dict(zip(ends, new))  # a term's length is its run's end; x.take(r, -1) is x[..., r] at less call cost
+        ends, terms = new, [x if x is None else x.take(rows[: cut[x.shape[-1]]], -1) for x in terms]
     c, d, g, i = ends
     iwh, inter, union, usq, pwh, ewh, c_area, csq, dr, rho2, c2, t, diag_sq, alpha = terms
     gradient = np.empty((4, n := pred.shape[1]))
@@ -310,10 +309,3 @@ def _lane_gradient(gt: np.ndarray, pred: np.ndarray, terms, rows=None) -> np.nda
         if i < n:  # L1
             gradient[:, i:] = np.where(pred[:, i:] > gt[:, i:], 0.25, np.where(pred[:, i:] < gt[:, i:], -0.25, 0.0))
     return gradient
-
-
-def _lane_loss(codes: np.ndarray, gt: np.ndarray, pred: np.ndarray):
-    """``(value (N,), gradient (4, N), raises (N,))``: both passes over all lanes. Where ``raises``
-    is False, value and gradient are the scalar ones (a zero gradient component may differ in sign)."""
-    value, raises, terms = _lane_values(codes, gt, pred)
-    return value, _lane_gradient(gt, pred, terms), raises

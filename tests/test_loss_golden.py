@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from boxlab.errors import BoxlabError
 from boxlab.geometry import Box
-from boxlab.losses import _LANE_KINDS, LossKind, _lane_loss, loss
+from boxlab.losses import _LANE_KINDS, LossKind, _lane_gradient, _lane_values, loss
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "loss_golden.json"
 
@@ -133,9 +133,9 @@ def lane_outputs(codes: list[int], cases: list[tuple] | None = None) -> list[tup
     """The lane kernel over the golden cases (all of them by default), case ``i`` as a
     lane of kind code ``codes[i]``."""
     cases = golden_cases() if cases is None else cases
-    value, gradient, raises = _lane_loss(
-        np.array(codes), np.array([gt for _, gt, _ in cases]).T, np.array([pred for _, _, pred in cases]).T
-    )
+    gts, preds = np.array([gt for _, gt, _ in cases]).T, np.array([pred for _, _, pred in cases]).T
+    value, raises, terms = _lane_values(np.array(codes), gts, preds)
+    gradient = _lane_gradient(gts, preds, terms, None)
     return list(zip(value.tolist(), gradient.T.tolist(), raises.tolist()))
 
 
@@ -193,11 +193,10 @@ def assert_lanes_equal_scalar(lanes: list[tuple[int, Box, Box]]) -> list[bool]:
     """The lane kernel over ``lanes`` (sorted by kind code here) equals the scalar loss of each
     lane, and raises exactly where it raises; returns which lanes raised."""
     lanes.sort(key=lambda lane: lane[0])
-    value, gradient, raises = _lane_loss(
-        np.array([code for code, _, _ in lanes]),
-        np.array([gt.as_tuple() for _, gt, _ in lanes]).T,
-        np.array([pred.as_tuple() for _, _, pred in lanes]).T,
-    )
+    gts = np.array([gt.as_tuple() for _, gt, _ in lanes]).T
+    preds = np.array([pred.as_tuple() for _, _, pred in lanes]).T
+    value, raises, terms = _lane_values(np.array([code for code, _, _ in lanes]), gts, preds)
+    gradient = _lane_gradient(gts, preds, terms, None)
     for (code, gt, pred), v, grad, r in zip(lanes, value.tolist(), gradient.T.tolist(), raises.tolist()):
         try:
             want = loss(_LANE_KINDS[code], gt, pred)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from boxlab.errors import DegenerateAspectError, UndefinedOverlapError, ValidationError
 from boxlab.geometry import Box, iou
-from boxlab.losses import _LANE_KINDS, LossKind, _lane_gradient, _lane_loss, _lane_values, loss
+from boxlab.losses import _LANE_KINDS, LossKind, _lane_gradient, _lane_values, loss
 from helpers import ciou_aspect, finite_diff_gradient, sample_box, sample_clean_pair, sample_disjoint_pair
 
 # The 15 frozen loss fixtures. Expected values were derived independently by
@@ -231,8 +231,8 @@ def test_underflowing_denominator_raises(gt, pred, kinds, what):
         with pytest.raises(UndefinedOverlapError, match=what) as exc:
             loss(kind, gt, pred)
         assert str(gt.as_tuple()) in str(exc.value) and str(pred.as_tuple()) in str(exc.value)
-        _, _, raises = _lane_loss(np.array([_LANE_KINDS.index(kind)]), np.array([gt.as_tuple()]).T,
-                                  np.array([pred.as_tuple()]).T)
+        raises = _lane_values(np.array([_LANE_KINDS.index(kind)]), np.array([gt.as_tuple()]).T,
+                              np.array([pred.as_tuple()]).T)[1]
         assert raises.tolist() == [True]
     for kind in set(LossKind) - {LossKind.L1, *kinds}:  # the other losses never reach this denominator
         loss(kind, gt, pred)
@@ -280,21 +280,36 @@ def _bits(a):
 @given(lanes=st.lists(_lane(), min_size=1, max_size=30), data=st.data())
 def test_gradient_pass_on_any_row_subset_is_the_all_rows_gradient(lanes, data):
     """The value pass plus a gradient pass over any sorted subset of its rows gives, at those rows,
-    the values, raises and gradient bits of ``_lane_loss`` over all rows (zeros keep their sign),
+    the values, raises and gradient bits of both passes over all rows (zeros keep their sign),
     and so does a value pass over the subset's lanes alone."""
     lanes.sort(key=lambda lane: lane[0])
     codes = np.array([code for code, _, _ in lanes])
     gt = np.array([g for _, g, _ in lanes]).T
     pred = np.array([p for _, _, p in lanes]).T
-    value, gradient, raises = _lane_loss(codes, gt, pred)
+    value, raises, terms = _lane_values(codes, gt, pred)
+    gradient = _lane_gradient(gt, pred, terms, None)
     rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(lanes), max_size=len(lanes))))
     ok = rows[~raises[rows]]  # a raising lane's value and gradient are never read
 
-    _, _, terms = _lane_values(codes, gt, pred)
     sub = _lane_gradient(gt[:, rows], pred[:, rows], terms, rows)
     assert _bits(sub[:, ~raises[rows]]) == _bits(gradient[:, ok])
 
     sub_value, sub_raises, sub_terms = _lane_values(codes[rows], gt[:, rows], pred[:, rows])
     assert sub_raises.tolist() == raises[rows].tolist()
     assert _bits(sub_value[~sub_raises]) == _bits(value[ok])
-    assert _bits(_lane_gradient(gt[:, rows], pred[:, rows], sub_terms)[:, ~sub_raises]) == _bits(gradient[:, ok])
+    assert _bits(_lane_gradient(gt[:, rows], pred[:, rows], sub_terms, None)[:, ~sub_raises]) == _bits(gradient[:, ok])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lanes=st.lists(_lane(), max_size=30))
+def test_every_term_is_as_long_as_its_run_end(lanes):
+    """The gradient pass gathers each term by its length, which it takes for the end of the term's
+    run: every term the value pass keeps must be as long as one of the run ends (c, d, g, i). The
+    draws leave some runs empty, and some lists empty."""
+    lanes.sort(key=lambda lane: lane[0])
+    codes = np.array([code for code, _, _ in lanes], int)
+    gt = np.array([g for _, g, _ in lanes], float).reshape(-1, 4).T
+    pred = np.array([p for _, _, p in lanes], float).reshape(-1, 4).T
+    ends, terms = _lane_values(codes, gt, pred)[2]
+    assert ends == [int((codes < k).sum()) for k in range(1, len(_LANE_KINDS))]
+    assert [x.shape[-1] for x in terms if x is not None and x.shape[-1] not in ends] == []
