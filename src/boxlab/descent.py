@@ -227,11 +227,11 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
     toward ``targets[:, i]`` ((4, N) corner rows) with loss kind ``codes[i]``
     (sorted, as ``_lane_values`` needs).
 
-    Returns (N,) arrays: each lane's ``converged_at`` (-1 for None), the IoU of its
-    last success test, and ``failed``: True where ``run_descent`` raises on the
-    lane. A failed lane stops where it would raise (its target has no area, its
-    start loss raises, a step leaves the floats, or a step's loss raises without
-    backtracking), and its other two results mean nothing.
+    Targets have positive area and every start's loss is defined, as for every
+    ``sample_pairs`` pair. Returns (N,) arrays: each lane's ``converged_at`` (-1 for
+    None), the IoU of its last success test, and ``failed``, True where ``run_descent``
+    raises: where a step leaves the floats or, without backtracking, a step's loss
+    raises. A failed lane stops there, and its other two results mean nothing.
     """
     sizes = [cfg.learning_rate]
     # Past the first zero step size every candidate is the same box, so the scan stops there.
@@ -239,8 +239,6 @@ def _lockstep(inits: np.ndarray, targets: np.ndarray, codes: np.ndarray, cfg: De
         sizes.append(sizes[-1] / 2.0)
 
     value, failed, terms = _lane_values(codes, targets, inits)
-    with np.errstate(over="ignore"):  # an area past 1e308 is inf, which is not zero
-        failed |= (targets[2] - targets[0]) * (targets[3] - targets[1]) <= 0.0
     converged_at = np.full(len(codes), -1)
     final_iou = np.zeros(len(codes))
     lane, pred, picked = np.arange(len(codes)), inits, None  # the starts are round 0's picks, with no gather

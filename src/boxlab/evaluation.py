@@ -19,10 +19,10 @@ Each class is evaluated with the structure of COCOeval (Lin et al.,
    precision (max precision at recall >= r) at ``RECALL_SAMPLES`` (101)
    evenly spaced recall points in [0, 1], COCOeval's fixed grid.
 
-``BoxColumns`` inputs (what the COCO loaders return) are used as they are;
-any other sequence is converted to columns once. ``match_detections``,
-``average_precision`` and ``max_achieved_recall`` are thin wrappers over the
-same core for a single slice or threshold.
+Two ``BoxColumns`` that share id tables listing each id once (the COCO
+loaders') keep their codes; other input is coded record by record.
+``match_detections``, ``average_precision`` and ``max_achieved_recall`` are
+thin wrappers over the same core for a single slice or threshold.
 
 Aggregation takes unweighted class means: mAP over per-class APs, average
 recall over (class, threshold) maximum achieved recalls, and F1 as the
@@ -35,7 +35,6 @@ aggregation unless ``EvalConfig.include_gt_free_classes`` is set.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -172,20 +171,16 @@ class BoxColumns(Columns):
 def _coded(dets: Sequence, gts: Sequence):
     """The detections as (image codes, class codes, (N, 4) boxes, scores), the
     ground truths as (image codes, class codes, boxes), and the class id of
-    each class code. Ids are coded alike on both sides: ``BoxColumns`` are
-    re-coded through their id tables, each distinct table once (the COCO loaders
-    share theirs), and other sequences converted once.
+    each class code. Two ``BoxColumns`` with equal id tables that list each id
+    once (the COCO loaders') keep their own arrays, with the ground truths'
+    class table. Any other input is coded record by record, alike on both sides.
     """
+    tables = [(items.image_ids, items.class_ids) for items in (dets, gts) if isinstance(items, BoxColumns)]
+    if len(tables) == 2 and tables[0] == tables[1] and all(len(set(t)) == len(t) for t in tables[0]):
+        return (dets.image, dets.cls, dets.boxes, dets.scores), (gts.image, gts.cls, gts.boxes), gts.class_ids
     codes: tuple[dict, dict] = ({}, {})  # image id -> code, class id -> code
-    recode = functools.cache(  # the codes of id table ``table`` in ``codes[k]``, once per distinct table
-        lambda table, k: np.array([codes[k].setdefault(v, len(codes[k])) for v in table], np.intp)
-    )
     coded = []
     for items, scored in ((gts, False), (dets, True)):
-        if isinstance(items, BoxColumns):
-            image, cls = recode(items.image_ids, 0)[items.image], recode(items.class_ids, 1)[items.cls]
-            coded.append((image, cls, items.boxes, items.scores))
-            continue
         image = np.array([codes[0].setdefault(x.image_id, len(codes[0])) for x in items], np.intp)
         cls = np.array([codes[1].setdefault(x.class_id, len(codes[1])) for x in items], np.intp)
         boxes = _boxes_array(x.box for x in items)

@@ -18,12 +18,14 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxlab.coco_io import load_manifest, load_predictions
-from boxlab.evaluation import DEFAULT_IOU_THRESHOLDS, Detection, EvalConfig, GroundTruthAnnotation, evaluate
+from boxlab.evaluation import DEFAULT_IOU_THRESHOLDS, BoxColumns, Detection, EvalConfig, GroundTruthAnnotation, evaluate
+from boxlab.evaluation import _coded
 from boxlab.evaluation import match_detections
 from boxlab.geometry import Box, iou
 from helpers import naive_average_precision, naive_max_recall, tuple_iou
@@ -115,31 +117,83 @@ def test_matches_golden_exactly():
         assert report_record(evaluate(*objects(case), config(case))) == case["expected"], case
 
 
+def int_id_cases() -> list[dict]:
+    """The golden cases whose image and class ids are all ints, as the COCO loaders need."""
+    return [case for case in golden()
+            if all(isinstance(d[0], int) and isinstance(d[1], int) for d in case["dets"] + case["gts"])]
+
+
+def loaded(case: dict, tmp_path) -> tuple:
+    """(detections, ground truths) of ``case``, written as COCO JSON and read back by the loaders."""
+    images = sorted({d[0] for d in case["dets"] + case["gts"]})
+    classes = sorted({d[1] for d in case["dets"] + case["gts"]})
+    gt_doc = {
+        "images": [{"id": im, "width": 20, "height": 20} for im in images],
+        "categories": [{"id": c, "name": f"c{c}"} for c in classes],
+        "annotations": [{"image_id": im, "category_id": c, "bbox": [x1, y1, x2 - x1, y2 - y1]}
+                        for im, c, x1, y1, x2, y2 in case["gts"]],
+    }
+    preds = [{"image_id": im, "category_id": c, "bbox": [x1, y1, x2 - x1, y2 - y1], "score": s}
+             for im, c, x1, y1, x2, y2, s in case["dets"]]
+    (tmp_path / "gt.json").write_text(json.dumps(gt_doc))
+    (tmp_path / "pred.json").write_text(json.dumps(preds))
+    manifest = load_manifest(str(tmp_path / "gt.json"))
+    return load_predictions(str(tmp_path / "pred.json"), manifest), manifest.annotations
+
+
 def test_loaded_columns_match_golden_exactly(tmp_path):
     """The same instances through the COCO loaders, whose column-backed results go to evaluate as they are."""
     checked = 0
-    for case in golden():
-        if not all(isinstance(d[0], int) and isinstance(d[1], int) for d in case["dets"] + case["gts"]):
-            continue
-        images = sorted({d[0] for d in case["dets"] + case["gts"]})
-        classes = sorted({d[1] for d in case["dets"] + case["gts"]})
-        gt_doc = {
-            "images": [{"id": im, "width": 20, "height": 20} for im in images],
-            "categories": [{"id": c, "name": f"c{c}"} for c in classes],
-            "annotations": [{"image_id": im, "category_id": c, "bbox": [x1, y1, x2 - x1, y2 - y1]}
-                            for im, c, x1, y1, x2, y2 in case["gts"]],
-        }
-        preds = [{"image_id": im, "category_id": c, "bbox": [x1, y1, x2 - x1, y2 - y1], "score": s}
-                 for im, c, x1, y1, x2, y2, s in case["dets"]]
-        (tmp_path / "gt.json").write_text(json.dumps(gt_doc))
-        (tmp_path / "pred.json").write_text(json.dumps(preds))
-        manifest = load_manifest(str(tmp_path / "gt.json"))
-        dets = load_predictions(str(tmp_path / "pred.json"), manifest)
+    for case in int_id_cases():
+        dets, gts = loaded(case, tmp_path)
         if not case["gts"]:
             continue
-        assert report_record(evaluate(dets, manifest.annotations, config(case))) == case["expected"], case
+        assert report_record(evaluate(dets, gts, config(case))) == case["expected"], case
         checked += 1
     assert checked > 25
+
+
+def reordered(columns: BoxColumns) -> BoxColumns:
+    """The same records, with both id tables reversed and the codes to match."""
+    flip = [len(columns.image_ids) - 1 - columns.image, len(columns.class_ids) - 1 - columns.cls]
+    return BoxColumns(columns.image_ids[::-1], columns.class_ids[::-1], *flip, columns.boxes, columns.scores)
+
+
+def test_shared_table_columns_give_the_report_of_their_records(tmp_path):
+    """The loaders' columns keep their own codes and arrays, and give the report, bit for bit, of
+    the same records as lists, of the columns with reordered id tables, and of the detection
+    columns against a list of ground truths; no evaluation writes into their arrays."""
+    for case in int_id_cases():
+        dets, gts = loaded(case, tmp_path)
+        arrays = [(dets.image, dets.cls, dets.boxes, dets.scores), (gts.image, gts.cls, gts.boxes)]
+        coded = _coded(dets, gts)
+        assert all(got is own for got, own in zip(coded[0] + coded[1], arrays[0] + arrays[1]))
+        assert coded[2] is gts.class_ids
+        copies = [[a.copy() for a in side] for side in arrays]
+        reports = {
+            name: repr(evaluate(*inputs, config(case)))
+            for name, inputs in {
+                "columns": (dets, gts),
+                "lists": objects(case),
+                "reordered tables": (reordered(dets), reordered(gts)),
+                "columns against a list": (dets, list(gts)),
+            }.items()
+        }
+        assert len(set(reports.values())) == 1, (case, reports)
+        for side, copy in zip(arrays, copies):
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(side, copy))
+
+
+def test_columns_with_a_repeated_table_id_are_coded_by_record():
+    # Codes 0 and 1 both name image "a", so the detection and the ground truth share an
+    # image: coding by record sees it, and passing the codes through would give AP 0.0.
+    box = np.array([[0.0, 0.0, 2.0, 2.0]])
+    gts = BoxColumns(("a", "a"), (7,), np.array([0]), np.array([0]), box)
+    dets = BoxColumns(("a", "a"), (7,), np.array([1]), np.array([0]), box, np.array([0.9]))
+    cfg = EvalConfig((0.5,))
+    report = evaluate(dets, gts, cfg)
+    assert report.map_all == 1.0
+    assert repr(report) == repr(evaluate(list(dets), list(gts), cfg))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

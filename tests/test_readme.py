@@ -1,12 +1,16 @@
 """The README's documented workflows still run: every ``boxlab`` command in its
-``sh`` blocks parses, and the Python quick start gives the values its comments show.
+``sh`` blocks parses, the Python quick start gives the values its comments show,
+and every boxlab name it puts in backticks exists.
 """
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 import re
 import shlex
 
+import boxlab
 from boxlab.cli import build_parser
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -50,3 +54,12 @@ def test_python_quick_start_gives_its_commented_values():
         assert value == expected, (ast.unparse(stmt), value, expected)
         checked.append(expected)
     assert checked == [0.75, [0], (1.0, 1.0, 1.0)]
+
+
+def test_every_named_module_attribute_exists():
+    # A Convention that names a deleted helper (`losses._lane_loss`) must fail here.
+    modules = {m.name for m in pkgutil.iter_modules(boxlab.__path__)}
+    named = {(m, name) for m, name in re.findall(r"`(?:boxlab\.)?(\w+)\.(\w+)`", README) if m in modules}
+    assert len(named) >= 10
+    missing = [f"{m}.{name}" for m, name in sorted(named) if not hasattr(importlib.import_module(f"boxlab.{m}"), name)]
+    assert missing == []
